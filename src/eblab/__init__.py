@@ -21,6 +21,7 @@ from .families import (
 from .hermite import (
     HermiteSeries,
     MomentGapTable,
+    alpha_bounds,
     alpha_bounds_hold,
     expansion_coefficients,
     hermite_eval,
@@ -128,6 +129,7 @@ __all__ = [
     # hermite
     "HermiteSeries",
     "MomentGapTable",
+    "alpha_bounds",
     "alpha_bounds_hold",
     "expansion_coefficients",
     "hermite_eval",

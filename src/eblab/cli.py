@@ -3,15 +3,14 @@
 Every experiment is described by an ``ExperimentSpec`` and dispatched
 through ``run``, which returns an ``ExperimentReport``.  Reports are
 written as CSV plus a JSON sidecar when ``--out`` is given, otherwise the
-CSV goes to stdout (summary to stderr).  Independent cells (one per grid
-point of the experiment) may run on a thread pool; results are merged by
-cell index, so output bytes never depend on the thread count.
+CSV goes to stdout (summary to stderr).  Cells (one per grid point of
+the experiment) run in order in the calling thread; ``--threads`` is
+accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import pathlib
@@ -20,7 +19,7 @@ import sys
 import numpy as np
 
 from . import families, metrics, npmle, orthopoly
-from .hermite import alpha_bounds_hold, moment_gap_table
+from .hermite import alpha_bounds, alpha_bounds_hold, moment_gap_table
 from .mixtures import DiscretePrior, MarginalModel, check_class_membership
 from .quadrature import ToleranceNotMet
 from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment
@@ -121,18 +120,6 @@ def _parse_ints(text):
     return [int(v) for v in _parse_floats(text)]
 
 
-def _run_cells(cells, threads):
-    """Evaluate zero-argument cells, merging results by index."""
-    if threads <= 1 or len(cells) <= 1:
-        return [cell() for cell in cells]
-    results = [None] * len(cells)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(cell): i for i, cell in enumerate(cells)}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
-    return results
-
-
 # ---------------------------------------------------------------------------
 # experiment runners: spec -> (columns, rows, summary)
 
@@ -162,6 +149,21 @@ def _run_metrics(spec):
     return columns, [row], summary
 
 
+def _bernstein_row(prior, k, grid_size):
+    """One row per call, so a row's grid arrays are freed before the next is built."""
+    table = orthopoly.recurrence_for_weight(prior, k, grid_size=grid_size)
+    ops = orthopoly.build_operators(prior, table)
+    l_norm = orthopoly.operator_norm(ops.L)
+    bound = (2.0 * prior.support_bound + 1.0) * math.sqrt(k + 1.0)
+    return {
+        "k": k,
+        "l_norm": l_norm,
+        "bound": bound,
+        "gauss_reference": math.sqrt(float(k)),
+        "within_bound": l_norm <= bound * (1.0 + 1e-9),
+    }
+
+
 def _run_bernstein(spec):
     p = spec.params
     rng = npmle.cell_rng(spec.seed, 0)
@@ -172,24 +174,7 @@ def _run_bernstein(spec):
     if k_min < 1 or k_max < k_min:
         raise InvalidParameter("need 1 <= k_min <= k_max")
     m_bound = prior.support_bound
-
-    def cell(k):
-        def work():
-            table = orthopoly.recurrence_for_weight(prior, k, grid_size=grid_size)
-            ops = orthopoly.build_operators(prior, table)
-            l_norm = orthopoly.operator_norm(ops.L)
-            bound = (2.0 * m_bound + 1.0) * math.sqrt(k + 1.0)
-            return {
-                "k": k,
-                "l_norm": l_norm,
-                "bound": bound,
-                "gauss_reference": math.sqrt(float(k)),
-                "within_bound": l_norm <= bound * (1.0 + 1e-9),
-            }
-
-        return work
-
-    rows = _run_cells([cell(k) for k in range(k_min, k_max + 1)], spec.threads)
+    rows = [_bernstein_row(prior, k, grid_size) for k in range(k_min, k_max + 1)]
     if p.get("dump_matrices"):
         table = orthopoly.recurrence_for_weight(prior, k_max, grid_size=grid_size)
         ops = orthopoly.build_operators(prior, table)
@@ -211,27 +196,23 @@ def _run_hermite(spec):
     if m_min < 1 or m_max < m_min:
         raise InvalidParameter("need 1 <= m_min <= m_max")
 
-    def cell(m):
-        def work():
-            table = moment_gap_table(m, j_max)
-            lead = table.gaps[2 * m]
-            return {
+    rows = []
+    for m in range(m_min, m_max + 1):
+        table = moment_gap_table(m, j_max)
+        alpha_lower, alpha_upper = alpha_bounds(m)
+        rows.append(
+            {
                 "m": m,
-                "leading_gap": lead,
+                "leading_gap": table.gaps[2 * m],
                 "leading_gap_exact": 2.0 ** (1 - 2 * m),
                 "alpha": table.alpha_m,
                 "beta": table.beta_m,
-                "alpha_lower": math.exp(
-                    -4.0 * m * math.log(2.0) - math.lgamma(2.0 * m + 1.0)
-                ),
-                "alpha_upper": math.exp(math.log(2.0) - math.lgamma(2.0 * m + 1.0)),
+                "alpha_lower": alpha_lower,
+                "alpha_upper": alpha_upper,
                 "beta_to_alpha": table.beta_m / table.alpha_m,
                 "bounds_ok": alpha_bounds_hold(table),
             }
-
-        return work
-
-    rows = _run_cells([cell(m) for m in range(m_min, m_max + 1)], spec.threads)
+        )
     holds_from = None
     for row in reversed(rows):
         if not row["bounds_ok"]:
@@ -258,31 +239,19 @@ def _run_lowerbound(spec):
     m_max = int(p.get("m_max", 12))
     j_max = int(p.get("j_max", 200))
 
-    def cell(m):
-        def work():
-            inst = families.build_lowerbound_instance(m, j_max)
-            return {
-                "m": inst.m,
-                "tau": inst.tau,
-                "alpha": inst.alpha,
-                "beta": inst.beta,
-                "eps_sq": inst.eps_sq,
-                "regret": inst.regret_val,
-                "ratio": inst.ratio,
-            }
-
-        return work
-
-    rows = _run_cells([cell(m) for m in range(m_min, m_max + 1)], spec.threads)
-    ratios = [r["ratio"] for r in rows]
-    rate_cs = [
-        r["m"] * math.log(-math.log(r["alpha"])) / (-math.log(r["alpha"])) for r in rows
+    instances, summary = families.lowerbound_ratio_sweep(range(m_min, m_max + 1), j_max)
+    rows = [
+        {
+            "m": inst.m,
+            "tau": inst.tau,
+            "alpha": inst.alpha,
+            "beta": inst.beta,
+            "eps_sq": inst.eps_sq,
+            "regret": inst.regret_val,
+            "ratio": inst.ratio,
+        }
+        for inst in instances
     ]
-    summary = {
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
-        "rate_c0": min(rate_cs),
-    }
     columns = ["m", "tau", "alpha", "beta", "eps_sq", "regret", "ratio"]
     return columns, rows, summary
 
@@ -292,30 +261,19 @@ def _run_moment(spec):
     p_exp = float(p.get("p", 2.0))
     b_values = [float(b) for b in p.get("b_values", [4.0, 8.0, 16.0, 32.0])]
 
-    def cell(b):
-        def work():
-            inst = families.build_moment_instance(p_exp, b)
-            return {
-                "p": inst.p,
-                "b": inst.b,
-                "eta": inst.eta,
-                "eps_sq": inst.eps_sq,
-                "regret": inst.regret_val,
-                "regret_lb": inst.regret_lb,
-                "lb_ok": inst.regret_val >= inst.regret_lb - 1e-12,
-            }
-
-        return work
-
-    rows = _run_cells([cell(b) for b in b_values], spec.threads)
-    exponent = families.fit_loglog_exponent(
-        [r["eps_sq"] for r in rows], [r["regret"] for r in rows]
-    )
-    summary = {
-        "fitted_exponent": exponent,
-        "target_exponent": 1.0 - 1.0 / p_exp,
-        "max_regret_to_eps_sq": max(r["regret"] / r["eps_sq"] for r in rows),
-    }
+    instances, summary = families.moment_family_sweep(p_exp, b_values)
+    rows = [
+        {
+            "p": inst.p,
+            "b": inst.b,
+            "eta": inst.eta,
+            "eps_sq": inst.eps_sq,
+            "regret": inst.regret_val,
+            "regret_lb": inst.regret_lb,
+            "lb_ok": inst.regret_val >= inst.regret_lb - 1e-12,
+        }
+        for inst in instances
+    ]
     columns = ["p", "b", "eta", "eps_sq", "regret", "regret_lb", "lb_ok"]
     return columns, rows, summary
 
@@ -340,19 +298,20 @@ def _run_regratio(spec):
     if count < 1:
         raise InvalidParameter("count must be >= 1")
 
-    def cell(idx):
-        def work():
-            rng = npmle.cell_rng(spec.seed, idx)
-            for _ in range(100):
-                prior_g = parse_prior_spec(pairs, rng)
-                prior_h = parse_prior_spec(pairs, rng)
-                report = metrics.compute_metric_report(prior_g, prior_h)
-                # identical draws carry no separation signal; redraw
-                if report.hellinger_sq > 0.0:
-                    break
-            else:
-                raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
-            return {
+    rows = []
+    for idx in range(count):
+        rng = npmle.cell_rng(spec.seed, idx)
+        for _ in range(100):
+            prior_g = parse_prior_spec(pairs, rng)
+            prior_h = parse_prior_spec(pairs, rng)
+            report = metrics.compute_metric_report(prior_g, prior_h)
+            # identical draws carry no separation signal; redraw
+            if report.hellinger_sq > 0.0:
+                break
+        else:
+            raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
+        rows.append(
+            {
                 "pair": idx,
                 "eps_sq": report.hellinger_sq,
                 "delta": report.delta,
@@ -360,10 +319,7 @@ def _run_regratio(spec):
                 "regret": report.regret,
                 "ratio": report.regret / metrics.hellinger_rate_normalizer(report.hellinger_sq),
             }
-
-        return work
-
-    rows = _run_cells([cell(i) for i in range(count)], spec.threads)
+        )
     summary = {
         "generator": pairs,
         "pairs": count,
@@ -432,23 +388,20 @@ def _run_npmle(spec):
         for s in np.random.SeedSequence(spec.seed).spawn(n_seeds)
     ]
 
-    def cell(n, seed):
-        def work():
-            return npmle.empirical_regret_experiment(
-                true_prior,
-                n,
-                seed,
-                constrained=constrained,
-                mprime=mprime,
-                grid_size=grid_size,
-                max_iters=max_iters,
-                tol=tol,
-            )
-
-        return work
-
-    cells = [cell(n, seed) for n in n_values for seed in seeds]
-    rows = _run_cells(cells, spec.threads)
+    rows = [
+        npmle.empirical_regret_experiment(
+            true_prior,
+            n,
+            seed,
+            constrained=constrained,
+            mprime=mprime,
+            grid_size=grid_size,
+            max_iters=max_iters,
+            tol=tol,
+        )
+        for n in n_values
+        for seed in seeds
+    ]
     medians = {}
     for n in n_values:
         regrets = sorted(r["regret"] for r in rows if r["n"] == n)
@@ -495,9 +448,9 @@ def _build_parser():
     parser.add_argument("--config", help="JSON file with defaults for flags and params")
     parser.add_argument("--seed", type=int, help="master seed (default 0)")
     parser.add_argument("--out", help="output stem; writes <out>.csv and <out>.json")
-    parser.add_argument("--tol-abs", type=float, dest="tol_abs", help="absolute tolerance")
-    parser.add_argument("--tol-rel", type=float, dest="tol_rel", help="relative tolerance")
-    parser.add_argument("--threads", type=int, help="worker threads for independent cells")
+    parser.add_argument(
+        "--threads", type=int, help="accepted for compatibility; cells always run in order"
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -576,13 +529,16 @@ _LIST_FLOAT_KEYS = {"rhos", "b_values"}
 _LIST_INT_KEYS = {"n_values"}
 
 
-def _spec_from_args(args):
-    config = {}
-    if args.config:
-        config = json.loads(pathlib.Path(args.config).read_text())
-        if not isinstance(config, dict):
-            raise InvalidParameter("config file must hold a JSON object")
+def _load_config(path):
+    if not path:
+        return {}
+    config = json.loads(pathlib.Path(path).read_text())
+    if not isinstance(config, dict):
+        raise InvalidParameter("config file must hold a JSON object")
+    return config
 
+
+def _spec_from_args(args, config):
     def pick(key, default):
         cli_val = getattr(args, key, None)
         if cli_val is not None:
@@ -600,31 +556,28 @@ def _spec_from_args(args):
             value = _parse_ints(value)
         params[key] = value
 
-    return ExperimentSpec(
-        name=args.command,
-        params=params,
-        seed=int(pick("seed", 0)),
-        abs_tol=float(pick("tol_abs", 1e-11)),
-        rel_tol=float(pick("tol_rel", 1e-9)),
-        threads=int(pick("threads", 1)),
-    )
+    return ExperimentSpec(name=args.command, params=params, seed=int(pick("seed", 0)))
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args)
-        report = run(spec)
+        config = _load_config(args.config)
+        report = run(_spec_from_args(args, config))
     except (InvalidParameter, UnknownExperiment, ValueError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceNotMet, npmle.NotConverged, orthopoly.DegreeUnstable) as exc:
+    except (
+        ToleranceNotMet,
+        npmle.NotConverged,
+        metrics.FormMismatch,
+        orthopoly.DegreeUnstable,
+        orthopoly.NoConvergence,
+        orthopoly.HypothesisViolated,
+    ) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 3
-    out = args.out
-    if out is None and args.config:
-        config = json.loads(pathlib.Path(args.config).read_text())
-        out = config.get("out")
+    out = args.out if args.out is not None else config.get("out")
     if out:
         report.write(out)
         print(f"wrote {pathlib.Path(out).with_suffix('.csv')}")

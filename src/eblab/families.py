@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .hermite import moment_gap_table
+from .hermite import _hermite_sums, moment_gap_table
 from .mixtures import DiscretePrior, MarginalModel, phi
 from .quadrature import IntegrationSpec, chebyshev_rule, integrate_line
 
@@ -62,28 +62,6 @@ def _contaminate(tau, rule):
         keep[1 + zero_hits[0]] = False
         atoms, weights = atoms[keep], weights[keep]
     return DiscretePrior(atoms, weights)
-
-
-class _GapSeries:
-    """U and U' from exact arcsine moment gaps, h_j = H_j / j! recurrence."""
-
-    def __init__(self, gaps):
-        self.gaps = np.asarray(gaps, dtype=float)
-
-    def u_and_uprime(self, y):
-        y = np.asarray(y, dtype=float)
-        u = np.zeros_like(y)
-        up = np.zeros_like(y)
-        h_prev = np.ones_like(y)  # h_0
-        h = y * 1.0  # h_1
-        # j = 0, 1 contribute nothing: gaps vanish below degree 2m >= 4
-        for j in range(2, self.gaps.size):
-            h_prev, h = h, (y * h - h_prev) / j  # now h = h_j, h_prev = h_{j-1}
-            gap = self.gaps[j]
-            if gap != 0.0:
-                u += 0.5 * gap * h
-                up += 0.5 * gap * h_prev
-        return u, up
 
 
 def _exp_sums(rule, y):
@@ -132,10 +110,11 @@ def build_lowerbound_instance(m, j_max=200):
     prior_g = _contaminate(tau, fine)
     prior_h = _contaminate(tau, coarse)
 
-    series = _GapSeries(table.gaps)
+    # U and U' are half-gap Hermite series in h_j = H_j / j!
+    half_gaps = 0.5 * table.gaps
 
     def hellinger_integrand(y):
-        u, _ = series.u_and_uprime(y)
+        u, _ = _hermite_sums(half_gaps, y, factorial=True)
         s_fine, _ = _exp_sums(fine, y)
         s_coarse, _ = _exp_sums(coarse, y)
         v = 0.5 * (s_fine + s_coarse) - 1.0
@@ -144,7 +123,7 @@ def build_lowerbound_instance(m, j_max=200):
         return 4.0 * tau * tau * u * u * phi(y) / (np.sqrt(fg) + np.sqrt(fh)) ** 2
 
     def regret_integrand(y):
-        u, uprime = series.u_and_uprime(y)
+        u, uprime = _hermite_sums(half_gaps, y, factorial=True)
         s_fine, t_fine = _exp_sums(fine, y)
         s_coarse, t_coarse = _exp_sums(coarse, y)
         v = 0.5 * (s_fine + s_coarse) - 1.0

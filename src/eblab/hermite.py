@@ -33,12 +33,44 @@ __all__ = [
     "truncation_error",
     "MomentGapTable",
     "moment_gap_table",
+    "alpha_bounds",
     "alpha_bounds_hold",
     "SubMeasure",
     "split_prior_tail",
 ]
 
 MAX_HERMITE_DEGREE = 400
+
+
+def _hermite_sums(coefficients, y, factorial=False):
+    """(sum_j a_j s_j(y), sum_j a_j s_{j-1}(y)) for s_j = H_j / D_j, s_{-1} = 0.
+
+    The single three-term recurrence of the package.  D_j = 1 gives the
+    plain H_j, whose range reaches H_300(3) ~ -3.7e306.  D_j = j!
+    (``factorial``) gives s_j = (y s_{j-1} - s_{j-2}) / j, which stays
+    finite at high degree on wide windows where H_j overflows, but H_j
+    cannot be recovered from it past j = 170, where j! overflows.  Zero
+    coefficients are skipped.
+    """
+    y = np.asarray(y, dtype=float)
+    acc = np.zeros_like(y)
+    acc_prev = np.zeros_like(y)
+    s_prev = np.zeros_like(y)
+    s = np.ones_like(y)
+    for j, a in enumerate(coefficients):
+        if j > 0:
+            if factorial:
+                s_prev, s = s, (y * s - s_prev) / j
+            else:
+                s_prev, s = s, y * s - (j - 1) * s_prev
+        if a != 0.0:
+            acc += a * s
+            acc_prev += a * s_prev
+    return acc, acc_prev
+
+
+def _scalar_or_array(y, value):
+    return float(value) if np.ndim(y) == 0 else value
 
 
 def hermite_eval(j, y):
@@ -51,14 +83,9 @@ def hermite_eval(j, y):
     j = int(j)
     if j < 0 or j > MAX_HERMITE_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_HERMITE_DEGREE}]")
-    y = np.asarray(y, dtype=float)
-    h_prev = np.ones_like(y)
-    if j == 0:
-        return float(h_prev) if y.ndim == 0 else h_prev
-    h = y.copy()
-    for deg in range(1, j):
-        h, h_prev = y * h - deg * h_prev, h
-    return float(h) if y.ndim == 0 else h
+    unit = np.zeros(j + 1)
+    unit[j] = 1.0
+    return _scalar_or_array(y, _hermite_sums(unit, y)[0])
 
 
 def prior_moment(prior, j):
@@ -102,24 +129,9 @@ class HermiteSeries:
 
     def evaluate(self, y, start=0):
         """Evaluate sum_{j=start}^{degree} c_j H_j(y) by upward recurrence."""
-        y = np.asarray(y, dtype=float)
-        acc = np.zeros_like(y, dtype=float)
-        h_prev = np.ones_like(acc)
-        h = None
-        for j in range(self.degree + 1):
-            if j == 0:
-                val = h_prev
-            elif j == 1:
-                h = y * 1.0
-                val = h
-            else:
-                h, h_prev = y * h - (j - 1) * h_prev, h
-                val = h
-            if j >= start:
-                acc = acc + self.coefficients[j] * val
-        if y.ndim == 0:
-            return float(acc)
-        return acc
+        coeffs = self.coefficients.copy()
+        coeffs[:start] = 0.0
+        return _scalar_or_array(y, _hermite_sums(coeffs, y)[0])
 
 
 def expansion_coefficients(prior_g, prior_h, k):
@@ -266,11 +278,16 @@ def moment_gap_table(m, j_max=200):
     )
 
 
-def alpha_bounds_hold(table):
-    """Whether 2^(-4m) / (2m)! <= alpha_m <= 2 / (2m)! for this table."""
-    m = table.m
+def alpha_bounds(m):
+    """(2^(-4m) / (2m)!, 2 / (2m)!): the bracket alpha_m must lie in."""
     lower = math.exp(-4.0 * m * math.log(2.0) - math.lgamma(2.0 * m + 1.0))
     upper = math.exp(math.log(2.0) - math.lgamma(2.0 * m + 1.0))
+    return lower, upper
+
+
+def alpha_bounds_hold(table):
+    """Whether 2^(-4m) / (2m)! <= alpha_m <= 2 / (2m)! for this table."""
+    lower, upper = alpha_bounds(table.m)
     return lower <= table.alpha_m <= upper
 
 

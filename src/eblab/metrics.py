@@ -11,21 +11,23 @@ the two marginal densities f_G, f_H and their posterior means m_G, m_H:
 
 Each integral is truncated to a window wide enough that the discarded
 tail is below 1e-14 (see ``gaussian_tail_radius``) and evaluated with the
-adaptive panel integrator.  ``Delta_stat`` and ``regret`` each carry an
-independently coded second form used as a cross-check; disagreement
-signals a window or stability bug and raises ``FormMismatch``.
+adaptive panel integrator.  ``Delta_stat`` is computed by two
+independently coded forms at runtime; disagreement signals a window or
+stability bug and raises ``FormMismatch``.  ``regret`` has an independent
+route too, ``regret_score_form``, which is not run alongside it: the
+tests compare the two (``test_metrics``, ``test_acceptance`` test_07,
+``test_families``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .mixtures import MarginalModel, log_phi, log_weight_w
+from .mixtures import MarginalModel, log_phi
 from .quadrature import IntegrationSpec, gaussian_tail_radius, integrate_line
 
 __all__ = [
@@ -252,22 +254,6 @@ class MetricReport:
     delta_flux: float
     regret: float
     regret_regularized: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "hellinger_sq": self.hellinger_sq,
-                "delta": self.delta,
-                "delta_flux": self.delta_flux,
-                "regret": self.regret,
-                "regret_regularized": {repr(k): v for k, v in self.regret_regularized.items()},
-            }
-        )
-
-    def csv_row(self):
-        row = [self.hellinger_sq, self.delta, self.delta_flux, self.regret]
-        row.extend(self.regret_regularized[k] for k in sorted(self.regret_regularized))
-        return row
 
 
 def compute_metric_report(model_g, model_h, rhos=(), spec=None):

@@ -1,17 +1,15 @@
 """Deterministic experiment reports: CSV tables with JSON sidecars.
 
-Every run is described by an ``ExperimentSpec`` (name, parameters, seed,
-tolerances, thread count) and produces an ``ExperimentReport`` whose rows
-are plain dicts sharing a single column set.  Serialization is fully
-deterministic: floats print as %.17g (round-trip exact for doubles),
-lines end with LF, and row order never depends on thread scheduling.
+Every run is described by an ``ExperimentSpec`` (name, parameters, seed)
+and produces an ``ExperimentReport`` whose rows are plain dicts sharing a
+single column set.  Serialization is fully deterministic: floats print
+as %.17g (round-trip exact for doubles) and lines end with LF.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -50,20 +48,9 @@ class ExperimentSpec:
     name: str
     params: dict = field(default_factory=dict)
     seed: int = 0
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-9
-    threads: int = 1
 
     def to_json_dict(self) -> dict:
-        # thread count is execution plumbing, not experiment identity:
-        # leaving it out keeps report bytes equal across --threads values
-        return {
-            "name": self.name,
-            "params": self.params,
-            "seed": self.seed,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-        }
+        return {"name": self.name, "params": self.params, "seed": self.seed}
 
 
 @dataclass
@@ -103,21 +90,3 @@ class ExperimentReport:
         with open(json_path, "w", newline="") as fh:
             json.dump(self.json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def rows_from_dicts(dicts, columns) -> list:
-    """Validate that every dict covers the column set; return as list."""
-    rows = []
-    for d in dicts:
-        missing = [c for c in columns if c not in d]
-        if missing:
-            raise InvalidParameter(f"row missing columns: {missing}")
-        rows.append(d)
-    return rows
-
-
-def summary_value(value) -> Any:
-    """JSON-safe scalar: numpy scalars to Python, floats kept as floats."""
-    if hasattr(value, "item"):
-        return value.item()
-    return value

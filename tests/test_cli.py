@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from eblab.cli import _run_cells, generate_prior, main, parse_prior_spec
+import eblab.cli as cli
+from eblab.cli import generate_prior, main, parse_prior_spec
+from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
 from eblab.npmle import cell_rng
+from eblab.orthopoly import HypothesisViolated, NoConvergence
 from eblab.reports import InvalidParameter
 
 
@@ -41,12 +44,6 @@ def test_generate_prior_families():
         generate_prior("k_atom", {"k": 0}, rng)
 
 
-def test_run_cells_preserves_order_across_threads():
-    cells = [lambda i=i: i * i for i in range(7)]
-    assert _run_cells(cells, 1) == [i * i for i in range(7)]
-    assert _run_cells(cells, 3) == [i * i for i in range(7)]
-
-
 def test_main_exit_codes(tmp_path):
     # bad parameter -> 2
     assert main(["moment", "--p", "2.0", "--b-values", "4,notanumber"]) == 2
@@ -70,6 +67,17 @@ def test_main_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+@pytest.mark.parametrize("error", [FormMismatch, NoConvergence, HypothesisViolated])
+def test_unmet_guarantees_exit_3_without_traceback(monkeypatch, capsys, error):
+    def runner(spec):
+        raise error("guarantee not met")
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "moment", runner)
+    assert main(["moment"]) == 3
+    err = capsys.readouterr().err
+    assert err == "eblab: guarantee not met\n"
 
 
 def test_main_success_writes_reports(tmp_path):

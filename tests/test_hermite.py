@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from eblab.hermite import (
     MAX_HERMITE_DEGREE,
     HermiteSeries,
     _arcsine_rule_gap_exact,
+    _hermite_sums,
     alpha_bounds_hold,
     expansion_coefficients,
     hermite_eval,
@@ -40,6 +42,36 @@ def test_hermite_eval_low_degrees():
         hermite_eval(-1, 0.0)
     with pytest.raises(ValueError):
         hermite_eval(MAX_HERMITE_DEGREE + 1, 0.0)
+
+
+def _relative_gap(value, reference):
+    return np.max(np.abs(np.asarray(value) - reference) / np.abs(reference))
+
+
+def test_hermite_kernel_range_matches_clenshaw():
+    # independent route: numpy's Clenshaw evaluation of HermiteE series,
+    # out to degrees and arguments where H_j is near the top of double range
+    for j, y in ((80, 25.0), (200, 1.0), (200, 16.0), (300, 3.0)):
+        unit = np.zeros(j + 1)
+        unit[j] = 1.0
+        assert _relative_gap(hermite_eval(j, y), hermite_e.hermeval(y, unit)) <= 1e-12
+    rng = np.random.default_rng(120)
+    coeffs = rng.normal(size=121)
+    ys = np.linspace(-5.0, 5.0, 21)
+    series = HermiteSeries(coefficients=coeffs, degree=120)
+    assert _relative_gap(series.evaluate(ys), hermite_e.hermeval(ys, coeffs)) <= 1e-12
+
+
+def test_factorial_scaled_kernel_matches_clenshaw():
+    # sum a_j H_j / j! and sum a_j H_{j-1} / (j-1)!, the lowerbound integrand sums
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=151)
+    coeffs[::2] = 0.0
+    ys = np.linspace(-16.0, 16.0, 17) + 0.3
+    factorials = np.array([math.factorial(j) for j in range(151)], dtype=float)
+    value, shifted = _hermite_sums(coeffs, ys, factorial=True)
+    assert _relative_gap(value, hermite_e.hermeval(ys, coeffs / factorials)) <= 1e-12
+    assert _relative_gap(shifted, hermite_e.hermeval(ys, coeffs[1:] / factorials[:-1])) <= 1e-12
 
 
 def test_hermite_orthogonality_under_gaussian_rule():
