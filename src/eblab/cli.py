@@ -374,7 +374,10 @@ def _run_npmle(spec):
             "iterations": solution.iterations,
             "support_size": solution.prior.atoms.size,
         }
-        summary = {"fitted_prior": json.loads(solution.prior.to_json())}
+        summary = {
+            "fitted_prior": json.loads(solution.prior.to_json()),
+            "diagnostics": solution.diagnostics,
+        }
         return ["n", "loglik", "cert", "iterations", "support_size"], [row], summary
 
     rng = npmle.cell_rng(spec.seed, 0)

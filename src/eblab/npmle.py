@@ -2,20 +2,21 @@
 
 The mixing distribution is restricted to a fixed finite grid, which
 turns maximum likelihood into a finite-dimensional concave program over
-the simplex.  The solver starts with the classic multiplicative
-fixed-point iteration
+the simplex.  Following mixSQP (Kim, Carbonetto, Stephens & Anitescu
+2020), the solver minimizes
 
-    w_u <- w_u * D(u),   D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i),
+    phi(x) = -(1/n) sum_i log f_x(y_i) + sum_u x_u   over x >= 0,
 
-whose mean log-likelihood is nondecreasing.  Multiplicative updates
-alone approach the optimum at a sublinear rate (mass shuffles between
-distant support clusters at speed proportional to the remaining
-certificate gap), so once the support has localized the solver switches
-to projected Newton steps on the active atoms plus explicit atom
-exchanges, every step accepted only if the mean log-likelihood does not
-decrease.  Stopping is governed solely by the exact full-grid
-first-order certificate max_u D(u) <= 1 + tol, which bounds the
-log-likelihood suboptimality of the returned weights over the grid.
+whose minimizer sums to one, by sequential quadratic programming on the
+exact kernel.  Each step builds the Hessian on a small working set (the
+support plus the local maxima of the certificate
+D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one), solves the
+nonnegative QP with a primal active-set loop, backtracks on phi and
+renormalizes, so the mean log-likelihood never decreases.  A step that
+fails is replaced by a short run of the multiplicative fixed-point
+iteration w_u <- w_u * D(u).  Stopping is governed solely by the exact
+full-grid first-order certificate max_u D(u) <= 1 + tol, which bounds
+the log-likelihood suboptimality of the returned weights over the grid.
 Randomized experiment helpers derive every stream from a named
 (master seed, cell index) pair via numpy's SeedSequence so repeated
 runs are bit-for-bit identical regardless of execution order.
@@ -43,14 +44,14 @@ __all__ = [
 ]
 
 _PRUNE_WEIGHT = 1e-12
-_EM_BURNIN = 200
-_EM_CHUNK = 100
-_ACTIVE_FLOOR = _PRUNE_WEIGHT
-_FLUSH_FLOOR = 1e-8
-_ACTIVE_CAP = 150
-_NEWTON_STEP_CAP = 40
 _STOP_MARGIN = 0.9  # stop below tol so pruning tiny atoms cannot push the cert back over
-_INNER_MARGIN = 0.1
+_START_ATOMS = 40  # evenly spaced grid atoms carrying the uniform start ...
+_START_SPACING = 4.0  # ... at most this far apart where the grid allows
+_EM_CHUNK = 10  # multiplicative steps taken when an SQP step fails
+_RIDGE = 1e-10  # relative to the largest Hessian diagonal entry
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_QP_TOL = 1e-12  # multiplier threshold for freeing a zero coordinate
 
 
 class NotConverged(RuntimeError):
@@ -108,6 +109,10 @@ class NpmleSolution:
     ``gradient_cert`` is max_u D(u) over the full problem grid, which is
     <= 1 + tol at convergence; ``loglik_trace`` records the mean
     log-likelihood at the start of every iteration (nondecreasing).
+    ``diagnostics`` holds deterministic solver counts: ``sqp_steps`` and
+    ``em_steps`` split the iterations after the first between the two
+    kinds of update, and ``max_working_set`` is the largest number of
+    columns an SQP step worked on.
     """
 
     prior: DiscretePrior
@@ -115,6 +120,7 @@ class NpmleSolution:
     gradient_cert: float
     iterations: int
     loglik_trace: np.ndarray = field(repr=False, default=None)
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _certificate(kernel, fvals):
@@ -125,148 +131,134 @@ def _certificate(kernel, fvals):
 def solve_npmle(problem):
     """Maximize the mixture likelihood over weights on the fixed grid.
 
-    Multiplicative burn-in, then projected Newton refinement of the
-    atoms that carry weight; grid atoms whose certificate exceeds one
-    are pulled back in as candidates, which is how new support points
-    enter.  Every accepted update keeps the mean log-likelihood
-    nondecreasing, and the only stopping rule is the exact full-grid
-    certificate max_u D(u) <= 1 + tol.  Raises ``NotConverged`` (with
-    the partial solution attached) if the budget of ``max_iters``
-    accepted updates runs out first.
+    Starts uniform on evenly spaced grid atoms (at least 40, at most 4
+    apart where the grid allows) and takes active-set SQP steps on
+    phi(x) = -mean log f_x + sum(x) over the support plus the local
+    maxima of the certificate above one, which is how new support points
+    enter; atoms leave when the QP sets them to zero.  A step that is
+    not a descent direction or fails its line search is replaced by a
+    short run of multiplicative updates.  Every iteration keeps the mean
+    log-likelihood nondecreasing, and the only stopping rule is the
+    exact full-grid certificate max_u D(u) <= 1 + tol.  Raises
+    ``NotConverged`` (with the partial solution attached) if the budget
+    of ``max_iters`` iterations runs out first.
     """
     y = problem.observations
     grid = problem.grid
     kernel = np.exp(log_phi(y[:, None] - grid[None, :]))
     if np.any(kernel.sum(axis=1) == 0.0):
         raise ValueError("an observation is too far from every grid point")
-    w = np.full(grid.size, 1.0 / grid.size)
+    count = max(_START_ATOMS, math.ceil((grid[-1] - grid[0]) / _START_SPACING) + 1)
+    w = np.zeros(grid.size)
+    w[np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)] = 1.0
+    if np.any(kernel @ w == 0.0):
+        w[:] = 1.0  # some observation sits far from every start atom
+    w /= w.sum()
     fvals = kernel @ w
-    loglik = float(np.mean(np.log(fvals)))
-    trace = [loglik]
-    iterations = 1
+    trace = [float(np.mean(np.log(fvals)))]
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
-    inner_target = 1.0 + _INNER_MARGIN * problem.tol
-    certificate = math.inf
-    em_next = _EM_BURNIN
+    counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}
+    em_left = 0
     while True:
         direction = _certificate(kernel, fvals)
         certificate = float(direction.max())
-        if certificate <= stop_at or iterations >= problem.max_iters:
+        if certificate <= stop_at or len(trace) >= problem.max_iters:
             break
-        if em_next > 0:
-            chunk = min(em_next, problem.max_iters - iterations)
-            em_next = 0
-            for _ in range(chunk):
-                w *= direction
-                w /= w.sum()
-                fvals = kernel @ w
-                loglik = float(np.mean(np.log(fvals)))
-                trace.append(loglik)
-                iterations += 1
-                direction = _certificate(kernel, fvals)
-                if float(direction.max()) <= stop_at:
-                    break
-            continue
-        active = np.flatnonzero((w > _ACTIVE_FLOOR) | (direction >= inner_target))
-        if active.size > _ACTIVE_CAP:
-            # keep every certificate violator plus the heaviest atoms
-            order = np.argsort(w[active])[::-1]
-            heavy = active[order[:_ACTIVE_CAP]]
-            violators = active[direction[active] >= inner_target]
-            active = np.union1d(heavy, violators)
-        budget = min(_NEWTON_STEP_CAP, problem.max_iters - iterations)
-        w, fvals, loglik, steps = _newton_round(
-            kernel, active, w, fvals, loglik, trace, inner_target, budget
-        )
-        iterations += steps
-        if steps == 0:
-            em_next = _EM_CHUNK
-    solution = _package_solution(problem, kernel, w, certificate, iterations, trace)
+        step = None if em_left else _sqp_step(kernel, w, fvals, direction, trace[-1])
+        if step is None:
+            em_left = (em_left or _EM_CHUNK) - 1
+            w = w * direction
+            counts["em_steps"] += 1
+        else:
+            w, size = step
+            counts["sqp_steps"] += 1
+            counts["max_working_set"] = max(counts["max_working_set"], size)
+        w /= w.sum()
+        fvals = kernel @ w
+        trace.append(float(np.mean(np.log(fvals))))
+    solution = _package_solution(problem, kernel, w, certificate, trace, counts)
     if certificate > 1.0 + problem.tol:
         raise NotConverged(
             f"certificate {certificate - 1.0:.3e} above tol {problem.tol:.1e} "
-            f"after {iterations} iterations",
+            f"after {solution.iterations} iterations",
             solution,
         )
     return solution
 
 
-def _newton_round(kernel, active, w, fvals, loglik, trace, target, budget):
-    """Damped projected Newton ascent on the active atoms.
+def _sqp_step(kernel, w, fvals, direction, loglik):
+    """One SQP step on the working set; (new x, working-set size) or None.
 
-    Inactive atoms keep their weights as a fixed density background, so
-    every density and certificate value seen here is exact for the full
-    weight vector; the round is a partial maximization over the active
-    coordinates.  Steps are projected onto the nonnegative orthant and
-    accepted under an Armijo gain test on the renormalized mean
-    log-likelihood, raising the damping until the quadratic model can
-    be trusted; near-singular weight-shuffle modes (which move w
-    without moving the mixture density) are suppressed by the damping
-    instead of wandering along them.  Tiny active atoms whose
-    certificate sits below one ride to zero with the step, which is how
-    support gets discarded.
+    The QP is the second-order model of phi around w restricted to the
+    support plus the certificate's local maxima above one, with a small
+    ridge; the step towards its solution is backtracked (Armijo) on the
+    exact phi, and the caller renormalizes x.  Returns None when the QP
+    direction is not a descent direction or no step length passes.
     """
-    n = kernel.shape[0]
-    kA = np.ascontiguousarray(kernel[:, active])
-    off = np.ones(kernel.shape[1], dtype=bool)
-    off[active] = False
-    w_off = w[off].copy()
-    background = kernel[:, off] @ w_off
-    off_mass = float(w_off.sum())
-    wA = w[active].copy()
-    steps = 0
-    lam = None
-    for _ in range(budget):
-        g = kA.T @ (1.0 / fvals) / n
-        if float(g.max()) <= target:
-            break
-        rhs = g - 1.0
-        free = (wA > _FLUSH_FLOOR) | (rhs > 0.0)
+    padded = np.r_[-np.inf, direction, -np.inf]
+    peak = (direction >= padded[:-2]) & (direction >= padded[2:])
+    work = np.flatnonzero((w > _PRUNE_WEIGHT) | (peak & (direction > 1.0)))
+    k_work = kernel[:, work]
+    scaled = k_work / fvals[:, None]
+    hess = scaled.T @ scaled / fvals.size
+    hess[np.diag_indices_from(hess)] += _RIDGE * float(hess.diagonal().max())
+    grad = 1.0 - direction[work]
+    w_work = w[work]
+    target = _nonnegative_qp(hess, grad - hess @ w_work)
+    step = target - w_work
+    slope = float(grad @ step)
+    if not slope < 0.0:
+        return None
+    k_step = k_work @ step
+    mass = float(step.sum())
+    alpha = 1.0
+    for _ in range(_HALVINGS):
+        f_try = fvals + alpha * k_step
+        if np.all(f_try > 0.0):
+            change = loglik - float(np.mean(np.log(f_try))) + alpha * mass
+            if change <= _ARMIJO * alpha * slope:
+                x = w.copy()
+                x[work] = (1.0 - alpha) * w_work + alpha * target
+                return x, work.size
+        alpha *= 0.5
+    return None
+
+
+def _nonnegative_qp(hess, lin):
+    """Primal active-set solve of min x'Hx/2 + lin'x over x >= 0.
+
+    Starts from x = 0 with every coordinate fixed at zero.  Each pass
+    minimizes over the free coordinates with the rest held at zero; if
+    that point leaves the orthant the pass stops at the first blocking
+    coordinate and fixes it, otherwise the fixed coordinate with the
+    most negative multiplier is freed.  Coordinates enter one at a time,
+    so the pass count tracks the size of the solution's support, not of
+    the working set.
+    """
+    x = np.zeros(lin.size)
+    free = np.zeros(lin.size, dtype=bool)
+    for _ in range(2 * x.size + 10):
         idx = np.flatnonzero(free)
-        R = kA[:, idx] / fvals[:, None]
-        H = (R.T @ R) / n
-        scale = float(H.diagonal().max())
-        if lam is None:
-            lam = 1e-8 * scale
-        eye = np.eye(idx.size)
-        d = np.empty_like(wA)
-        d[~free] = -wA[~free]
-        accepted = False
-        for _ in range(16):
-            try:
-                d[idx] = np.linalg.solve(H + lam * eye, rhs[idx])
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = np.maximum(wA + d, 0.0)
-            pred = float(rhs @ (trial - wA))
-            total = float(trial.sum()) + off_mass
-            if pred > 0.0 and total > 0.0:
-                f_try = (kA @ trial + background) / total
-                ll_try = float(np.mean(np.log(f_try)))
-                if math.isfinite(ll_try) and ll_try - loglik >= 1e-4 * pred - 1e-15:
-                    accepted = True
-                    break
-            lam *= 10.0
-            if lam > 1e10 * scale:
-                break
-        if not accepted:
+        target = np.zeros_like(x)
+        target[idx] = np.linalg.solve(hess[np.ix_(idx, idx)], -lin[idx])
+        blocked = idx[target[idx] < 0.0]
+        if blocked.size:
+            ratios = x[blocked] / (x[blocked] - target[blocked])
+            k = int(np.argmin(ratios))
+            x = np.maximum(x + ratios[k] * (target - x), 0.0)
+            x[blocked[k]] = 0.0
+            free[blocked[k]] = False
+            continue
+        x = target
+        multipliers = np.where(free, np.inf, hess @ x + lin)
+        j = int(np.argmin(multipliers))
+        if not multipliers[j] < -_QP_TOL:
             break
-        lam = max(lam / 3.0, 1e-12 * scale)
-        wA = trial / total
-        w_off /= total
-        background /= total
-        off_mass /= total
-        fvals = f_try
-        loglik = ll_try
-        trace.append(loglik)
-        steps += 1
-    w[active] = wA
-    w[off] = w_off
-    return w, fvals, loglik, steps
+        free[j] = True
+    return x
 
 
-def _package_solution(problem, kernel, w, certificate, iterations, trace):
+def _package_solution(problem, kernel, w, certificate, trace, counts):
     keep = w > _PRUNE_WEIGHT
     if not np.any(keep):
         keep = w == w.max()
@@ -278,8 +270,9 @@ def _package_solution(problem, kernel, w, certificate, iterations, trace):
         prior=prior,
         loglik=float(np.mean(np.log(fvals))),
         gradient_cert=certificate,
-        iterations=iterations,
+        iterations=len(trace),
         loglik_trace=np.asarray(trace),
+        diagnostics=counts,
     )
 
 

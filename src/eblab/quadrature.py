@@ -42,9 +42,10 @@ _RULE_KINDS = ("gauss_hermite", "gauss_chebyshev", "adaptive_panel")
 
 
 class ToleranceNotMet(RuntimeError):
-    """Adaptive integration ran out of panels before meeting tolerance.
+    """Adaptive integration could not meet its tolerance.
 
-    Carries the best available estimate and its error bound so callers can
+    Raised when the panel budget runs out or the integrand returns a
+    non-finite value.  Carries the best available estimate and its error bound so callers can
     decide whether the partial answer is usable.
     """
 
@@ -213,6 +214,12 @@ def _panel_estimates(f, a, b):
     fx = np.asarray(f(mid + half * _KRONROD_X), dtype=float)
     kron = half * float(np.dot(_KRONROD_W, fx))
     gauss = half * float(np.dot(_GAUSS_W, fx))
+    if not (math.isfinite(kron) and math.isfinite(gauss)):
+        raise ToleranceNotMet(
+            f"integrand produced non-finite values on [{a:.6g}, {b:.6g}]",
+            estimate=math.nan,
+            error_bound=math.inf,
+        )
     return kron, abs(kron - gauss)
 
 
@@ -222,7 +229,8 @@ def integrate_line(f, spec=IntegrationSpec()):
     R is ``spec.truncation_radius``.  The panel with the largest error
     estimate is split until the total estimated error drops below
     max(abs_tol, rel_tol * |integral|).  Raises ``ToleranceNotMet`` when
-    ``max_panels`` panels are in play and the target is still missed.
+    ``max_panels`` panels are in play and the target is still missed, or
+    when the integrand returns a non-finite value.
     """
     radius = spec.truncation_radius
     n_init = int(min(64.0, max(8.0, math.ceil(radius))))
@@ -234,8 +242,6 @@ def integrate_line(f, spec=IntegrationSpec()):
     tie = 0
     for a, b in zip(edges[:-1], edges[1:]):
         val, e = _panel_estimates(f, a, b)
-        if not (math.isfinite(val) and math.isfinite(e)):
-            raise ValueError("integrand produced non-finite values")
         total += val
         err += e
         heapq.heappush(heap, (-e, tie, a, b, val))
@@ -255,8 +261,6 @@ def integrate_line(f, spec=IntegrationSpec()):
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             v, e = _panel_estimates(f, lo, hi)
-            if not (math.isfinite(v) and math.isfinite(e)):
-                raise ValueError("integrand produced non-finite values")
             total += v
             err += e
             heapq.heappush(heap, (-e, tie, lo, hi, v))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eblab.cli as cli
+import eblab.metrics as metrics
 from eblab.cli import generate_prior, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
@@ -78,6 +79,36 @@ def test_unmet_guarantees_exit_3_without_traceback(monkeypatch, capsys, error):
     assert main(["moment"]) == 3
     err = capsys.readouterr().err
     assert err == "eblab: guarantee not met\n"
+
+
+def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
+    integrate = metrics.integrate_line
+
+    def poisoned(f, spec):
+        return integrate(lambda y: f(y) * np.nan, spec)
+
+    monkeypatch.setattr(metrics, "integrate_line", poisoned)
+    assert main(["metrics", "--prior-g", "two_point:m=1", "--prior-h", "point:u=0"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: integrand produced non-finite values")
+    assert "Traceback" not in err
+
+
+def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
+    data = tmp_path / "y.txt"
+    np.savetxt(data, cell_rng(0, 6).standard_normal(80))
+    args = ["npmle", "--data", str(data), "--grid-size", "60"]
+    for label in ("a", "b"):
+        assert main(["--out", str(tmp_path / label)] + args) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    payload = json.loads((tmp_path / "a.json").read_text())
+    assert payload["columns"] == ["n", "loglik", "cert", "iterations", "support_size"]
+    diagnostics = payload["summary"]["diagnostics"]
+    assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set"}
+    row = (tmp_path / "a.csv").read_text().splitlines()[1].split(",")
+    iterations, support_size = int(row[3]), int(row[4])
+    assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
+    assert diagnostics["max_working_set"] >= support_size
 
 
 def test_main_success_writes_reports(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eblab.npmle as npmle
 from eblab.mixtures import DiscretePrior, MarginalModel
 from eblab.npmle import (
     NotConverged,
@@ -60,6 +63,49 @@ def test_budget_exhaustion_carries_partial_solution():
     assert isinstance(partial, NpmleSolution)
     assert partial.iterations == 3
     assert partial.gradient_cert > 1.0 + problem.tol
+
+
+@pytest.mark.parametrize("sqp", [True, False])
+def test_budget_accounting_across_phases(monkeypatch, sqp):
+    if not sqp:
+        # every SQP step refused: the multiplicative fallback does all the work
+        monkeypatch.setattr(npmle, "_sqp_step", lambda *args: None)
+    for max_iters in range(1, 9):
+        problem = _small_problem(max_iters=max_iters)
+        try:
+            solution = solve_npmle(problem)
+            assert solution.iterations <= max_iters
+        except NotConverged as exc:
+            solution = exc.solution
+            assert solution.iterations == max_iters == solution.loglik_trace.size
+        counts = solution.diagnostics
+        assert solution.iterations == 1 + counts["sqp_steps"] + counts["em_steps"]
+        assert np.all(np.diff(solution.loglik_trace) >= -1e-12)
+        if not sqp:
+            assert counts["sqp_steps"] == 0 and counts["max_working_set"] == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    atoms=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4, unique=True),
+    n=st.integers(20, 400),
+    grid_size=st.integers(20, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_is_certified_monotone_and_unbeaten_on_random_priors(atoms, n, grid_size, seed):
+    rng = np.random.default_rng(seed)
+    prior = DiscretePrior(atoms, rng.dirichlet(np.ones(len(atoms))))
+    problem = NpmleProblem.from_observations(
+        sample_observations(prior, n, rng), grid_size=grid_size
+    )
+    solution = solve_npmle(problem)
+    assert solution.gradient_cert <= 1.0 + problem.tol
+    assert abs(gradient_certificate(solution, problem) - solution.gradient_cert) <= 1e-9
+    assert np.all(np.diff(solution.loglik_trace) >= -1e-12)
+    kernel = np.exp(-0.5 * (problem.observations[:, None] - problem.grid[None, :]) ** 2)
+    kernel /= np.sqrt(2.0 * np.pi)
+    for w in rng.dirichlet(np.ones(grid_size), size=20):
+        assert float(np.mean(np.log(kernel @ w))) <= solution.loglik + 1e-9
 
 
 def test_problem_validation():
