@@ -40,6 +40,7 @@ from .metrics import (
     hellinger_rate_normalizer,
     hellinger_sq,
     integration_window,
+    pair_integrals,
     regret,
     regret_regularized,
     regret_score_form,
@@ -123,6 +124,7 @@ __all__ = [
     "hellinger_rate_normalizer",
     "hellinger_sq",
     "integration_window",
+    "pair_integrals",
     "regret",
     "regret_regularized",
     "regret_score_form",

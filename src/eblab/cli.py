@@ -132,12 +132,7 @@ def _run_metrics(spec):
     rhos = sorted(p.get("rhos", []))
     report = metrics.compute_metric_report(prior_g, prior_h, rhos=rhos)
     columns = ["hellinger_sq", "delta", "delta_flux", "regret"]
-    row = {
-        "hellinger_sq": report.hellinger_sq,
-        "delta": report.delta,
-        "delta_flux": report.delta_flux,
-        "regret": report.regret,
-    }
+    row = {name: getattr(report, name) for name in columns}
     for i, rho in enumerate(rhos):
         columns += [f"rho_{i}", f"regret_reg_{i}"]
         row[f"rho_{i}"] = rho

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import metrics
 from .hermite import _hermite_sums, moment_gap_table
-from .mixtures import DiscretePrior, MarginalModel, phi
+from .mixtures import DiscretePrior, phi
 from .quadrature import IntegrationSpec, chebyshev_rule, integrate_line
 
 __all__ = [
@@ -45,10 +45,7 @@ __all__ = [
 ]
 
 ARCSINE_RESOLUTION = 256
-_FAMILY_WINDOW = 16.0
-_FAMILY_SPEC = IntegrationSpec(
-    abs_tol=0.0, rel_tol=1e-9, truncation_radius=_FAMILY_WINDOW, max_panels=20000
-)
+_FAMILY_SPEC = IntegrationSpec(abs_tol=0.0, truncation_radius=16.0)
 
 
 def _contaminate(tau, rule):
@@ -113,16 +110,7 @@ def build_lowerbound_instance(m, j_max=200):
     # U and U' are half-gap Hermite series in h_j = H_j / j!
     half_gaps = 0.5 * table.gaps
 
-    def hellinger_integrand(y):
-        u, _ = _hermite_sums(half_gaps, y, factorial=True)
-        s_fine, _ = _exp_sums(fine, y)
-        s_coarse, _ = _exp_sums(coarse, y)
-        v = 0.5 * (s_fine + s_coarse) - 1.0
-        fg = 1.0 + tau * (v + u)
-        fh = 1.0 + tau * (v - u)
-        return 4.0 * tau * tau * u * u * phi(y) / (np.sqrt(fg) + np.sqrt(fh)) ** 2
-
-    def regret_integrand(y):
+    def integrand(y):
         u, uprime = _hermite_sums(half_gaps, y, factorial=True)
         s_fine, t_fine = _exp_sums(fine, y)
         s_coarse, t_coarse = _exp_sums(coarse, y)
@@ -131,10 +119,12 @@ def build_lowerbound_instance(m, j_max=200):
         fg = 1.0 + tau * (v + u)
         fh = 1.0 + tau * (v - u)
         num = uprime * (1.0 + tau * v) - tau * p * u
-        return 4.0 * tau * tau * num * num * phi(y) / (fg * fh * fh)
+        gauss = phi(y)
+        hellinger = 4.0 * tau * tau * u * u * gauss / (np.sqrt(fg) + np.sqrt(fh)) ** 2
+        regret = 4.0 * tau * tau * num * num * gauss / (fg * fh * fh)
+        return np.stack([hellinger, regret], axis=-1)
 
-    eps_sq = integrate_line(hellinger_integrand, _FAMILY_SPEC)
-    regret_val = integrate_line(regret_integrand, _FAMILY_SPEC)
+    eps_sq, regret_val = map(float, integrate_line(integrand, _FAMILY_SPEC))
 
     return LowerBoundInstance(
         m=m,
@@ -194,12 +184,8 @@ def build_moment_instance(p, b):
     if eta >= 1.0:
         raise ValueError("eta = b^-p must be below one")
     prior_g = DiscretePrior([0.0, b], [1.0 - eta, eta])
-    prior_h = DiscretePrior.point(0.0)
-    model_g = MarginalModel(prior_g)
-    model_h = MarginalModel(prior_h)
-    spec = metrics.integration_window(model_g, model_h)
-    eps_sq = metrics.hellinger_sq(model_g, model_h, spec)
-    regret_val = metrics.regret(model_g, model_h, spec)
+    values = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), ["hellinger_sq", "regret"])
+    eps_sq, regret_val = values["hellinger_sq"], values["regret"]
     regret_lb = b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
     return MomentFamilyInstance(
         p=float(p), b=float(b), eta=eta, eps_sq=eps_sq, regret_val=regret_val, regret_lb=regret_lb
@@ -242,17 +228,17 @@ def regularization_necessity_demo(p, b, rho_values=()):
     scale at which clipping provably helps.  Each row carries the
     log-envelope eps^2 max((log 1/rho)^3, log 1/eps) for reference.
     """
+    rho_values = [float(r) for r in rho_values]
+    if not all(rho > 0.0 for rho in rho_values):
+        raise ValueError("rho values must be positive")
     inst = build_moment_instance(p, b)
-    model_g = MarginalModel(DiscretePrior([0.0, inst.b], [1.0 - inst.eta, inst.eta]))
-    model_h = MarginalModel(DiscretePrior.point(0.0))
-    spec = metrics.integration_window(model_g, model_h)
+    prior_g = DiscretePrior([0.0, inst.b], [1.0 - inst.eta, inst.eta])
     eps = math.sqrt(inst.eps_sq)
-    rhos = sorted(set(float(r) for r in rho_values) | {eps})
+    rhos = sorted(set(rho_values) | {eps})
+    regularized = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), rhos=rhos)
     rows = []
     for rho in rhos:
-        if not rho > 0.0:
-            raise ValueError("rho values must be positive")
-        reg = metrics.regret_regularized(model_g, model_h, rho, spec)
+        reg = regularized[rho]
         envelope = inst.eps_sq * max(math.log(1.0 / rho) ** 3, math.log(1.0 / eps))
         rows.append(
             {

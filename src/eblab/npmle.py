@@ -329,12 +329,11 @@ def empirical_regret_experiment(
         tol=tol,
     )
     solution = solve_npmle(problem)
-    model_true = MarginalModel(true_prior)
-    model_fit = MarginalModel(solution.prior)
+    scores = metrics.pair_integrals(true_prior, solution.prior, ["hellinger_sq", "regret"])
     return {
         "n": int(n),
-        "eps_sq": metrics.hellinger_sq(model_true, model_fit),
-        "regret": metrics.regret(model_true, model_fit),
+        "eps_sq": scores["hellinger_sq"],
+        "regret": scores["regret"],
         "loglik": solution.loglik,
         "cert": solution.gradient_cert,
         "seed": int(seed),

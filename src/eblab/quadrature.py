@@ -9,19 +9,24 @@ Three rule families cover every integral in this package:
 * ``hermite_rule``: Gauss-Hermite nodes rescaled to the standard normal
   measure, so sum(w * h(x)) approximates E[h(Z)] for Z ~ N(0, 1).
 * ``integrate_line``: globally adaptive Gauss-Kronrod (G7, K15) panels on
-  a finite window [-R, R].  The worst panel (largest |K15 - G7| estimate)
-  is bisected until the summed error estimate meets the requested
-  tolerance or the panel budget runs out.
+  a finite window [-R, R] for a scalar or vector-valued integrand.  Each
+  component c has its own summed |K15 - G7| error estimate E_c and
+  target max(abs_tol, rel_tol * |I_c|); the worst panel of the component
+  furthest over its target is bisected until every component meets its
+  target or the panel budget runs out.  With one component this is the
+  classic worst-panel bisection, panel for panel.
 
-Integrands handed to ``integrate_line`` must accept numpy arrays and
-evaluate elementwise.  Window radii for Gaussian-mixture integrands come
-from ``gaussian_tail_radius``, which converts a support bound into a
-truncation radius with a provable tail estimate.
+Integrands handed to ``integrate_line`` map an array of nodes to an
+array of shape (nodes,) or, for k integrals that share one pass and so
+one evaluation of whatever state they have in common, (nodes, k).  The
+error control per component follows QUADPACK (Piessens et al. 1983) and
+``scipy.integrate.quad_vec``.  Window radii for Gaussian-mixture
+integrands come from ``gaussian_tail_radius``, which converts a support
+bound into a truncation radius with a provable tail estimate.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -45,8 +50,9 @@ class ToleranceNotMet(RuntimeError):
     """Adaptive integration could not meet its tolerance.
 
     Raised when the panel budget runs out or the integrand returns a
-    non-finite value.  Carries the best available estimate and its error bound so callers can
-    decide whether the partial answer is usable.
+    non-finite value.  Carries the best available estimate and its error
+    bound (arrays with one entry per component for a vector integrand)
+    so callers can decide whether the partial answer is usable.
     """
 
     def __init__(self, message, estimate, error_bound):
@@ -208,17 +214,17 @@ _GAUSS_W[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
 
 def _panel_estimates(f, a, b):
-    """(K15 value, |K15 - G7| error estimate) for one panel."""
+    """K15 values and |K15 - G7| error estimates on one panel, one per component."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _KRONROD_X), dtype=float)
-    kron = half * float(np.dot(_KRONROD_W, fx))
-    gauss = half * float(np.dot(_GAUSS_W, fx))
-    if not (math.isfinite(kron) and math.isfinite(gauss)):
+    kron = half * np.dot(_KRONROD_W, fx)
+    gauss = half * np.dot(_GAUSS_W, fx)
+    if not (np.isfinite(kron).all() and np.isfinite(gauss).all()):
         raise ToleranceNotMet(
             f"integrand produced non-finite values on [{a:.6g}, {b:.6g}]",
-            estimate=math.nan,
-            error_bound=math.inf,
+            estimate=np.full(np.shape(kron), math.nan)[()],
+            error_bound=np.full(np.shape(kron), math.inf)[()],
         )
     return kron, abs(kron - gauss)
 
@@ -226,46 +232,66 @@ def _panel_estimates(f, a, b):
 def integrate_line(f, spec=IntegrationSpec()):
     """Adaptively integrate a vectorized integrand over [-R, R].
 
-    R is ``spec.truncation_radius``.  The panel with the largest error
-    estimate is split until the total estimated error drops below
-    max(abs_tol, rel_tol * |integral|).  Raises ``ToleranceNotMet`` when
-    ``max_panels`` panels are in play and the target is still missed, or
-    when the integrand returns a non-finite value.
+    R is ``spec.truncation_radius``.  ``f`` maps nodes to values of shape
+    (nodes,) or (nodes, k); the result is a float or an array of k
+    integrals.  Component c is done when its summed error estimate is at
+    most max(abs_tol, rel_tol * |I_c|); until every component is done,
+    the component furthest over its target has its worst panel split.
+    Raises ``ToleranceNotMet`` when ``max_panels`` panels are in play and
+    a target is still missed, or when the integrand returns a non-finite
+    value.
     """
     radius = spec.truncation_radius
     n_init = int(min(64.0, max(8.0, math.ceil(radius))))
     edges = np.linspace(-radius, radius, n_init + 1)
+    first = [(a, b, *_panel_estimates(f, a, b)) for a, b in zip(edges[:-1], edges[1:])]
+    shape = np.shape(first[0][2])  # () for a scalar integrand, (k,) for k components
 
-    heap = []
-    total = 0.0
-    err = 0.0
-    tie = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, e = _panel_estimates(f, a, b)
+    def result(x):
+        return float(x[0]) if shape == () else x.copy()
+
+    # Panels in creation order.  A split panel's errors become -inf, so
+    # argmax never picks it again, and of equal errors picks the oldest.
+    capacity = n_init + 2 * max(spec.max_panels - n_init, 0)
+    ends = np.empty((capacity, 2))
+    values = np.empty((capacity, *(shape or (1,))))
+    errors = np.empty_like(values)
+    total = np.zeros(values.shape[1])
+    err = np.zeros_like(total)
+    for n, (a, b, val, e) in enumerate(first):
+        ends[n], values[n], errors[n] = (a, b), val, e
         total += val
         err += e
-        heapq.heappush(heap, (-e, tie, a, b, val))
-        tie += 1
+    n = live = n_init
 
-    while err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if len(heap) >= spec.max_panels:
+    while True:
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        over = err > target
+        if not over.any():
+            return result(total)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = int(np.argmax(np.where(over, err / target, 0.0)))
+        if live >= spec.max_panels:
             raise ToleranceNotMet(
-                f"error bound {err:.3e} after {len(heap)} panels "
+                f"error bound {err[c]:.3e} against target {target[c]:.3e} "
+                f"in component {c} after {live} panels "
                 f"(target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
-                estimate=total,
-                error_bound=err,
+                estimate=result(total),
+                error_bound=result(err),
             )
-        neg_e, _, a, b, val = heapq.heappop(heap)
-        total -= val
-        err += neg_e  # neg_e == -e
+        i = int(np.argmax(errors[:n, c]))
+        total -= values[i]
+        err -= errors[i]
+        errors[i] = -np.inf
+        a, b = ends[i]
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
             v, e = _panel_estimates(f, lo, hi)
+            ends[n], values[n], errors[n] = (lo, hi), v, e
             total += v
             err += e
-            heapq.heappush(heap, (-e, tie, lo, hi, v))
-            tie += 1
-    return total
+            n += 1
+        live += 1
 
 
 def gaussian_tail_radius(second_moment_bound, target_tail_mass):

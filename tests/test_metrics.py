@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eblab import families, metrics
+from eblab.cli import main
 from eblab.metrics import (
     Delta_stat,
     FormMismatch,
@@ -17,6 +21,21 @@ from eblab.metrics import (
     regret_score_form,
 )
 from eblab.mixtures import DiscretePrior, MarginalModel
+
+
+def _prior_from_pairs(pairs):
+    atoms, weights = zip(*pairs)
+    weights = np.asarray(weights)
+    return DiscretePrior(atoms, weights / weights.sum())
+
+
+# 1-5 atoms on [-2, 2] with weights bounded away from zero
+_PRIORS = st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 1.0)),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda pair: pair[0],
+).map(_prior_from_pairs)
 
 
 def _random_prior(rng, bound, max_atoms=5):
@@ -186,3 +205,70 @@ def test_metric_report_shape_and_serialization():
     assert abs(report.regret - regret(g, h)) <= 1e-12
     assert set(report.regret_regularized) == {0.05, 0.2}
     assert isinstance(FormMismatch("x"), RuntimeError)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(g=_PRIORS, h=_PRIORS, rhos=st.lists(st.floats(1e-3, 1.0), max_size=3))
+def test_one_pass_report_matches_single_functionals(g, h, rhos):
+    report = compute_metric_report(g, h, rhos)
+    singles = {
+        "hellinger_sq": hellinger_sq(g, h),
+        "delta": delta_stat(g, h),
+        "delta_flux": Delta_stat(g, h),
+        "regret": regret(g, h),
+    }
+    for name, single in singles.items():
+        assert abs(getattr(report, name) - single) <= 1e-9 * abs(single) + 1e-12, name
+    for rho in rhos:
+        single = regret_regularized(g, h, rho)
+        assert abs(report.regret_regularized[rho] - single) <= 1e-9 * abs(single) + 1e-12
+    slack = 1.0 + 1e-9
+    assert report.delta <= report.hellinger_sq * slack
+    assert report.hellinger_sq <= 2.0 * report.delta * slack
+    score = regret_score_form(g, h)
+    assert abs(report.regret - score) <= 1e-7 * max(report.regret, score) + 1e-15
+    swapped = compute_metric_report(h, g).delta_flux
+    assert abs(swapped - report.delta_flux) <= 1e-9 * report.delta_flux + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    g=_PRIORS,
+    h=_PRIORS,
+    ys=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=50).map(np.array),
+)
+def test_decomposition_residual_vanishes_on_random_priors(g, h, ys):
+    assert np.max(decomposition_residual(g, h, ys)) <= 1e-9
+
+
+def test_bad_rho_raises_before_integrating(monkeypatch):
+    def refuse(f, spec):
+        raise AssertionError("integrated before the rho check")
+
+    monkeypatch.setattr(metrics, "integrate_line", refuse)
+    g = DiscretePrior([-1.0, 1.0], [0.5, 0.5])
+    h = DiscretePrior([0.0], [1.0])
+    for bad in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            compute_metric_report(g, h, rhos=(0.1, bad))
+        with pytest.raises(ValueError):
+            regret_regularized(g, h, bad)
+        with pytest.raises(ValueError):
+            families.regularization_necessity_demo(2.0, 6.0, rho_values=(bad,))
+    args = ["--prior-g", "two_point:m=1", "--prior-h", "point:u=0", "--rhos", "0.1,nan"]
+    assert main(["metrics", *args]) == 2
+    assert main(["regratio", "--p", "2", "--b", "8", "--rhos", "0.1,-1"]) == 2
+
+
+def test_flux_forms_are_cross_checked_in_every_pass(monkeypatch):
+    g = DiscretePrior([-1.0, 0.5], [0.4, 0.6])
+    h = DiscretePrior([0.0, 1.2], [0.7, 0.3])
+    exact_form = metrics._flux_gprime
+    for scale, passes in ((1.0 + 5e-8, True), (1.0 + 2e-7, False)):
+        monkeypatch.setattr(metrics, "_flux_gprime", lambda s: scale * exact_form(s))
+        for run in (Delta_stat, compute_metric_report):
+            if passes:
+                run(g, h)
+            else:
+                with pytest.raises(FormMismatch, match="score-flux forms disagree"):
+                    run(g, h)

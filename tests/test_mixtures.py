@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eblab.mixtures import (
     DiscretePrior,
@@ -211,3 +213,22 @@ def test_class_membership_exponential_moment():
         class_exp_moment(prior, 0.0, 1.0)
     with pytest.raises(ValueError):
         class_exp_moment(prior, 1.0, -2.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(-4.0, 4.0), st.floats(0.01, 1.0)),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda pair: pair[0],
+    ),
+    ys=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=60),
+)
+def test_posterior_mean_is_nondecreasing(pairs, ys):
+    # d/dy E[U | y] is the posterior variance, which is nonnegative
+    atoms, weights = zip(*pairs)
+    weights = np.asarray(weights)
+    model = MarginalModel(DiscretePrior(atoms, weights / weights.sum()))
+    means = model.posterior_mean(np.sort(ys))
+    assert np.all(np.diff(means) >= -1e-12)

@@ -120,13 +120,79 @@ def test_integrate_line_two_scale_integrand():
     assert abs(integrate_line(f, spec) - exact) <= 1e-9 * exact
 
 
-def test_integrate_line_budget_exhaustion_raises():
-    def f(y):
-        return np.exp(-0.5 * ((y - 1.0) / 1e-6) ** 2)
+def _spike(y):
+    return np.exp(-0.5 * ((y - 1.0) / 1e-6) ** 2)
 
+
+def test_integrate_line_budget_exhaustion_raises():
     spec = IntegrationSpec(abs_tol=0.0, rel_tol=1e-12, truncation_radius=10.0, max_panels=4)
-    with pytest.raises(ToleranceNotMet):
-        integrate_line(f, spec)
+    with pytest.raises(ToleranceNotMet, match=r"^error bound .* in component 0 ") as info:
+        integrate_line(_spike, spec)
+    assert isinstance(info.value.estimate, float) and info.value.error_bound > 0.0
+
+    # the spike is the worst component of a two-component pass
+    with pytest.raises(ToleranceNotMet, match=r"^error bound .* in component 1 ") as info:
+        integrate_line(lambda y: np.stack([np.exp(-0.5 * y * y), _spike(y)], axis=-1), spec)
+    estimate, bound = info.value.estimate, info.value.error_bound
+    assert estimate.shape == bound.shape == (2,)
+    assert bound[1] > 1e-12 * abs(estimate[1]) and bound[1] > bound[0]
+
+
+def test_integrate_line_non_finite_values_raise():
+    def hole(y):
+        return np.where(y > 3.0, np.nan, np.exp(-0.5 * y * y))
+
+    for f, shape in ((hole, ()), (lambda y: np.stack([np.exp(-y * y), hole(y)], axis=-1), (2,))):
+        with pytest.raises(ToleranceNotMet, match="^integrand produced non-finite values") as info:
+            with np.errstate(invalid="ignore"):
+                integrate_line(f)
+        assert np.shape(info.value.estimate) == np.shape(info.value.error_bound) == shape
+        assert np.all(np.isnan(info.value.estimate)) and np.all(np.isinf(info.value.error_bound))
+
+
+_POLY = np.polynomial.Polynomial(np.arange(21) % 5 - 2.0)
+
+
+def _poly_gauss(y):
+    return _POLY(y) * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
+
+
+def _two_scale(y):
+    return np.exp(-0.5 * (y / 3.0) ** 2) + np.exp(-0.5 * ((y - 1.0) / 1e-3) ** 2)
+
+
+@pytest.mark.parametrize(
+    "f, spec, exact",
+    [
+        (
+            lambda y: np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi),
+            IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12, truncation_radius=10.0),
+            1.0,
+        ),
+        (_poly_gauss, IntegrationSpec(), hermite_rule(200).integrate(_POLY)),
+        (
+            _two_scale,
+            IntegrationSpec(abs_tol=0.0, rel_tol=1e-11, truncation_radius=30.0),
+            3.0 * math.sqrt(2 * math.pi) + 1e-3 * math.sqrt(2 * math.pi),
+        ),
+    ],
+    ids=["gauss", "poly_gauss", "two_scale"],
+)
+def test_one_component_pass_is_the_scalar_pass(f, spec, exact):
+    scalar = integrate_line(f, spec)
+    assert integrate_line(lambda y: f(y)[:, None], spec)[0] == scalar
+    # a sharper second component adds panels; f still meets its own target
+    narrow = 1e-3 * math.sqrt(2 * math.pi)
+    stacked = integrate_line(
+        lambda y: np.stack([f(y), np.exp(-0.5 * ((y - 1.0) / 1e-3) ** 2)], axis=-1), spec
+    )
+    target = max(spec.abs_tol, spec.rel_tol * abs(exact))
+    assert abs(stacked[0] - exact) <= max(target, abs(scalar - exact))
+    assert abs(stacked[1] - narrow) <= 1e-9 * narrow
+    # a column that meets its target from the start does not end the pass
+    padded = integrate_line(lambda y: np.stack([np.zeros_like(y), f(y)], axis=-1), spec)
+    assert padded[0] == 0.0
+    assert abs(padded[1] - exact) <= max(target, abs(scalar - exact))
 
 
 def test_integration_spec_validation():
