@@ -27,7 +27,6 @@ from .hermite import (
     hermite_eval,
     moment_gap_table,
     prior_moment,
-    split_prior_tail,
     truncation_error,
 )
 from .metrics import (
@@ -48,13 +47,10 @@ from .metrics import (
 from .mixtures import (
     DiscretePrior,
     MarginalModel,
-    QuadraturePrior,
     check_class_membership,
     class_exp_moment,
     log_phi,
-    log_weight_w,
     phi,
-    weight_w,
 )
 from .npmle import (
     NotConverged,
@@ -70,7 +66,6 @@ from .orthopoly import (
     DegreeUnstable,
     HypothesisViolated,
     JacobiBoundReport,
-    NoConvergence,
     OperatorMatrices,
     RecurrenceTable,
     bernstein_constant,
@@ -107,13 +102,10 @@ __all__ = [
     # mixtures
     "DiscretePrior",
     "MarginalModel",
-    "QuadraturePrior",
     "check_class_membership",
     "class_exp_moment",
     "log_phi",
-    "log_weight_w",
     "phi",
-    "weight_w",
     # metrics
     "Delta_stat",
     "FormMismatch",
@@ -137,13 +129,11 @@ __all__ = [
     "hermite_eval",
     "moment_gap_table",
     "prior_moment",
-    "split_prior_tail",
     "truncation_error",
     # orthopoly
     "DegreeUnstable",
     "HypothesisViolated",
     "JacobiBoundReport",
-    "NoConvergence",
     "OperatorMatrices",
     "RecurrenceTable",
     "bernstein_constant",

@@ -35,8 +35,6 @@ __all__ = [
     "moment_gap_table",
     "alpha_bounds",
     "alpha_bounds_hold",
-    "SubMeasure",
-    "split_prior_tail",
 ]
 
 MAX_HERMITE_DEGREE = 400
@@ -289,30 +287,3 @@ def alpha_bounds_hold(table):
     """Whether 2^(-4m) / (2m)! <= alpha_m <= 2 / (2m)! for this table."""
     lower, upper = alpha_bounds(table.m)
     return lower <= table.alpha_m <= upper
-
-
-@dataclass
-class SubMeasure:
-    """Unnormalized piece of a discrete prior (atoms plus their weights)."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def mass(self):
-        return float(np.sum(self.weights))
-
-
-def split_prior_tail(prior, cut):
-    """Split a prior into its bulk (|u| <= cut) and tail (|u| > cut) pieces.
-
-    The two pieces keep the original weights, so their masses add to one.
-    """
-    if not cut >= 0.0:
-        raise ValueError("cut must be nonnegative")
-    atoms = np.asarray(prior.atoms, dtype=float)
-    weights = np.asarray(prior.weights, dtype=float)
-    keep = np.abs(atoms) <= cut
-    bulk = SubMeasure(atoms=atoms[keep], weights=weights[keep])
-    tail = SubMeasure(atoms=atoms[~keep], weights=weights[~keep])
-    return bulk, tail

@@ -75,13 +75,16 @@ def _as_models(*priors_or_models):
 
 
 class _PairState:
-    """log f, f and posterior mean of both marginals at one batch of nodes."""
+    """log f, f and posterior mean of both marginals at one batch of nodes.
+
+    Each model is evaluated once per batch (``MarginalModel.evaluate``).
+    """
 
     def __init__(self, model_g, model_h, y):
         self.model_g, self.model_h, self.y = model_g, model_h, y
-        self.lg, self.lh = model_g.log_density(y), model_h.log_density(y)
+        (self.lg, pg), (self.lh, ph) = model_g.evaluate(y), model_h.evaluate(y)
         self.fg, self.fh = np.exp(self.lg), np.exp(self.lh)
-        self.mg, self.mh = model_g.posterior_mean(y), model_h.posterior_mean(y)
+        self.mg, self.mh = pg @ model_g.atoms, ph @ model_h.atoms
 
 
 def _flux_gprime(s):

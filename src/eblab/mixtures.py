@@ -3,9 +3,12 @@
 A prior is a probability measure on the location parameter; observing
 Y = U + Z with Z ~ N(0, 1) independent of U ~ prior gives the marginal
 density f(y) = sum_i w_i phi(y - u_i).  Everything downstream (posterior
-mean, score, regularized rules, divergence functionals) is built from
-log-space evaluations of that sum, so densities stay usable far into the
-tails where a naive sum underflows.
+mean, score, regularized rules, divergence functionals) reads one
+evaluation of that sum: the (points, atoms) matrix of
+log w_i + log phi(y - u_i) is built once, each row is shifted by its
+maximum and exponentiated once, and the row sums give log f while the
+normalized rows give the posterior weights.  Densities therefore stay
+usable far into the tails, where a naive sum underflows.
 """
 
 from __future__ import annotations
@@ -14,19 +17,13 @@ import json
 import math
 
 import numpy as np
-from scipy.special import logsumexp
-
-from .quadrature import QuadratureRule
 
 __all__ = [
     "LOG_SQRT_2PI",
     "phi",
     "log_phi",
     "DiscretePrior",
-    "QuadraturePrior",
     "MarginalModel",
-    "weight_w",
-    "log_weight_w",
     "class_exp_moment",
     "check_class_membership",
 ]
@@ -105,47 +102,26 @@ class DiscretePrior:
         return f"DiscretePrior(atoms={self.atoms!r}, weights={self.weights!r})"
 
 
-class QuadraturePrior:
-    """Probability measure realized by a quadrature rule.
+def _log_sum_exp(log_terms):
+    """(log sum_i exp(t_i), exp(t_i) / sum_i exp(t_i)) along the last axis.
 
-    Used for continuous mixing laws (arcsine in particular) whose moments
-    up to high degree are captured by a Gauss rule; downstream code treats
-    it exactly like a discrete prior on the rule's nodes.
+    The module's one log-sum-exp: each row is shifted by its maximum and
+    exponentiated once, and both results are read off that one array.
     """
-
-    def __init__(self, rule):
-        if not isinstance(rule, QuadratureRule):
-            raise TypeError("QuadraturePrior wraps a QuadratureRule")
-        total = float(rule.weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("rule weights do not form a probability measure")
-        self.rule = rule
-
-    @property
-    def atoms(self):
-        return self.rule.nodes
-
-    @property
-    def weights(self):
-        return self.rule.weights
-
-    @property
-    def support_bound(self):
-        return float(np.max(np.abs(self.rule.nodes)))
-
-    @property
-    def second_moment(self):
-        return float(np.dot(self.rule.weights, self.rule.nodes**2))
+    shift = np.max(log_terms, axis=-1, keepdims=True)
+    shifted = np.exp(log_terms - shift)
+    total = np.sum(shifted, axis=-1, keepdims=True)
+    return (shift + np.log(total))[..., 0], shifted / total
 
 
 class MarginalModel:
     """Evaluator bundle for the marginal density of prior * N(0, 1).
 
     All evaluators accept scalars or arrays and vectorize elementwise.
-    Internally each evaluation forms the (points, atoms) matrix of
-    log w_i + log phi(y - u_i) and reduces it with log-sum-exp, so the
-    relative accuracy of density, posterior mean, and score does not
-    degrade in the tails.
+    Each is a read of one ``evaluate`` call, which builds the (points,
+    atoms) matrix of log w_i + log phi(y - u_i) once and reduces it once,
+    so the relative accuracy of density, posterior mean, and score does
+    not degrade in the tails.
     """
 
     def __init__(self, prior):
@@ -168,71 +144,51 @@ class MarginalModel:
             return float(value)
         return value
 
+    def evaluate(self, y):
+        """(log f(y), posterior weights P(U = u_i | Y = y)) from one build of the log terms.
+
+        log f has the shape of y; the weights add an atom axis, are
+        nonnegative and sum to one along it.
+        """
+        return _log_sum_exp(self._log_terms(y))
+
     def log_density(self, y):
-        out = logsumexp(self._log_terms(y), axis=-1)
-        return self._maybe_scalar(out, y)
+        return self._maybe_scalar(self.evaluate(y)[0], y)
 
     def density(self, y):
-        out = np.exp(logsumexp(self._log_terms(y), axis=-1))
-        return self._maybe_scalar(out, y)
-
-    def _posterior_weights(self, y):
-        lt = self._log_terms(y)
-        lt = lt - np.max(lt, axis=-1, keepdims=True)
-        p = np.exp(lt)
-        return p / np.sum(p, axis=-1, keepdims=True)
+        return self._maybe_scalar(np.exp(self.evaluate(y)[0]), y)
 
     def posterior_mean(self, y):
-        p = self._posterior_weights(y)
-        out = p @ self.atoms
-        return self._maybe_scalar(out, y)
+        return self._maybe_scalar(self.evaluate(y)[1] @ self.atoms, y)
 
     def posterior_second_moment(self, y):
-        p = self._posterior_weights(y)
-        out = p @ self.atoms**2
-        return self._maybe_scalar(out, y)
+        return self._maybe_scalar(self.evaluate(y)[1] @ self.atoms**2, y)
 
     def posterior_variance(self, y):
-        p = self._posterior_weights(y)
+        p = self.evaluate(y)[1]
         m1 = p @ self.atoms
-        m2 = p @ self.atoms**2
-        out = np.maximum(m2 - m1 * m1, 0.0)
+        out = np.maximum(p @ self.atoms**2 - m1 * m1, 0.0)
         return self._maybe_scalar(out, y)
 
     def score(self, y):
         """f'(y) / f(y), identically posterior_mean(y) - y."""
-        out = self.posterior_mean(y) - np.asarray(y, dtype=float)
+        out = self.evaluate(y)[1] @ self.atoms - np.asarray(y, dtype=float)
         return self._maybe_scalar(out, y)
 
     def density_derivative(self, y):
-        out = np.exp(logsumexp(self._log_terms(y), axis=-1)) * (
-            self.posterior_mean(y) - np.asarray(y, dtype=float)
-        )
+        log_f, p = self.evaluate(y)
+        out = np.exp(log_f) * (p @ self.atoms - np.asarray(y, dtype=float))
         return self._maybe_scalar(out, y)
 
     def regularized_rule(self, rho, y):
         """Bayes rule with the density clipped from below at rho > 0."""
         if not rho > 0.0:
             raise ValueError("rho must be positive")
-        f = np.asarray(self.density(y), dtype=float)
-        fprime = np.asarray(self.density_derivative(y), dtype=float)
-        out = np.asarray(y, dtype=float) + fprime / np.maximum(f, rho)
+        log_f, p = self.evaluate(y)
+        y_arr = np.asarray(y, dtype=float)
+        f = np.exp(log_f)
+        out = y_arr + f * (p @ self.atoms - y_arr) / np.maximum(f, rho)
         return self._maybe_scalar(out, y)
-
-
-def log_weight_w(model_g, model_h, y):
-    """log of w(y) = phi(y)^2 / f(y), f = (f_G + f_H) / 2."""
-    y = np.asarray(y, dtype=float)
-    log_mean = np.logaddexp(model_g.log_density(y), model_h.log_density(y)) - math.log(2.0)
-    return 2.0 * log_phi(y) - log_mean
-
-
-def weight_w(model_g, model_h, y):
-    """Ratio weight phi^2 / ((f_G + f_H) / 2), evaluated in log space."""
-    out = np.exp(log_weight_w(model_g, model_h, y))
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
 
 
 def class_exp_moment(prior, alpha, sigma):
@@ -244,7 +200,7 @@ def class_exp_moment(prior, alpha, sigma):
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     exponents = (np.abs(atoms) / sigma) ** alpha
-    return float(np.exp(logsumexp(log_w + exponents)))
+    return float(np.exp(_log_sum_exp(log_w + exponents)[0]))
 
 
 def check_class_membership(prior, alpha, sigma):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from eblab.cli import generate_prior, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
 from eblab.npmle import cell_rng
-from eblab.orthopoly import HypothesisViolated, NoConvergence
-from eblab.reports import InvalidParameter
+from eblab.orthopoly import HypothesisViolated, bernstein_constant
+from eblab.reports import ExperimentSpec, InvalidParameter
 
 
 def test_parse_prior_spec_forms(tmp_path):
@@ -70,7 +71,7 @@ def test_main_exit_codes(tmp_path):
     )
 
 
-@pytest.mark.parametrize("error", [FormMismatch, NoConvergence, HypothesisViolated])
+@pytest.mark.parametrize("error", [FormMismatch, HypothesisViolated])
 def test_unmet_guarantees_exit_3_without_traceback(monkeypatch, capsys, error):
     def runner(spec):
         raise error("guarantee not met")
@@ -120,6 +121,25 @@ def test_main_success_writes_reports(tmp_path):
     payload = json.loads((tmp_path / "h.json").read_text())
     assert payload["row_count"] == 3
     assert payload["spec"]["name"] == "hermite"
+
+
+def _bernstein_rows(prior, k_min, k_max):
+    params = {"prior": prior, "k_min": k_min, "k_max": k_max}
+    return cli.run(ExperimentSpec(name="bernstein", params=params)).rows
+
+
+def test_bernstein_point_mass_rows_are_sqrt_k():
+    # for w = phi the sharp constant is exactly sqrt(k)
+    for row in _bernstein_rows("point:u=0", 2, 40):
+        exact = math.sqrt(row["k"])
+        assert abs(row["l_norm"] - exact) <= 1e-13 * exact
+
+
+def test_bernstein_rows_from_one_build_match_per_degree_builds():
+    prior = parse_prior_spec("k_atom:k=5,m=1", cell_rng(0, 0))
+    for row in _bernstein_rows("k_atom:k=5,m=1", 2, 16):
+        per_degree = bernstein_constant(prior, row["k"])
+        assert abs(row["l_norm"] - per_degree) <= 1e-12 * per_degree
 
 
 def test_reruns_are_byte_identical_across_threads(tmp_path):

@@ -14,7 +14,6 @@ from eblab.hermite import (
     hermite_eval,
     moment_gap_table,
     prior_moment,
-    split_prior_tail,
     truncation_error,
 )
 from eblab.mixtures import DiscretePrior
@@ -187,13 +186,3 @@ def test_moment_gap_table_sums_and_validation():
 def test_alpha_bounds_hold_for_small_rules():
     for m in range(1, 11):
         assert alpha_bounds_hold(moment_gap_table(m))
-
-
-def test_split_prior_tail_partitions_mass():
-    prior = DiscretePrior([-2.0, -0.5, 0.1, 3.0], [0.1, 0.2, 0.3, 0.4])
-    bulk, tail = split_prior_tail(prior, 1.0)
-    assert np.array_equal(bulk.atoms, [-0.5, 0.1])
-    assert np.array_equal(tail.atoms, [-2.0, 3.0])
-    assert abs(bulk.mass + tail.mass - 1.0) <= 1e-15
-    with pytest.raises(ValueError):
-        split_prior_tail(prior, -0.1)

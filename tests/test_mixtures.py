@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from eblab import metrics
 from eblab.mixtures import (
     DiscretePrior,
     MarginalModel,
-    QuadraturePrior,
     check_class_membership,
     class_exp_moment,
-    log_weight_w,
     phi,
-    weight_w,
 )
-from eblab.quadrature import chebyshev_rule
 
 
 def _random_prior(rng, bound, max_atoms=6):
@@ -177,25 +175,6 @@ def test_posterior_second_moment_consistency():
     assert np.allclose(sec - mean**2, var, atol=1e-12)
 
 
-def test_weight_w_matches_direct_ratio():
-    g = MarginalModel(DiscretePrior([-1.0, 1.0], [0.5, 0.5]))
-    h = MarginalModel(DiscretePrior.point(0.3))
-    y = np.linspace(-5, 5, 21)
-    direct = phi(y) ** 2 / (0.5 * (g.density(y) + h.density(y)))
-    assert np.allclose(weight_w(g, h, y), direct, rtol=1e-12)
-    assert np.allclose(np.exp(log_weight_w(g, h, y)), direct, rtol=1e-12)
-
-
-def test_quadrature_prior_exposes_rule():
-    prior = QuadraturePrior(chebyshev_rule(8))
-    assert prior.atoms.size == 8
-    assert abs(prior.weights.sum() - 1.0) <= 1e-14
-    assert abs(prior.second_moment - 0.5) <= 1e-13
-    assert prior.support_bound <= 1.0
-    model = MarginalModel(prior)
-    assert abs(model.density(0.3) - float(np.dot(prior.weights, phi(0.3 - prior.atoms)))) <= 1e-15
-
-
 def test_class_membership_exponential_moment():
     # E exp((|U|/sigma)^alpha) is a finite sum for atomic priors
     prior = DiscretePrior([-1.0, 0.5], [0.25, 0.75])
@@ -232,3 +211,97 @@ def test_posterior_mean_is_nondecreasing(pairs, ys):
     model = MarginalModel(DiscretePrior(atoms, weights / weights.sum()))
     means = model.posterior_mean(np.sort(ys))
     assert np.all(np.diff(means) >= -1e-12)
+
+
+def _prior_from_pairs(pairs):
+    atoms, weights = zip(*pairs)
+    weights = np.asarray(weights)
+    return DiscretePrior(atoms, weights / weights.sum())
+
+
+# 1-6 atoms on [-3, 3]
+_PRIORS = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)),
+    min_size=1,
+    max_size=6,
+    unique_by=lambda pair: pair[0],
+).map(_prior_from_pairs)
+
+_EVALUATORS = {
+    "log_density": (),
+    "density": (),
+    "posterior_mean": (),
+    "posterior_second_moment": (),
+    "posterior_variance": (),
+    "score": (),
+    "density_derivative": (),
+    "regularized_rule": (0.05,),
+}
+
+
+def _count_builds(monkeypatch):
+    """Patch MarginalModel._log_terms to count its calls; returns the counter."""
+    builds = [0]
+    build = MarginalModel._log_terms
+
+    def counted(self, y):
+        builds[0] += 1
+        return build(self, y)
+
+    monkeypatch.setattr(MarginalModel, "_log_terms", counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_each_evaluator_builds_the_log_terms_once(monkeypatch, name):
+    builds = _count_builds(monkeypatch)
+    model = MarginalModel(DiscretePrior([-1.0, 0.5, 2.0], [0.2, 0.5, 0.3]))
+    for y in (0.3, np.linspace(-4.0, 4.0, 9)):
+        builds[0] = 0
+        getattr(model, name)(*_EVALUATORS[name], y)
+        assert builds[0] == 1
+
+
+def test_pair_pass_builds_the_log_terms_twice_per_integrand_call(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    per_call = []
+    integrate = metrics.integrate_line
+
+    def counting(f, spec):
+        def integrand(y):
+            before = builds[0]
+            out = f(y)
+            per_call.append(builds[0] - before)
+            return out
+
+        return integrate(integrand, spec)
+
+    monkeypatch.setattr(metrics, "integrate_line", counting)
+    g = DiscretePrior([-0.7, 0.2, 1.1], [0.3, 0.5, 0.2])
+    h = DiscretePrior([-0.4, 0.9], [0.6, 0.4])
+    metrics.pair_integrals(g, h, ["regret"])
+    assert per_call and all(count == 2 for count in per_call)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    g=_PRIORS,
+    h=_PRIORS,
+    ys=st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=50),
+    data=st.data(),
+)
+def test_evaluate_is_one_normalized_log_sum_exp(g, h, ys, data):
+    model = MarginalModel(g)
+    y = np.asarray(ys)
+    log_f, weights = model.evaluate(y)
+    oracle = logsumexp(model._log_terms(y), axis=-1)
+    assert np.all(np.abs(log_f - oracle) <= 1e-14 * np.abs(oracle))
+    assert np.all(weights >= 0.0)
+    assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-14)
+    # the pair state of a node batch is the pair states of its parts, concatenated
+    cut = data.draw(st.integers(1, y.size - 1))
+    whole = metrics._PairState(model, MarginalModel(h), y)
+    parts = [metrics._PairState(model, MarginalModel(h), part) for part in (y[:cut], y[cut:])]
+    for name in ("lg", "lh", "mg", "mh"):
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        assert np.all(np.abs(getattr(whole, name) - joined) <= 1e-14 * np.abs(joined))
