@@ -1,11 +1,14 @@
 """Command-line front end: one subcommand per experiment family.
 
 Every experiment is described by an ``ExperimentSpec`` and dispatched
-through ``run``, which returns an ``ExperimentReport``.  Reports are
-written as CSV plus a JSON sidecar when ``--out`` is given, otherwise the
-CSV goes to stdout (summary to stderr).  Cells (one per grid point of
-the experiment) run in order in the calling thread; ``--threads`` is
-accepted for compatibility and changes nothing.
+through ``run``, which returns an ``ExperimentReport``.  A subcommand's
+parameters are the flags of its subparser, each filled from the command
+line or else from the ``--config`` file.  Each runner returns its rows
+(dicts) and a summary; the first row's keys, in order, are the CSV
+columns.  Reports are written as CSV plus a JSON sidecar when ``--out``
+is given, otherwise the CSV goes to stdout (summary to stderr).  Cells
+(one per grid point of the experiment) run in order in the calling
+thread; ``--threads`` is accepted for compatibility and changes nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ __all__ = ["main", "run", "generate_prior", "parse_prior_spec"]
 # prior argument parsing
 
 
+def _distinct_atoms(draw):
+    """Call ``draw`` until it returns distinct atoms, at most 101 times."""
+    for _ in range(101):
+        atoms = draw()
+        if np.unique(atoms).size == atoms.size:
+            return atoms
+    raise InvalidParameter("prior generator keeps drawing repeated atoms")
+
+
 def generate_prior(name, params, rng):
     """Draw a random prior from a named generator.
 
@@ -45,11 +57,7 @@ def generate_prior(name, params, rng):
         m = float(params.get("m", 1.0))
         if not m > 0.0:
             raise InvalidParameter("two_point needs m > 0")
-        atoms = rng.uniform(-m, m, size=2)
-        for _ in range(100):
-            if atoms[0] != atoms[1]:
-                break
-            atoms = rng.uniform(-m, m, size=2)
+        atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=2))
         split = rng.uniform(0.05, 0.95)
         return DiscretePrior(atoms, [split, 1.0 - split])
     if name == "k_atom":
@@ -57,11 +65,7 @@ def generate_prior(name, params, rng):
         m = float(params.get("m", 2.0))
         if k < 1 or not m > 0.0:
             raise InvalidParameter("k_atom needs k >= 1 and m > 0")
-        atoms = rng.uniform(-m, m, size=k)
-        for _ in range(100):
-            if np.unique(atoms).size == k:
-                break
-            atoms = rng.uniform(-m, m, size=k)
+        atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=k))
         weights = rng.dirichlet(np.ones(k))
         return DiscretePrior(atoms, weights)
     if name == "g_alpha":
@@ -70,11 +74,7 @@ def generate_prior(name, params, rng):
         k = int(params.get("k", 8))
         if not (alpha > 0.0 and sigma > 0.0 and k >= 1):
             raise InvalidParameter("g_alpha needs alpha, sigma > 0 and k >= 1")
-        atoms = sigma * rng.standard_normal(k)
-        for _ in range(100):
-            if np.unique(atoms).size == k:
-                break
-            atoms = sigma * rng.standard_normal(k)
+        atoms = _distinct_atoms(lambda: sigma * rng.standard_normal(k))
         weights = rng.dirichlet(np.ones(k))
         for _ in range(200):
             prior = DiscretePrior(atoms, weights)
@@ -121,7 +121,16 @@ def _parse_ints(text):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: spec -> (columns, rows, summary)
+# experiment runners: spec -> (rows, summary); the first row's keys are the columns
+
+
+def _reject(params, keys, reason):
+    """Refuse the first of ``keys`` that is set: the mode would echo it but not apply it."""
+    for key in keys:
+        value = params.get(key)
+        if value is not None and value is not False:
+            flag = "--" + key.replace("_", "-")
+            raise InvalidParameter(f"{flag} is not applied {reason}")
 
 
 def _run_metrics(spec):
@@ -131,17 +140,16 @@ def _run_metrics(spec):
     prior_h = parse_prior_spec(p["prior_h"], rng)
     rhos = sorted(p.get("rhos", []))
     report = metrics.compute_metric_report(prior_g, prior_h, rhos=rhos)
-    columns = ["hellinger_sq", "delta", "delta_flux", "regret"]
-    row = {name: getattr(report, name) for name in columns}
+    fields = ("hellinger_sq", "delta", "delta_flux", "regret")
+    row = {name: getattr(report, name) for name in fields}
     for i, rho in enumerate(rhos):
-        columns += [f"rho_{i}", f"regret_reg_{i}"]
         row[f"rho_{i}"] = rho
         row[f"regret_reg_{i}"] = report.regret_regularized[rho]
     summary = {
         "prior_g": json.loads(prior_g.to_json()),
         "prior_h": json.loads(prior_h.to_json()),
     }
-    return columns, [row], summary
+    return [row], summary
 
 
 def _run_bernstein(spec):
@@ -177,8 +185,7 @@ def _run_bernstein(spec):
         "max_norm_to_bound": max(r["l_norm"] / r["bound"] for r in rows),
         "all_within_bound": all(r["within_bound"] for r in rows),
     }
-    columns = ["k", "l_norm", "bound", "gauss_reference", "within_bound"]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_hermite(spec):
@@ -211,19 +218,7 @@ def _run_hermite(spec):
         if not row["bounds_ok"]:
             break
         holds_from = row["m"]
-    summary = {"bounds_hold_from_m": holds_from}
-    columns = [
-        "m",
-        "leading_gap",
-        "leading_gap_exact",
-        "alpha",
-        "beta",
-        "alpha_lower",
-        "alpha_upper",
-        "beta_to_alpha",
-        "bounds_ok",
-    ]
-    return columns, rows, summary
+    return rows, {"bounds_hold_from_m": holds_from}
 
 
 def _run_lowerbound(spec):
@@ -231,6 +226,8 @@ def _run_lowerbound(spec):
     m_min = int(p.get("m_min", 2))
     m_max = int(p.get("m_max", 12))
     j_max = int(p.get("j_max", 200))
+    if m_min < 2 or m_max < m_min:
+        raise InvalidParameter("need 2 <= m_min <= m_max")
 
     instances, summary = families.lowerbound_ratio_sweep(range(m_min, m_max + 1), j_max)
     rows = [
@@ -245,14 +242,15 @@ def _run_lowerbound(spec):
         }
         for inst in instances
     ]
-    columns = ["m", "tau", "alpha", "beta", "eps_sq", "regret", "ratio"]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_moment(spec):
     p = spec.params
     p_exp = float(p.get("p", 2.0))
     b_values = [float(b) for b in p.get("b_values", [4.0, 8.0, 16.0, 32.0])]
+    if not b_values:
+        raise InvalidParameter("need at least one b value")
 
     instances, summary = families.moment_family_sweep(p_exp, b_values)
     rows = [
@@ -267,24 +265,20 @@ def _run_moment(spec):
         }
         for inst in instances
     ]
-    columns = ["p", "b", "eta", "eps_sq", "regret", "regret_lb", "lb_ok"]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _run_regratio(spec):
     p = spec.params
     pairs = p.get("pairs")
     if pairs is None:
-        rows, summary = families.regularization_necessity_demo(
+        _reject(p, ("count",), "without --pairs: it sizes the random-pair sweep")
+        return families.regularization_necessity_demo(
             float(p.get("p", 2.0)),
             float(p.get("b", 16.0)),
             [float(r) for r in p.get("rhos", [])],
         )
-        columns = ["rho", "regret", "regret_regularized", "ratio", "envelope"]
-        return columns, rows, summary
-    for key in ("p", "b", "rhos"):
-        if p.get(key) is not None:
-            raise InvalidParameter("--pairs runs the random-pair sweep; drop --p/--b/--rhos")
+    _reject(p, ("p", "b", "rhos"), "with --pairs: it belongs to the clipping demo")
     if pairs.lstrip().startswith(("@", "{")):
         raise InvalidParameter("pair sweep needs a random generator spec, not a fixed prior")
     count = int(p.get("count", 100))
@@ -318,8 +312,7 @@ def _run_regratio(spec):
         "pairs": count,
         "max_ratio": max(r["ratio"] for r in rows),
     }
-    columns = ["pair", "eps_sq", "delta", "delta_flux", "regret", "ratio"]
-    return columns, rows, summary
+    return rows, summary
 
 
 def _load_observations(path):
@@ -344,13 +337,19 @@ def _run_npmle(spec):
     max_iters = int(p.get("max_iters", 50000))
     constrained = bool(p.get("constrained", False))
     mprime = p.get("mprime")
+    if not constrained:
+        _reject(p, ("mprime",), "without --constrained")
 
     if p.get("data"):
+        _reject(p, ("prior", "n_values", "n_seeds"), "with --data: it belongs to synthetic runs")
         y = _load_observations(p["data"])
-        if p.get("grid_min") is not None and p.get("grid_max") is not None:
-            grid = np.linspace(float(p["grid_min"]), float(p["grid_max"]), grid_size)
+        lo, hi = p.get("grid_min"), p.get("grid_max")
+        if lo is not None and hi is not None:
+            _reject(p, ("constrained", "mprime"), "with --grid-min/--grid-max, which fix the grid")
+            grid = np.linspace(float(lo), float(hi), grid_size)
             problem = npmle.NpmleProblem(y, grid, max_iters=max_iters, tol=tol)
         else:
+            _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
             problem = npmle.NpmleProblem.from_observations(
                 y,
                 grid_size=grid_size,
@@ -371,14 +370,15 @@ def _run_npmle(spec):
             "fitted_prior": json.loads(solution.prior.to_json()),
             "diagnostics": solution.diagnostics,
         }
-        return ["n", "loglik", "cert", "iterations", "support_size"], [row], summary
+        return [row], summary
 
+    _reject(p, ("grid_min", "grid_max"), "without --data: synthetic runs build their own grid")
     rng = npmle.cell_rng(spec.seed, 0)
     true_prior = parse_prior_spec(p.get("prior", "two_point:m=1"), rng)
     n_values = [int(n) for n in p.get("n_values", [200, 800, 3200])]
     n_seeds = int(p.get("n_seeds", 20))
-    if n_seeds < 1:
-        raise InvalidParameter("need at least one seed")
+    if not n_values or n_seeds < 1:
+        raise InvalidParameter("need at least one sample size and one seed")
     seeds = [
         int(s.generate_state(1, dtype=np.uint64)[0])
         for s in np.random.SeedSequence(spec.seed).spawn(n_seeds)
@@ -407,8 +407,7 @@ def _run_npmle(spec):
         "median_regret": medians,
         "max_cert": max(r["cert"] for r in rows),
     }
-    columns = ["n", "seed", "eps_sq", "regret", "loglik", "cert"]
-    return columns, rows, summary
+    return rows, summary
 
 
 _EXPERIMENTS = {
@@ -428,8 +427,8 @@ def run(spec):
         runner = _EXPERIMENTS[spec.name]
     except KeyError:
         raise UnknownExperiment(f"no experiment named {spec.name!r}") from None
-    columns, rows, summary = runner(spec)
-    return ExperimentReport(spec=spec, columns=columns, rows=rows, summary=summary)
+    rows, summary = runner(spec)
+    return ExperimentReport(spec=spec, columns=list(rows[0]), rows=rows, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -499,28 +498,8 @@ def _build_parser():
     return parser
 
 
-_PARAM_KEYS = {
-    "metrics": ["prior_g", "prior_h", "rhos"],
-    "bernstein": ["prior", "k_min", "k_max", "grid_size", "dump_matrices"],
-    "hermite": ["m_min", "m_max", "j_max"],
-    "lowerbound": ["m_min", "m_max", "j_max"],
-    "moment": ["p", "b_values"],
-    "regratio": ["pairs", "count", "p", "b", "rhos"],
-    "npmle": [
-        "data",
-        "prior",
-        "n_values",
-        "n_seeds",
-        "grid_min",
-        "grid_max",
-        "grid_size",
-        "tol",
-        "max_iters",
-        "constrained",
-        "mprime",
-    ],
-}
-
+# dests every subcommand shares; the rest of the namespace is the subcommand's params
+_GLOBAL_DESTS = {"config", "seed", "out", "threads", "command"}
 _LIST_FLOAT_KEYS = {"rhos", "b_values"}
 _LIST_INT_KEYS = {"n_values"}
 
@@ -536,13 +515,13 @@ def _load_config(path):
 
 def _spec_from_args(args, config):
     def pick(key, default):
-        cli_val = getattr(args, key, None)
+        cli_val = getattr(args, key)
         if cli_val is not None:
             return cli_val
         return config.get(key, default)
 
     params = {}
-    for key in _PARAM_KEYS[args.command]:
+    for key in (k for k in vars(args) if k not in _GLOBAL_DESTS):
         value = pick(key, None)
         if value is None:
             continue

@@ -78,10 +78,6 @@ class DiscretePrior:
     def support_bound(self):
         return float(np.max(np.abs(self.atoms)))
 
-    @property
-    def second_moment(self):
-        return float(np.dot(self.weights, self.atoms**2))
-
     def shift(self, mu):
         """Prior of U + mu."""
         return DiscretePrior(self.atoms + mu, self.weights)
@@ -131,7 +127,6 @@ class MarginalModel:
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
         self.support_bound = float(np.max(np.abs(self.atoms)))
-        self.second_moment = float(np.dot(self.weights, self.atoms**2))
 
     def _log_terms(self, y):
         y = np.asarray(y, dtype=float)

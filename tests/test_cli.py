@@ -221,3 +221,162 @@ def test_lowerbound_rows_and_positive_ratio(tmp_path):
     header = lines[0].split(",")
     ratio_col = header.index("ratio")
     assert all(float(line.split(",")[ratio_col]) > 0.0 for line in lines[1:])
+
+
+_DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["npmle", "--n-values", "40", "--n-seeds", "1", "--grid-min", "-3"], "--grid-min"),
+        (["npmle", "--n-values", "40", "--n-seeds", "1", "--grid-max", "3"], "--grid-max"),
+        (["npmle", "--data", "{data}", "--grid-min", "-3"], "--grid-min"),
+        (["npmle", "--data", "{data}", "--grid-max", "3"], "--grid-max"),
+        (_DATA_GRID + ["--constrained"], "--constrained"),
+        (_DATA_GRID + ["--constrained", "--mprime", "2"], "--constrained"),
+        (["npmle", "--data", "{data}", "--prior", "two_point:m=1"], "--prior"),
+        (["npmle", "--data", "{data}", "--n-values", "40"], "--n-values"),
+        (["npmle", "--data", "{data}", "--n-seeds", "2"], "--n-seeds"),
+        (["npmle", "--n-values", "40", "--n-seeds", "1", "--mprime", "2"], "--mprime"),
+        (["npmle", "--data", "{data}", "--mprime", "2"], "--mprime"),
+        (["regratio", "--p", "2", "--b", "8", "--count", "3"], "--count"),
+        (["lowerbound", "--m-min", "5", "--m-max", "4"], "m_min"),
+        (["lowerbound", "--m-min", "1", "--m-max", "3"], "m_min"),
+    ],
+    ids=[
+        "synthetic-grid-min",
+        "synthetic-grid-max",
+        "data-grid-min-alone",
+        "data-grid-max-alone",
+        "data-grid-constrained",
+        "data-grid-constrained-mprime",
+        "data-prior",
+        "data-n-values",
+        "data-n-seeds",
+        "synthetic-mprime-unconstrained",
+        "data-mprime-unconstrained",
+        "demo-count",
+        "lowerbound-empty-range",
+        "lowerbound-m-below-2",
+    ],
+)
+def test_unapplied_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, named):
+    data = tmp_path / "y.txt"
+    np.savetxt(data, cell_rng(0, 7).standard_normal(30))
+    argv = [str(data) if arg == "{data}" else arg for arg in argv]
+    assert main(["--out", str(tmp_path / "r")] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: ") and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, columns",
+    [
+        (
+            ["metrics", "--prior-g", "two_point:m=1", "--prior-h", "point:u=0", "--rhos", "0.2,0.05"],
+            "hellinger_sq,delta,delta_flux,regret,rho_0,regret_reg_0,rho_1,regret_reg_1",
+        ),
+        (
+            ["bernstein", "--prior", "point:u=0", "--k-min", "2", "--k-max", "3", "--grid-size", "400"],
+            "k,l_norm,bound,gauss_reference,within_bound",
+        ),
+        (
+            ["hermite", "--m-min", "2", "--m-max", "3", "--j-max", "60"],
+            "m,leading_gap,leading_gap_exact,alpha,beta,alpha_lower,alpha_upper,beta_to_alpha,bounds_ok",
+        ),
+        (["lowerbound", "--m-min", "2", "--m-max", "3"], "m,tau,alpha,beta,eps_sq,regret,ratio"),
+        (["moment", "--p", "3", "--b-values", "4,8"], "p,b,eta,eps_sq,regret,regret_lb,lb_ok"),
+        (["regratio", "--pairs", "two_point:m=1", "--count", "2"], "pair,eps_sq,delta,delta_flux,regret,ratio"),
+        (["regratio", "--p", "2", "--b", "8", "--rhos", "0.1"], "rho,regret,regret_regularized,ratio,envelope"),
+        (
+            ["npmle", "--n-values", "40", "--n-seeds", "1", "--grid-size", "30"],
+            "n,seed,eps_sq,regret,loglik,cert",
+        ),
+        (["npmle", "--data", "{data}", "--grid-size", "30"], "n,loglik,cert,iterations,support_size"),
+    ],
+    ids=[
+        "metrics",
+        "bernstein",
+        "hermite",
+        "lowerbound",
+        "moment",
+        "regratio-pairs",
+        "regratio-demo",
+        "npmle",
+        "npmle-data",
+    ],
+)
+def test_csv_headers_are_pinned_and_echo_only_own_params(tmp_path, argv, columns):
+    data = tmp_path / "y.txt"
+    np.savetxt(data, cell_rng(0, 8).standard_normal(40))
+    argv = [str(data) if arg == "{data}" else arg for arg in argv]
+    # k_max belongs to bernstein and m_max to hermite/lowerbound; each case
+    # that owns one sets it on the command line, so config values never apply
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"k_max": 5, "m_max": 5}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "r")] + argv) == 0
+    header = (tmp_path / "r.csv").read_text().splitlines()[0]
+    assert header == columns
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert payload["columns"] == columns.split(",")
+    given = {arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")}
+    assert set(payload["spec"]["params"]) == given
+
+
+@pytest.mark.parametrize("command, key", [("moment", "b_values"), ("npmle", "n_values")])
+def test_empty_sweep_list_from_config_exits_2(tmp_path, capsys, command, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: []}))
+    assert main(["--config", str(config), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: need at least one")
+
+
+class _ScriptedRng:
+    """Hands out fixed atom draws in order; fixed split and weights."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.used = 0
+
+    def _next(self):
+        draw = self.draws[min(self.used, len(self.draws) - 1)]
+        self.used += 1
+        return np.array(draw, dtype=float)
+
+    def uniform(self, low, high, size=None):
+        return 0.5 if size is None else self._next()
+
+    def standard_normal(self, size):
+        return self._next()
+
+    def dirichlet(self, alpha):
+        return np.full(len(alpha), 1.0 / len(alpha))
+
+
+@pytest.mark.parametrize(
+    "name, params, draws",
+    [
+        ("two_point", {"m": 1.0}, [[0.3, 0.3], [0.3, -0.2]]),
+        ("k_atom", {"k": 3, "m": 1.0}, [[0.1, -0.4, 0.1], [0.1, -0.4, 0.2]]),
+        ("g_alpha", {"alpha": 1.0, "sigma": 1.0, "k": 3}, [[0.2, 0.2, -0.1], [0.2, 0.3, -0.1]]),
+    ],
+    ids=["two_point", "k_atom", "g_alpha"],
+)
+def test_generators_redraw_repeated_atoms(name, params, draws):
+    rng = _ScriptedRng(draws)
+    prior = generate_prior(name, params, rng)
+    assert rng.used == 2
+    assert np.array_equal(prior.atoms, np.sort(draws[1]))
+
+
+def test_generator_that_keeps_repeating_exits_2(monkeypatch, capsys):
+    rng = _ScriptedRng([[0.3, 0.3]])
+    monkeypatch.setattr(cli.npmle, "cell_rng", lambda *args: rng)
+    assert main(["metrics", "--prior-g", "two_point:m=1", "--prior-h", "point:u=0"]) == 2
+    assert rng.used == 101
+    err = capsys.readouterr().err
+    assert err == "eblab: prior generator keeps drawing repeated atoms\n"

@@ -41,7 +41,6 @@ def test_prior_sorting_and_moments():
     assert np.array_equal(prior.atoms, [-1.0, 2.0])
     assert np.array_equal(prior.weights, [0.75, 0.25])
     assert prior.support_bound == 2.0
-    assert abs(prior.second_moment - (0.75 + 4 * 0.25)) <= 1e-15
 
 
 def test_prior_json_round_trip():
