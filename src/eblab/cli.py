@@ -14,6 +14,7 @@ thread; ``--threads`` is accepted for compatibility and changes nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import pathlib
@@ -133,6 +134,11 @@ def _reject(params, keys, reason):
             raise InvalidParameter(f"{flag} is not applied {reason}")
 
 
+def _given(params, **casts):
+    """The keys of ``casts`` set by a flag or --config, cast; the library holds each default."""
+    return {key: cast(params[key]) for key, cast in casts.items() if key in params}
+
+
 def _run_metrics(spec):
     p = spec.params
     rng = npmle.cell_rng(spec.seed, 0)
@@ -158,12 +164,11 @@ def _run_bernstein(spec):
     prior = parse_prior_spec(p["prior"], rng)
     k_min = int(p.get("k_min", 1))
     k_max = int(p.get("k_max", 20))
-    grid_size = int(p.get("grid_size", 4000))
-    if k_min < 1 or k_max < k_min:
-        raise InvalidParameter("need 1 <= k_min <= k_max")
+    if not 1 <= k_min <= k_max <= orthopoly.MAX_STABLE_DEGREE:
+        raise InvalidParameter(f"need 1 <= k_min <= k_max <= {orthopoly.MAX_STABLE_DEGREE}")
     # q_0..q_k do not depend on the top degree of the build, so one build
     # at k_max serves every row through the leading (k+1) x (k+1) block of L
-    table = orthopoly.recurrence_for_weight(prior, k_max, grid_size=grid_size)
+    table = orthopoly.recurrence_for_weight(prior, k_max, **_given(p, grid_size=int))
     ops = orthopoly.build_operators(prior, table)
     rows = []
     for k in range(k_min, k_max + 1):
@@ -192,13 +197,13 @@ def _run_hermite(spec):
     p = spec.params
     m_min = int(p.get("m_min", 1))
     m_max = int(p.get("m_max", 8))
-    j_max = int(p.get("j_max", 200))
+    table_options = _given(p, j_max=int)
     if m_min < 1 or m_max < m_min:
         raise InvalidParameter("need 1 <= m_min <= m_max")
 
     rows = []
     for m in range(m_min, m_max + 1):
-        table = moment_gap_table(m, j_max)
+        table = moment_gap_table(m, **table_options)
         alpha_lower, alpha_upper = alpha_bounds(m)
         rows.append(
             {
@@ -225,11 +230,11 @@ def _run_lowerbound(spec):
     p = spec.params
     m_min = int(p.get("m_min", 2))
     m_max = int(p.get("m_max", 12))
-    j_max = int(p.get("j_max", 200))
+    table_options = _given(p, j_max=int)
     if m_min < 2 or m_max < m_min:
         raise InvalidParameter("need 2 <= m_min <= m_max")
 
-    instances, summary = families.lowerbound_ratio_sweep(range(m_min, m_max + 1), j_max)
+    instances, summary = families.lowerbound_ratio_sweep(range(m_min, m_max + 1), **table_options)
     rows = [
         {
             "m": inst.m,
@@ -332,9 +337,7 @@ def _load_observations(path):
 
 def _run_npmle(spec):
     p = spec.params
-    grid_size = int(p.get("grid_size", 400))
-    tol = float(p.get("tol", 1e-6))
-    max_iters = int(p.get("max_iters", 50000))
+    fit = _given(p, grid_size=int, tol=float, max_iters=int)
     constrained = bool(p.get("constrained", False))
     mprime = p.get("mprime")
     if not constrained:
@@ -346,17 +349,14 @@ def _run_npmle(spec):
         lo, hi = p.get("grid_min"), p.get("grid_max")
         if lo is not None and hi is not None:
             _reject(p, ("constrained", "mprime"), "with --grid-min/--grid-max, which fix the grid")
-            grid = np.linspace(float(lo), float(hi), grid_size)
-            problem = npmle.NpmleProblem(y, grid, max_iters=max_iters, tol=tol)
+            # the sample-range problem with its grid moved onto the given bounds
+            problem = npmle.NpmleProblem.from_observations(y, **fit)
+            grid = np.linspace(float(lo), float(hi), problem.grid.size)
+            problem = dataclasses.replace(problem, grid=grid)
         else:
             _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
             problem = npmle.NpmleProblem.from_observations(
-                y,
-                grid_size=grid_size,
-                constrained=constrained,
-                mprime=mprime,
-                max_iters=max_iters,
-                tol=tol,
+                y, constrained=constrained, mprime=mprime, **fit
             )
         solution = npmle.solve_npmle(problem)
         row = {
@@ -386,14 +386,7 @@ def _run_npmle(spec):
 
     rows = [
         npmle.empirical_regret_experiment(
-            true_prior,
-            n,
-            seed,
-            constrained=constrained,
-            mprime=mprime,
-            grid_size=grid_size,
-            max_iters=max_iters,
-            tol=tol,
+            true_prior, n, seed, constrained=constrained, mprime=mprime, **fit
         )
         for n in n_values
         for seed in seeds

@@ -87,17 +87,18 @@ class LowerBoundInstance:
         return self.regret_val / metrics.hellinger_rate_normalizer(self.eps_sq)
 
 
-def build_lowerbound_instance(m, j_max=200):
+def build_lowerbound_instance(m, **table_options):
     """Contamination pair at level m with its Hellinger gap and regret.
 
     tau is alpha_m squared, which keeps the Hellinger distance at the
     eps^2 <= 4 tau^2 alpha_m = 4 alpha_m^5 scale while the regret stays
     of order tau^2 beta_m; beta_m >= 2 m alpha_m drives the ratio.
+    ``table_options`` (``j_max``) go to ``moment_gap_table``.
     """
     m = int(m)
     if not 2 <= m <= 12:
         raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
-    table = moment_gap_table(m, j_max)
+    table = moment_gap_table(m, **table_options)
     alpha = table.alpha_m
     beta = table.beta_m
     tau = alpha * alpha
@@ -138,15 +139,16 @@ def build_lowerbound_instance(m, j_max=200):
     )
 
 
-def lowerbound_ratio_sweep(m_values=range(2, 13), j_max=200):
+def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
     """Instances for each m plus summary rate constants.
 
     ``min_ratio`` is the empirical lower-bound constant for
     regret / (eps^2 log(1/eps) / loglog(1/eps));  ``rate_c0`` is the
     smallest m loglog(1/alpha) / log(1/alpha), the constant tying the
-    family index to the Hellinger separation.
+    family index to the Hellinger separation.  ``table_options`` go to
+    ``moment_gap_table``.
     """
-    instances = [build_lowerbound_instance(m, j_max) for m in m_values]
+    instances = [build_lowerbound_instance(m, **table_options) for m in m_values]
     ratios = [inst.ratio for inst in instances]
     rate_cs = []
     for inst in instances:
@@ -207,12 +209,15 @@ def moment_family_sweep(p, b_values):
     """Spike instances across b plus the fitted regret-vs-eps^2 exponent.
 
     The summary reports the measured log-log slope next to the target
-    (p - 2)/p: regret ~ b^2 eta and eps^2 ~ eta with eta = b^(-p).
+    (p - 2)/p: regret ~ b^2 eta and eps^2 ~ eta with eta = b^(-p).  With
+    fewer than two distinct b values there is no slope, and it is None.
     """
     instances = [build_moment_instance(p, b) for b in b_values]
-    exponent = fit_loglog_exponent(
-        [inst.eps_sq for inst in instances], [inst.regret_val for inst in instances]
-    )
+    exponent = None
+    if len(set(b_values)) > 1:
+        exponent = fit_loglog_exponent(
+            [inst.eps_sq for inst in instances], [inst.regret_val for inst in instances]
+        )
     summary = {
         "fitted_exponent": exponent,
         "target_exponent": (float(p) - 2.0) / float(p),

@@ -87,7 +87,7 @@ def hermite_eval(j, y):
 
 
 def prior_moment(prior, j):
-    """j-th raw moment of a discrete or quadrature prior."""
+    """j-th raw moment of a discrete prior."""
     j = int(j)
     if j < 0:
         raise ValueError("moment order must be nonnegative")

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .mixtures import MarginalModel, log_phi
 from .quadrature import IntegrationSpec, gaussian_tail_radius, integrate_line
@@ -222,7 +221,7 @@ def decomposition_residual(model_g, model_h, y):
     y = np.asarray(y, dtype=float)
     s = _PairState(*_as_models(model_g, model_h), y)
     imbalance = np.tanh(0.5 * (s.lh - s.lg))  # (f_H - f_G) / (f_G + f_H)
-    pg = expit(s.lg - s.lh)  # f_G / (f_G + f_H)
+    pg = np.exp(-np.logaddexp(0.0, s.lh - s.lg))  # f_G / (f_G + f_H)
     rhs = (s.mg + s.mh) * imbalance + 2.0 * (s.mg * pg - s.mh * (1.0 - pg))
     out = np.abs(s.mg - s.mh - rhs)
     if np.ndim(y) == 0:

@@ -302,34 +302,19 @@ def sample_observations(prior, n, rng):
     return atoms[idx] + rng.standard_normal(int(n))
 
 
-def empirical_regret_experiment(
-    true_prior,
-    n,
-    seed,
-    constrained=False,
-    mprime=None,
-    grid_size=400,
-    max_iters=50000,
-    tol=1e-6,
-):
+def empirical_regret_experiment(true_prior, n, seed, **fit_options):
     """Fit the grid NPMLE on one synthetic sample and score it.
 
-    Returns a flat record with the squared Hellinger distance and regret
-    of the fitted prior against the truth, the fit diagnostics, and the
-    seed that generated the sample.  Its keys, in order, are the columns
-    of the synthetic ``npmle`` CSV.  Solver errors propagate.
+    ``fit_options`` (grid_size, constrained, mprime, max_iters, tol) go
+    to ``NpmleProblem.from_observations``.  Returns a flat record with
+    the squared Hellinger distance and regret of the fitted prior against
+    the truth, the fit diagnostics, and the seed that generated the
+    sample.  Its keys, in order, are the columns of the synthetic
+    ``npmle`` CSV.  Solver errors propagate.
     """
     rng = cell_rng(seed, n)
     y = sample_observations(true_prior, n, rng)
-    problem = NpmleProblem.from_observations(
-        y,
-        grid_size=grid_size,
-        constrained=constrained,
-        mprime=mprime,
-        max_iters=max_iters,
-        tol=tol,
-    )
-    solution = solve_npmle(problem)
+    solution = solve_npmle(NpmleProblem.from_observations(y, **fit_options))
     scores = metrics.pair_integrals(true_prior, solution.prior, ["hellinger_sq", "regret"])
     return {
         "n": int(n),

@@ -112,8 +112,8 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     actually stored, roundoff included.
     """
     k = int(k)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
+    if k < 0 or grid_size < 1:
+        raise ValueError("need degree >= 0 and grid_size >= 1")
     if k > MAX_STABLE_DEGREE:
         raise DegreeUnstable(f"degree {k} beyond supported cap {MAX_STABLE_DEGREE}")
     model = MarginalModel(nu)
@@ -230,15 +230,16 @@ def operator_norm(mat):
     return float(np.linalg.norm(mat, 2))
 
 
-def bernstein_constant(nu, k, grid_size=4000):
+def bernstein_constant(nu, k, **grid_options):
     """Sharp constant in ||p'|| <= C ||p|| over degree <= k in L2(w).
 
     Equals the spectral norm of the differentiation matrix L.  For
     compact priors on [-M, M] it is certified against (2M + 1) sqrt(k+1)
     by the A + B split; for the point mass at zero it reduces to the
-    Gaussian value sqrt(k).
+    Gaussian value sqrt(k).  ``grid_options`` (``grid_size``) go to
+    ``recurrence_for_weight``.
     """
-    table = recurrence_for_weight(nu, k, grid_size=grid_size)
+    table = recurrence_for_weight(nu, k, **grid_options)
     ops = build_operators(nu, table)
     return operator_norm(ops.L)
 
@@ -259,7 +260,7 @@ class JacobiBoundReport:
     empirical_c: float
 
 
-def jacobi_norm_bound_check(nu, k, c1, c2, grid_size=4000):
+def jacobi_norm_bound_check(nu, k, c1, c2, **grid_options):
     """Verify the tridiagonal row bounds implied by growth of V'.
 
     Premises checked on the evaluation grid (``HypothesisViolated`` if
@@ -271,14 +272,14 @@ def jacobi_norm_bound_check(nu, k, c1, c2, grid_size=4000):
 
     and the report records both sides, the spectral norm of J against the
     row-sum bound, and the measured Bernstein constant normalized by
-    sqrt(k) log(k + 1).
+    sqrt(k) log(k + 1).  ``grid_options`` go to ``recurrence_for_weight``.
     """
     if not (c1 > 0.0 and c2 > 0.0):
         raise ValueError("c1 and c2 must be positive")
     k = int(k)
     if k < 1:
         raise ValueError("need degree at least 1")
-    table = recurrence_for_weight(nu, k, grid_size=grid_size)
+    table = recurrence_for_weight(nu, k, **grid_options)
     model = MarginalModel(nu)
     posterior = model.evaluate(table.nodes)[1]
     mean = posterior @ model.atoms

@@ -1,20 +1,28 @@
 """One-dimensional quadrature backends.
 
-Three rule families cover every integral in this package:
+Four rules cover every integral in this package; the first three live
+here:
 
 * ``chebyshev_rule``: the m-point Gauss rule for the arcsine density
   1/(pi*sqrt(1-x^2)) on [-1, 1].  Nodes are the Chebyshev points
   cos((2j-1)pi/(2m)), every weight equals 1/m, and the rule reproduces
-  arcsine moments exactly through degree 2m-1.
+  arcsine moments exactly through degree 2m-1.  Its nodes and weights
+  are the discretized arcsine priors of the ``families`` lower bound.
 * ``hermite_rule``: Gauss-Hermite nodes rescaled to the standard normal
-  measure, so sum(w * h(x)) approximates E[h(Z)] for Z ~ N(0, 1).
+  measure, so sum(w * h(x)) approximates E[h(Z)] for Z ~ N(0, 1).  Only
+  the tests use it, as an oracle for Gaussian expectations.
 * ``integrate_line``: globally adaptive Gauss-Kronrod (G7, K15) panels on
   a finite window [-R, R] for a scalar or vector-valued integrand.  Each
   component c has its own summed |K15 - G7| error estimate E_c and
   target max(abs_tol, rel_tol * |I_c|); the worst panel of the component
   furthest over its target is bisected until every component meets its
   target or the panel budget runs out.  With one component this is the
-  classic worst-panel bisection, panel for panel.
+  classic worst-panel bisection, panel for panel.  Every real-line
+  integral of ``metrics`` and ``families`` is one such pass.
+* ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
+  grid on a window.  The Stieltjes inner products of the orthopolynomial
+  recurrence are sums over it, and ``orthopoly`` caches the basis on its
+  nodes.
 
 Integrands handed to ``integrate_line`` map an array of nodes to an
 array of shape (nodes,) or, for k integrals that share one pass and so
@@ -43,7 +51,7 @@ __all__ = [
     "gaussian_tail_radius",
 ]
 
-_RULE_KINDS = ("gauss_hermite", "gauss_chebyshev", "adaptive_panel")
+_RULE_KINDS = ("gauss_hermite", "gauss_chebyshev")
 
 
 class ToleranceNotMet(RuntimeError):

@@ -243,6 +243,9 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["regratio", "--p", "2", "--b", "8", "--count", "3"], "--count"),
         (["lowerbound", "--m-min", "5", "--m-max", "4"], "m_min"),
         (["lowerbound", "--m-min", "1", "--m-max", "3"], "m_min"),
+        (["bernstein", "--prior", "point:u=0", "--k-max", "61"], "k_max"),
+        (["bernstein", "--prior", "point:u=0", "--grid-size", "0"], "grid_size"),
+        (["bernstein", "--prior", "point:u=0", "--grid-size", "-5"], "grid_size"),
     ],
     ids=[
         "synthetic-grid-min",
@@ -259,6 +262,9 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "demo-count",
         "lowerbound-empty-range",
         "lowerbound-m-below-2",
+        "bernstein-k-max-past-cap",
+        "bernstein-grid-size-zero",
+        "bernstein-grid-size-negative",
     ],
 )
 def test_unapplied_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, named):
@@ -380,3 +386,13 @@ def test_generator_that_keeps_repeating_exits_2(monkeypatch, capsys):
     assert rng.used == 101
     err = capsys.readouterr().err
     assert err == "eblab: prior generator keeps drawing repeated atoms\n"
+
+
+def test_one_value_moment_sweep_writes_strict_json(tmp_path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    assert main(["--out", str(tmp_path / "m"), "moment", "--b-values", "4"]) == 0
+    sidecar = json.loads((tmp_path / "m.json").read_text(), parse_constant=reject)
+    assert sidecar["summary"]["fitted_exponent"] is None
+

@@ -1,5 +1,9 @@
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import eblab
 
@@ -26,3 +30,23 @@ def test_root_exports_are_the_library_exports_in_order():
     for module in modules:
         for name in module.__all__:
             assert getattr(eblab, name) is getattr(module, name), f"eblab.{name}"
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI must not pull it in
+    code = (
+        "import sys\n"
+        "import eblab.cli\n"
+        "out = sys.argv[1]\n"
+        "assert eblab.cli.main(['--out', out + '/m', 'metrics', '--prior-g', 'two_point:m=1',"
+        " '--prior-h', 'point:u=0', '--rhos', '0.1']) == 0\n"
+        "assert eblab.cli.main(['--out', out + '/n', 'npmle', '--n-values', '50', '--n-seeds', '1',"
+        " '--grid-size', '40']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = pathlib.Path(eblab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
