@@ -506,16 +506,39 @@ def _load_config(path):
     return config
 
 
-def _spec_from_args(args, config):
-    def pick(key, default):
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            return cli_val
-        return config.get(key, default)
+def _flag_actions(parser, command):
+    """The global and the subcommand's flag actions, keyed by dest."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for p in (parser, subparsers.choices[command]) for a in p._actions}
+
+
+def _from_config(action, key, value):
+    """A config value through its flag's parse; a switch takes only a JSON boolean."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise InvalidParameter(f"config key {key!r} must be true or false, not {value!r}")
+        return value
+    if action.type is None:
+        return value
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        return action.type(text)
+    except ValueError:
+        raise InvalidParameter(
+            f"config key {key!r}: invalid {action.type.__name__} value {text!r}"
+        ) from None
+
+
+def _spec_from_args(args, config, actions):
+    def pick(key):
+        value = getattr(args, key)
+        if value is None and config.get(key) is not None:
+            value = _from_config(actions[key], key, config[key])
+        return value
 
     params = {}
     for key in (k for k in vars(args) if k not in _GLOBAL_DESTS):
-        value = pick(key, None)
+        value = pick(key)
         if value is None:
             continue
         if key in _LIST_FLOAT_KEYS and isinstance(value, str):
@@ -524,14 +547,16 @@ def _spec_from_args(args, config):
             value = _parse_ints(value)
         params[key] = value
 
-    return ExperimentSpec(name=args.command, params=params, seed=int(pick("seed", 0)))
+    seed = pick("seed")
+    return ExperimentSpec(name=args.command, params=params, seed=0 if seed is None else seed)
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        report = run(_spec_from_args(args, config))
+        report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))
     except (InvalidParameter, UnknownExperiment, ValueError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 2

@@ -62,11 +62,14 @@ def _contaminate(tau, rule):
 
 
 def _exp_sums(rule, y):
-    """S(y) = sum w e^(x y - x^2/2) and T(y) = sum w x e^(x y - x^2/2)."""
+    """S(y) = sum w e^(x y - x^2/2) and T(y) = sum w x e^(x y - x^2/2).
+
+    One ``np.vecdot`` per node, so a node's sums do not depend on its batch.
+    """
     y = np.asarray(y, dtype=float)
     x = rule.nodes
     ex = np.exp(np.multiply.outer(y, x) - 0.5 * x * x)
-    return ex @ rule.weights, ex @ (rule.weights * rule.nodes)
+    return np.vecdot(ex, rule.weights), np.vecdot(ex, rule.weights * rule.nodes)
 
 
 @dataclass
@@ -197,11 +200,12 @@ def build_moment_instance(p, b):
 def fit_loglog_exponent(xs, ys):
     """Least-squares slope of log(y) against log(x); nan if x is constant."""
     lx = np.log(np.asarray(xs, dtype=float))
+    if np.all(lx == lx[0]):
+        # centring equal logs need not give exact zeros, so test before
+        return math.nan
     ly = np.log(np.asarray(ys, dtype=float))
     lx = lx - lx.mean()
     denom = float(np.dot(lx, lx))
-    if denom == 0.0:
-        return math.nan
     return float(np.dot(lx, ly - ly.mean()) / denom)
 
 

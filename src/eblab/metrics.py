@@ -77,13 +77,16 @@ class _PairState:
     """log f, f and posterior mean of both marginals at one batch of nodes.
 
     Each model is evaluated once per batch (``MarginalModel.evaluate``).
+    Sums over atoms here and in the integrands are ``np.vecdot``, one dot
+    per node, so a node's value does not depend on the batch it is in; a
+    matrix product may round a row differently with the number of rows.
     """
 
     def __init__(self, model_g, model_h, y):
         self.model_g, self.model_h, self.y = model_g, model_h, y
         (self.lg, pg), (self.lh, ph) = model_g.evaluate(y), model_h.evaluate(y)
         self.fg, self.fh = np.exp(self.lg), np.exp(self.lh)
-        self.mg, self.mh = pg @ model_g.atoms, ph @ model_h.atoms
+        self.mg, self.mh = np.vecdot(pg, model_g.atoms), np.vecdot(ph, model_h.atoms)
 
 
 def _flux_gprime(s):
@@ -92,7 +95,7 @@ def _flux_gprime(s):
 
     def scaled_flux(model):
         terms = np.exp(log_phi(s.y[..., None] - model.atoms) - half_log_fbar[..., None])
-        return terms @ (model.weights * model.atoms)
+        return np.vecdot(terms, model.weights * model.atoms)
 
     diff = scaled_flux(s.model_g) - scaled_flux(s.model_h)
     return diff * diff
@@ -104,8 +107,8 @@ def _regret_score(s):
     def density_and_score(model):
         diff = model.atoms - s.y[..., None]
         kernel = np.exp(log_phi(diff))
-        f = kernel @ model.weights
-        return f, ((kernel * diff) @ model.weights) / f
+        f = np.vecdot(kernel, model.weights)
+        return f, np.vecdot(kernel * diff, model.weights) / f
 
     fg, sg = density_and_score(s.model_g)
     _, sh = density_and_score(s.model_h)

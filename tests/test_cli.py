@@ -341,6 +341,38 @@ def test_empty_sweep_list_from_config_exits_2(tmp_path, capsys, command, key):
     assert err.startswith("eblab: need at least one")
 
 
+def test_config_values_take_their_flags_parse(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    args = ["--config", str(config), "--out", str(tmp_path / "c"), "npmle", "--n-values", "50",
+            "--n-seeds", "1", "--grid-size", "40"]
+    config.write_text(json.dumps({"constrained": True, "mprime": "2"}))
+    assert main(args) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["spec"]["params"]["mprime"] == 2.0
+    for bad, message in (
+        ({"constrained": "false"}, "config key 'constrained' must be true or false, not 'false'"),
+        ({"constrained": True, "mprime": "two"}, "config key 'mprime': invalid float value 'two'"),
+        ({"max_iters": 2.5}, "config key 'max_iters': invalid int value '2.5'"),
+        ({"max_iters": True}, "config key 'max_iters': invalid int value 'true'"),
+        ({"seed": 1.5}, "config key 'seed': invalid int value '1.5'"),
+    ):
+        config.write_text(json.dumps(bad))
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"eblab: {message}\n"
+
+
+def test_reruns_of_refining_integrals_are_byte_identical(tmp_path):
+    # deep adaptive refinement: the batch order of split panels must be fixed
+    for argv in (
+        ["lowerbound", "--m-min", "2", "--m-max", "4"],
+        ["regratio", "--p", "2", "--b", "8", "--rhos", "0.05"],
+    ):
+        for label in ("a", "b"):
+            assert main(["--out", str(tmp_path / label)] + argv) == 0
+        for suffix in (".csv", ".json"):
+            first = (tmp_path / "a").with_suffix(suffix).read_bytes()
+            assert first == (tmp_path / "b").with_suffix(suffix).read_bytes()
+
+
 class _ScriptedRng:
     """Hands out fixed atom draws in order; fixed split and weights."""
 

@@ -100,6 +100,13 @@ def test_fit_loglog_exponent_recovers_power_law():
     assert abs(fit_loglog_exponent(xs, ys) - 1.8) <= 1e-12
 
 
+def test_fit_loglog_exponent_of_constant_x_is_nan():
+    # centring three equal logs leaves nonzero rounding residue for many x
+    rng = np.random.default_rng(9)
+    for x in rng.uniform(1e-6, 1e3, size=2000):
+        assert math.isnan(fit_loglog_exponent([x] * 3, [1.0, 2.0, 3.0]))
+
+
 def test_moment_sweep_summary_fields():
     instances, summary = moment_family_sweep(3.0, (4.0, 6.0, 8.0))
     assert len(instances) == 3

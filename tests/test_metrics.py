@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,6 +240,47 @@ def test_one_pass_report_matches_single_functionals(g, h, rhos):
 )
 def test_decomposition_residual_vanishes_on_random_priors(g, h, ys):
     assert np.max(decomposition_residual(g, h, ys)) <= 1e-9
+
+
+def _integrand_of(module, build):
+    """The integrand ``build`` hands to ``module.integrate_line``; the pass is not run."""
+    captured = []
+
+    def capture(f, spec=None):
+        captured.append(f)
+        return np.zeros(f(np.zeros(1)).shape[-1])
+
+    with mock.patch.object(module, "integrate_line", capture):
+        build()
+    return captured[0]
+
+
+def _assert_batch_invariant(f, ys, cut):
+    """Rows of ``f`` on the whole batch equal its rows on two parts of it."""
+    whole = f(ys)
+    parts = np.concatenate([f(ys[:cut]), f(ys[cut:])])
+    np.testing.assert_allclose(parts, whole, rtol=1e-14, atol=0.0)
+
+
+_NODES = st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=60).map(np.array)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(g=_PRIORS, h=_PRIORS, rhos=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+       ys=_NODES, data=st.data())
+def test_pair_integrand_rows_do_not_depend_on_node_batching(g, h, rhos, ys, data):
+    names = ["hellinger_sq", "delta", "delta_flux", "regret", "regret_score_form"]
+    f = _integrand_of(metrics, lambda: metrics.pair_integrals(g, h, names, rhos))
+    assert f(ys).shape == (ys.size, len(names) + len(set(rhos)) + 1)  # + the second flux form
+    _assert_batch_invariant(f, ys, data.draw(st.integers(1, ys.size - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(m=st.integers(2, 12), ys=_NODES, data=st.data())
+def test_lowerbound_integrand_rows_do_not_depend_on_node_batching(m, ys, data):
+    f = _integrand_of(families, lambda: families.build_lowerbound_instance(m))
+    assert f(ys).shape == (ys.size, 2)
+    _assert_batch_invariant(f, ys, data.draw(st.integers(1, ys.size - 1)))
 
 
 def test_bad_rho_raises_before_integrating(monkeypatch):

@@ -195,6 +195,29 @@ def test_one_component_pass_is_the_scalar_pass(f, spec, exact):
     assert abs(padded[1] - exact) <= max(target, abs(scalar - exact))
 
 
+def _counted(f):
+    """``f`` that records the size of each batch of nodes it is handed."""
+
+    def counted(y):
+        counted.batches.append(y.size)
+        return f(y)
+
+    counted.batches = []
+    return counted
+
+
+def test_split_panels_share_integrand_calls():
+    spec = IntegrationSpec(abs_tol=0.0, rel_tol=1e-11, truncation_radius=30.0)
+    refining = _counted(_two_scale)
+    integrate_line(refining, spec)
+    panels = sum(refining.batches) // 15
+    assert panels > 30 and len(refining.batches) < panels
+    # 30 initial panels, one call each, and no split: nothing is batched
+    flat = _counted(np.zeros_like)
+    assert integrate_line(flat, spec) == 0.0
+    assert flat.batches == [15] * 30
+
+
 def test_integration_spec_validation():
     with pytest.raises(ValueError):
         IntegrationSpec(abs_tol=0.0, rel_tol=0.0)
