@@ -379,18 +379,22 @@ def _run_npmle(spec):
     n_seeds = int(p.get("n_seeds", 20))
     if not n_values or n_seeds < 1:
         raise InvalidParameter("need at least one sample size and one seed")
+    if min(n_values) < 1:
+        raise InvalidParameter(f"--n-values must all be >= 1, got {min(n_values)}")
     seeds = [
         int(s.generate_state(1, dtype=np.uint64)[0])
         for s in np.random.SeedSequence(spec.seed).spawn(n_seeds)
     ]
 
-    rows = [
+    fits = [
         npmle.empirical_regret_experiment(
             true_prior, n, seed, constrained=constrained, mprime=mprime, **fit
         )
         for n in n_values
         for seed in seeds
     ]
+    rows = [record for record, _ in fits]
+    counts = [solution.diagnostics for _, solution in fits]
     medians = {}
     for n in n_values:
         regrets = sorted(r["regret"] for r in rows if r["n"] == n)
@@ -399,6 +403,12 @@ def _run_npmle(spec):
         "true_prior": json.loads(true_prior.to_json()),
         "median_regret": medians,
         "max_cert": max(r["cert"] for r in rows),
+        "diagnostics": {
+            "iterations": sum(solution.iterations for _, solution in fits),
+            "sqp_steps": sum(c["sqp_steps"] for c in counts),
+            "em_steps": sum(c["em_steps"] for c in counts),
+            "max_working_set": max(c["max_working_set"] for c in counts),
+        },
     }
     return rows, summary
 

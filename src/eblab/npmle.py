@@ -14,9 +14,14 @@ D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one), solves the
 nonnegative QP with a primal active-set loop, backtracks on phi and
 renormalizes, so the mean log-likelihood never decreases.  A step that
 fails is replaced by a short run of the multiplicative fixed-point
-iteration w_u <- w_u * D(u).  Stopping is governed solely by the exact
-full-grid first-order certificate max_u D(u) <= 1 + tol, which bounds
-the log-likelihood suboptimality of the returned weights over the grid.
+iteration w_u <- w_u * D(u).  The kernel K[u, i] = phi(y_i - u) is held
+grid-major, one (m, n) array: the certificate is one pass K (1/f) / n,
+a working set is a block of contiguous rows, and every density f is
+summed over the rows of the nonzero weights only, w[S] @ K[S], since a
+fit keeps a handful of the m grid weights nonzero.  Stopping is
+governed solely by the exact full-grid first-order certificate
+max_u D(u) <= 1 + tol, which bounds the log-likelihood suboptimality
+of the returned weights over the grid.
 Randomized experiment helpers derive every stream from a named
 (master seed, cell index) pair via numpy's SeedSequence so repeated
 runs are bit-for-bit identical regardless of execution order.
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .mixtures import DiscretePrior, MarginalModel, log_phi
+from .mixtures import LOG_SQRT_2PI, DiscretePrior, MarginalModel
 
 __all__ = [
     "NotConverged",
@@ -89,6 +94,8 @@ class NpmleProblem:
     ):
         """Uniform grid over the sample range, or [-mprime, mprime] if constrained."""
         observations = np.atleast_1d(np.asarray(observations, dtype=float))
+        if observations.size == 0:
+            raise ValueError("need at least one observation")
         if constrained:
             if mprime is None or not mprime > 0.0:
                 raise ValueError("constrained fit needs a positive mprime")
@@ -123,9 +130,24 @@ class NpmleSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _kernel(y, grid):
+    """Grid-major kernel K[j, i] = phi(y_i - u_j), built in place in one (m, n) buffer."""
+    kernel = np.subtract.outer(grid, y)
+    np.square(kernel, out=kernel)
+    kernel *= -0.5
+    kernel -= LOG_SQRT_2PI
+    return np.exp(kernel, out=kernel)
+
+
+def _density(kernel, w):
+    """f = w @ K summed over the nonzero weights only: a fit has few."""
+    nz = np.flatnonzero(w)
+    return w[nz] @ kernel[nz]
+
+
 def _certificate(kernel, fvals):
-    # matvec form: never materialize the n x m quotient
-    return kernel.T @ (1.0 / fvals) / fvals.size
+    # D = K (1/f) / n, one pass over the grid-major kernel; the n x m quotient never exists
+    return kernel @ (1.0 / fvals) / fvals.size
 
 
 def solve_npmle(problem):
@@ -145,16 +167,16 @@ def solve_npmle(problem):
     """
     y = problem.observations
     grid = problem.grid
-    kernel = np.exp(log_phi(y[:, None] - grid[None, :]))
-    if np.any(kernel.sum(axis=1) == 0.0):
+    kernel = _kernel(y, grid)
+    if np.any(kernel.max(axis=0) == 0.0):
         raise ValueError("an observation is too far from every grid point")
     count = max(_START_ATOMS, math.ceil((grid[-1] - grid[0]) / _START_SPACING) + 1)
     w = np.zeros(grid.size)
     w[np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)] = 1.0
-    if np.any(kernel @ w == 0.0):
+    if np.any(_density(kernel, w) == 0.0):
         w[:] = 1.0  # some observation sits far from every start atom
     w /= w.sum()
-    fvals = kernel @ w
+    fvals = _density(kernel, w)
     trace = [float(np.mean(np.log(fvals)))]
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}
@@ -174,7 +196,7 @@ def solve_npmle(problem):
             counts["sqp_steps"] += 1
             counts["max_working_set"] = max(counts["max_working_set"], size)
         w /= w.sum()
-        fvals = kernel @ w
+        fvals = _density(kernel, w)
         trace.append(float(np.mean(np.log(fvals))))
     solution = _package_solution(problem, kernel, w, certificate, trace, counts)
     if certificate > 1.0 + problem.tol:
@@ -198,9 +220,9 @@ def _sqp_step(kernel, w, fvals, direction, loglik):
     padded = np.r_[-np.inf, direction, -np.inf]
     peak = (direction >= padded[:-2]) & (direction >= padded[2:])
     work = np.flatnonzero((w > _PRUNE_WEIGHT) | (peak & (direction > 1.0)))
-    k_work = kernel[:, work]
-    scaled = k_work / fvals[:, None]
-    hess = scaled.T @ scaled / fvals.size
+    k_work = kernel[work]
+    scaled = k_work / fvals
+    hess = scaled @ scaled.T / fvals.size
     hess[np.diag_indices_from(hess)] += _RIDGE * float(hess.diagonal().max())
     grad = 1.0 - direction[work]
     w_work = w[work]
@@ -209,7 +231,7 @@ def _sqp_step(kernel, w, fvals, direction, loglik):
     slope = float(grad @ step)
     if not slope < 0.0:
         return None
-    k_step = k_work @ step
+    k_step = step @ k_work
     mass = float(step.sum())
     alpha = 1.0
     for _ in range(_HALVINGS):
@@ -240,7 +262,7 @@ def _nonnegative_qp(hess, lin):
     for _ in range(2 * x.size + 10):
         idx = np.flatnonzero(free)
         target = np.zeros_like(x)
-        target[idx] = np.linalg.solve(hess[np.ix_(idx, idx)], -lin[idx])
+        target[idx] = np.linalg.solve(hess[idx[:, None], idx], -lin[idx])
         blocked = idx[target[idx] < 0.0]
         if blocked.size:
             ratios = x[blocked] / (x[blocked] - target[blocked])
@@ -250,7 +272,8 @@ def _nonnegative_qp(hess, lin):
             free[blocked[k]] = False
             continue
         x = target
-        multipliers = np.where(free, np.inf, hess @ x + lin)
+        multipliers = hess @ x + lin
+        multipliers[free] = np.inf
         j = int(np.argmin(multipliers))
         if not multipliers[j] < -_QP_TOL:
             break
@@ -265,7 +288,7 @@ def _package_solution(problem, kernel, w, certificate, trace, counts):
     atoms = problem.grid[keep]
     weights = w[keep] / w[keep].sum()
     prior = DiscretePrior(atoms, weights)
-    fvals = kernel[:, keep] @ weights
+    fvals = weights @ kernel[keep]
     return NpmleSolution(
         prior=prior,
         loglik=float(np.mean(np.log(fvals))),
@@ -280,8 +303,7 @@ def gradient_certificate(solution, problem):
     """Recompute max_u D(u) over the problem grid for a fitted prior."""
     model = MarginalModel(solution.prior)
     fvals = model.density(problem.observations)
-    kernel = np.exp(log_phi(problem.observations[:, None] - problem.grid[None, :]))
-    return float(_certificate(kernel, fvals).max())
+    return float(_certificate(_kernel(problem.observations, problem.grid), fvals).max())
 
 
 def cell_rng(master_seed, *cell_index):
@@ -306,17 +328,19 @@ def empirical_regret_experiment(true_prior, n, seed, **fit_options):
     """Fit the grid NPMLE on one synthetic sample and score it.
 
     ``fit_options`` (grid_size, constrained, mprime, max_iters, tol) go
-    to ``NpmleProblem.from_observations``.  Returns a flat record with
-    the squared Hellinger distance and regret of the fitted prior against
-    the truth, the fit diagnostics, and the seed that generated the
-    sample.  Its keys, in order, are the columns of the synthetic
-    ``npmle`` CSV.  Solver errors propagate.
+    to ``NpmleProblem.from_observations``.  Returns ``(record, solution)``:
+    a flat record with the squared Hellinger distance and regret of the
+    fitted prior against the truth, the fit's loglik and certificate, and
+    the seed that generated the sample, whose keys, in order, are the
+    columns of the synthetic ``npmle`` CSV; and the ``NpmleSolution``,
+    whose solver counts the CLI sums into its sidecar.  Solver errors
+    propagate.
     """
     rng = cell_rng(seed, n)
     y = sample_observations(true_prior, n, rng)
     solution = solve_npmle(NpmleProblem.from_observations(y, **fit_options))
     scores = metrics.pair_integrals(true_prior, solution.prior, ["hellinger_sq", "regret"])
-    return {
+    record = {
         "n": int(n),
         "seed": int(seed),
         "eps_sq": scores["hellinger_sq"],
@@ -324,3 +348,4 @@ def empirical_regret_experiment(true_prior, n, seed, **fit_options):
         "loglik": solution.loglik,
         "cert": solution.gradient_cert,
     }
+    return record, solution

@@ -6,6 +6,7 @@ import pytest
 
 import eblab.cli as cli
 import eblab.metrics as metrics
+import eblab.npmle as npmle
 from eblab.cli import generate_prior, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
@@ -110,6 +111,28 @@ def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     iterations, support_size = int(row[3]), int(row[4])
     assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
     assert diagnostics["max_working_set"] >= support_size
+
+
+def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):
+    solutions = []
+    solve = npmle.solve_npmle
+
+    def recorded(problem):
+        solutions.append(solve(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(npmle, "solve_npmle", recorded)
+    args = ["npmle", "--n-values", "40,60", "--n-seeds", "2", "--grid-size", "50"]
+    assert main(["--out", str(tmp_path / "s")] + args) == 0
+    payload = json.loads((tmp_path / "s.json").read_text())
+    assert payload["columns"] == ["n", "seed", "eps_sq", "regret", "loglik", "cert"]
+    assert len(solutions) == payload["row_count"] == 4
+    assert payload["summary"]["diagnostics"] == {
+        "iterations": sum(s.iterations for s in solutions),
+        "sqp_steps": sum(s.diagnostics["sqp_steps"] for s in solutions),
+        "em_steps": sum(s.diagnostics["em_steps"] for s in solutions),
+        "max_working_set": max(s.diagnostics["max_working_set"] for s in solutions),
+    }
 
 
 def test_main_success_writes_reports(tmp_path):
@@ -239,6 +262,7 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["npmle", "--data", "{data}", "--n-values", "40"], "--n-values"),
         (["npmle", "--data", "{data}", "--n-seeds", "2"], "--n-seeds"),
         (["npmle", "--n-values", "40", "--n-seeds", "1", "--mprime", "2"], "--mprime"),
+        (["npmle", "--n-values", "0", "--n-seeds", "1"], "--n-values"),
         (["npmle", "--data", "{data}", "--mprime", "2"], "--mprime"),
         (["regratio", "--p", "2", "--b", "8", "--count", "3"], "--count"),
         (["lowerbound", "--m-min", "5", "--m-max", "4"], "m_min"),
@@ -258,6 +282,7 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "data-n-values",
         "data-n-seeds",
         "synthetic-mprime-unconstrained",
+        "synthetic-n-values-zero",
         "data-mprime-unconstrained",
         "demo-count",
         "lowerbound-empty-range",

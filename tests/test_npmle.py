@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eblab.npmle as npmle
-from eblab.mixtures import DiscretePrior, MarginalModel
+from eblab.mixtures import DiscretePrior, MarginalModel, log_phi
 from eblab.npmle import (
     NotConverged,
     NpmleProblem,
@@ -119,12 +119,56 @@ def test_problem_validation():
         NpmleProblem(observations=[0.0], grid=[0.0, 1.0], tol=0.0)
     with pytest.raises(ValueError):
         NpmleProblem.from_observations([0.0, 1.0], constrained=True)
+    for constrained in (False, True):
+        with pytest.raises(ValueError, match="need at least one observation"):
+            NpmleProblem.from_observations([], constrained=constrained, mprime=1.0)
 
 
 def test_observation_stranded_off_grid_raises():
     y = np.array([0.0, 0.5, 60.0])
     problem = NpmleProblem(observations=y, grid=np.linspace(-1.0, 1.0, 50))
     with pytest.raises(ValueError):
+        solve_npmle(problem)
+
+
+# strictly increasing grids on [-10, 10]: a density there is at least 1e-12 phi(20), far from subnormal
+_GRIDS = st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30, unique=True).map(np.sort)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(y=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50).map(np.array), grid=_GRIDS)
+def test_grid_major_kernel_is_the_transposed_log_phi_kernel(y, grid):
+    assert np.array_equal(npmle._kernel(y, grid), np.exp(log_phi(y[:, None] - grid)).T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    y=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50).map(np.array),
+    grid=_GRIDS,
+    data=st.data(),
+)
+def test_support_only_density_matches_the_dense_product(y, grid, data):
+    kernel = npmle._kernel(y, grid)
+    support = data.draw(st.sets(st.integers(0, grid.size - 1), min_size=1, max_size=20))
+    w = np.zeros(grid.size)
+    w[sorted(support)] = data.draw(
+        st.lists(st.floats(1e-12, 1.0), min_size=len(support), max_size=len(support))
+    )
+    dense = w @ kernel
+    assert np.all(np.abs(npmle._density(kernel, w) - dense) <= 1e-14 * dense)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    y=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=50).map(np.array),
+    grid=_GRIDS,
+    distance=st.floats(39.0, 1e6),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+def test_observation_past_underflow_distance_raises(y, grid, distance, side):
+    far = (grid[-1] if side > 0 else grid[0]) + side * distance  # phi(39) underflows to 0
+    problem = NpmleProblem(observations=np.r_[y, far], grid=grid)
+    with pytest.raises(ValueError, match="an observation is too far from every grid point"):
         solve_npmle(problem)
 
 
@@ -160,13 +204,14 @@ def test_sample_observations_shape_and_determinism():
 
 
 def test_empirical_regret_record_is_deterministic():
-    first = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
-    second = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
+    first, solution = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
+    second, _ = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
     assert first == second
+    assert (first["loglik"], first["cert"]) == (solution.loglik, solution.gradient_cert)
     assert set(first) == {"n", "eps_sq", "regret", "loglik", "cert", "seed"}
     assert first["n"] == 120 and first["seed"] == 7
     assert first["regret"] >= 0.0
     assert first["eps_sq"] >= 0.0
     assert first["cert"] <= 1.0 + 1e-6
-    third = empirical_regret_experiment(TRUE_PRIOR, 120, seed=8, grid_size=100)
+    third, _ = empirical_regret_experiment(TRUE_PRIOR, 120, seed=8, grid_size=100)
     assert third["regret"] != first["regret"]
