@@ -18,7 +18,9 @@ tau_m ~ 1e-8 .. 1e-77 across the sweep, far below double-precision
 subtraction.  All functionals are therefore evaluated through the exact
 perturbation form f_G = phi (1 + tau (V + U)), f_H = phi (1 + tau (V - U))
 where U and U' come from the Hermite series of the exact moment gaps and
-V, P are direct quadrature sums of order one.
+V, P are direct quadrature sums of order one.  A sweep integrates every m
+in one pass: per node batch one Hermite recurrence serves all m, and the
+fine rule's sums and phi are shared; only the m-node sums are per m.
 """
 
 from __future__ import annotations
@@ -52,13 +54,9 @@ def _contaminate(tau, rule):
     """(1 - tau) delta_0 + tau * rule, merging a zero node if present."""
     atoms = np.concatenate(([0.0], rule.nodes))
     weights = np.concatenate(([1.0 - tau], tau * rule.weights))
-    zero_hits = np.nonzero(rule.nodes == 0.0)[0]
-    if zero_hits.size:
-        weights[0] += weights[1 + zero_hits[0]]
-        keep = np.ones(atoms.size, dtype=bool)
-        keep[1 + zero_hits[0]] = False
-        atoms, weights = atoms[keep], weights[keep]
-    return DiscretePrior(atoms, weights)
+    zero = 1 + np.flatnonzero(rule.nodes == 0.0)
+    weights[0] += weights[zero].sum()
+    return DiscretePrior(np.delete(atoms, zero), np.delete(weights, zero))
 
 
 def _exp_sums(rule, y):
@@ -90,78 +88,73 @@ class LowerBoundInstance:
         return self.regret_val / metrics.hellinger_rate_normalizer(self.eps_sq)
 
 
+def _lowerbound_instances(m_values, **table_options):
+    """Contamination pairs for every m in one vector-valued integration pass.
+
+    Column 2i of the pass is eps^2 and column 2i + 1 the regret of the
+    i-th m, each to its own relative target.  Per node batch the Hermite
+    recurrence runs once for all m, and the fine rule's sums and phi(y)
+    are evaluated once; only the m-node coarse sums are per m.
+    """
+    ms = [int(m) for m in m_values]
+    if not all(2 <= m <= 12 for m in ms):
+        raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
+    tables = [moment_gap_table(m, **table_options) for m in ms]
+    tau = np.array([table.alpha_m * table.alpha_m for table in tables])
+    fine = chebyshev_rule(ARCSINE_RESOLUTION)
+    coarse = [chebyshev_rule(m) for m in ms]
+    # U and U' are half-gap Hermite series in h_j = H_j / j!, one column per m
+    half_gaps = np.stack([0.5 * table.gaps for table in tables], axis=1)
+
+    def integrand(y):
+        u, uprime = _hermite_sums(half_gaps, y, factorial=True)
+        s_fine, t_fine = _exp_sums(fine, y)
+        s_coarse, t_coarse = np.stack([_exp_sums(rule, y) for rule in coarse], axis=-1)
+        v = 0.5 * (s_fine[:, None] + s_coarse) - 1.0
+        p = 0.5 * (t_fine[:, None] + t_coarse)
+        fg = 1.0 + tau * (v + u)
+        fh = 1.0 + tau * (v - u)
+        num = uprime * (1.0 + tau * v) - tau * p * u
+        gauss = phi(y)[:, None]
+        hellinger = 4.0 * tau * tau * u * u * gauss / (np.sqrt(fg) + np.sqrt(fh)) ** 2
+        regret = 4.0 * tau * tau * num * num * gauss / (fg * fh * fh)
+        return np.stack([hellinger, regret], axis=-1).reshape(len(y), -1)
+
+    values = integrate_line(integrand, _FAMILY_SPEC).reshape(-1, 2)
+    return [
+        LowerBoundInstance(m, float(t), table.alpha_m, table.beta_m, _contaminate(t, fine),
+                           _contaminate(t, rule), *map(float, pair))
+        for m, t, table, rule, pair in zip(ms, tau, tables, coarse, values)
+    ]
+
+
 def build_lowerbound_instance(m, **table_options):
     """Contamination pair at level m with its Hellinger gap and regret.
 
     tau is alpha_m squared, which keeps the Hellinger distance at the
     eps^2 <= 4 tau^2 alpha_m = 4 alpha_m^5 scale while the regret stays
     of order tau^2 beta_m; beta_m >= 2 m alpha_m drives the ratio.
-    ``table_options`` (``j_max``) go to ``moment_gap_table``.
+    ``table_options`` (``j_max``) go to ``moment_gap_table``.  This is
+    the one-level case of the pass ``lowerbound_ratio_sweep`` makes.
     """
-    m = int(m)
-    if not 2 <= m <= 12:
-        raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
-    table = moment_gap_table(m, **table_options)
-    alpha = table.alpha_m
-    beta = table.beta_m
-    tau = alpha * alpha
-
-    fine = chebyshev_rule(ARCSINE_RESOLUTION)
-    coarse = chebyshev_rule(m)
-    prior_g = _contaminate(tau, fine)
-    prior_h = _contaminate(tau, coarse)
-
-    # U and U' are half-gap Hermite series in h_j = H_j / j!
-    half_gaps = 0.5 * table.gaps
-
-    def integrand(y):
-        u, uprime = _hermite_sums(half_gaps, y, factorial=True)
-        s_fine, t_fine = _exp_sums(fine, y)
-        s_coarse, t_coarse = _exp_sums(coarse, y)
-        v = 0.5 * (s_fine + s_coarse) - 1.0
-        p = 0.5 * (t_fine + t_coarse)
-        fg = 1.0 + tau * (v + u)
-        fh = 1.0 + tau * (v - u)
-        num = uprime * (1.0 + tau * v) - tau * p * u
-        gauss = phi(y)
-        hellinger = 4.0 * tau * tau * u * u * gauss / (np.sqrt(fg) + np.sqrt(fh)) ** 2
-        regret = 4.0 * tau * tau * num * num * gauss / (fg * fh * fh)
-        return np.stack([hellinger, regret], axis=-1)
-
-    eps_sq, regret_val = map(float, integrate_line(integrand, _FAMILY_SPEC))
-
-    return LowerBoundInstance(
-        m=m,
-        tau=tau,
-        alpha=alpha,
-        beta=beta,
-        prior_g=prior_g,
-        prior_h=prior_h,
-        eps_sq=eps_sq,
-        regret_val=regret_val,
-    )
+    return _lowerbound_instances([m], **table_options)[0]
 
 
 def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
     """Instances for each m plus summary rate constants.
 
-    ``min_ratio`` is the empirical lower-bound constant for
+    Each m is an eps^2 and a regret column of one ``integrate_line``
+    pass.  ``min_ratio`` is the empirical lower-bound constant for
     regret / (eps^2 log(1/eps) / loglog(1/eps));  ``rate_c0`` is the
     smallest m loglog(1/alpha) / log(1/alpha), the constant tying the
     family index to the Hellinger separation.  ``table_options`` go to
     ``moment_gap_table``.
     """
-    instances = [build_lowerbound_instance(m, **table_options) for m in m_values]
+    instances = _lowerbound_instances(m_values, **table_options)
     ratios = [inst.ratio for inst in instances]
-    rate_cs = []
-    for inst in instances:
-        log_inv_alpha = -math.log(inst.alpha)
-        rate_cs.append(inst.m * math.log(log_inv_alpha) / log_inv_alpha)
-    summary = {
-        "min_ratio": min(ratios),
-        "max_ratio": max(ratios),
-        "rate_c0": min(rate_cs),
-    }
+    log_inv_alphas = [-math.log(inst.alpha) for inst in instances]
+    rate_cs = [inst.m * math.log(a) / a for inst, a in zip(instances, log_inv_alphas)]
+    summary = {"min_ratio": min(ratios), "max_ratio": max(ratios), "rate_c0": min(rate_cs)}
     return instances, summary
 
 

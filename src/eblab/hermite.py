@@ -47,23 +47,28 @@ def _hermite_sums(coefficients, y, factorial=False):
     plain H_j, whose range reaches H_300(3) ~ -3.7e306.  D_j = j!
     (``factorial``) gives s_j = (y s_{j-1} - s_{j-2}) / j, which stays
     finite at high degree on wide windows where H_j overflows, but H_j
-    cannot be recovered from it past j = 170, where j! overflows.  Zero
-    coefficients are skipped.
+    cannot be recovered from it past j = 170, where j! overflows.  (J+1, k)
+    coefficients give k series on one recurrence, sums of shape
+    y.shape + (k,) whose columns equal the 1-d calls bit for bit.  Zero
+    coefficients are skipped per column, so an overflowed s_j stays out.
     """
+    coefficients = np.asarray(coefficients, dtype=float)
     y = np.asarray(y, dtype=float)
-    acc = np.zeros_like(y)
-    acc_prev = np.zeros_like(y)
-    s_prev = np.zeros_like(y)
-    s = np.ones_like(y)
+    acc, acc_prev = np.zeros((2, *y.shape, *coefficients.shape[1:]))
+    s_prev, s = np.zeros_like(y), np.ones_like(y)
     for j, a in enumerate(coefficients):
         if j > 0:
             if factorial:
                 s_prev, s = s, (y * s - s_prev) / j
             else:
                 s_prev, s = s, y * s - (j - 1) * s_prev
-        if a != 0.0:
-            acc += a * s
-            acc_prev += a * s_prev
+        live = a != 0.0
+        if live.all():
+            acc += np.multiply.outer(s, a)
+            acc_prev += np.multiply.outer(s_prev, a)
+        elif live.any():
+            acc[..., live] += np.multiply.outer(s, a[live])
+            acc_prev[..., live] += np.multiply.outer(s_prev, a[live])
     return acc, acc_prev
 
 

@@ -133,7 +133,8 @@ class NpmleSolution:
 def _kernel(y, grid):
     """Grid-major kernel K[j, i] = phi(y_i - u_j), built in place in one (m, n) buffer."""
     kernel = np.subtract.outer(grid, y)
-    np.square(kernel, out=kernel)
+    with np.errstate(over="ignore"):  # phi of an overflowed distance is exactly 0 either way
+        np.square(kernel, out=kernel)
     kernel *= -0.5
     kernel -= LOG_SQRT_2PI
     return np.exp(kernel, out=kernel)

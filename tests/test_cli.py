@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     iterations, support_size = int(row[3]), int(row[4])
     assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
     assert diagnostics["max_working_set"] >= support_size
+
+
+def test_npmle_data_far_observation_fits_without_overflow_warning(tmp_path, capsys):
+    # (1e200 - 0.1)^2 overflows; phi of that distance is 0, as the fit needs
+    data = tmp_path / "y.txt"
+    data.write_text("0.1\n0.5\n1e200\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["npmle", "--data", str(data)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eblab import metrics
+from eblab import families, metrics
 from eblab.families import (
     build_lowerbound_instance,
     build_moment_instance,
@@ -73,6 +73,33 @@ def test_lowerbound_sweep_summary():
         inst.m * math.log(-math.log(inst.alpha)) / -math.log(inst.alpha) for inst in instances
     ]
     assert abs(summary["rate_c0"] - min(rate_cs)) <= 1e-15
+
+
+def test_lowerbound_sweep_matches_each_level_built_alone():
+    instances, _ = lowerbound_ratio_sweep(range(2, 13))
+    assert [inst.m for inst in instances] == list(range(2, 13))
+    for inst in instances:
+        alone = build_lowerbound_instance(inst.m)
+        assert (inst.tau, inst.alpha, inst.beta) == (alone.tau, alone.alpha, alone.beta)
+        for prior, prior_alone in ((inst.prior_g, alone.prior_g), (inst.prior_h, alone.prior_h)):
+            assert np.array_equal(prior.atoms, prior_alone.atoms)
+            assert np.array_equal(prior.weights, prior_alone.weights)
+        assert abs(inst.eps_sq - alone.eps_sq) <= 1e-12 * alone.eps_sq
+        assert abs(inst.regret_val - alone.regret_val) <= 1e-12 * alone.regret_val
+
+
+def test_lowerbound_sweep_is_one_integration_pass(monkeypatch):
+    calls = []
+    integrate = families.integrate_line
+
+    def counted(f, spec):
+        calls.append(spec)
+        return integrate(f, spec)
+
+    monkeypatch.setattr(families, "integrate_line", counted)
+    instances, _ = lowerbound_ratio_sweep(range(2, 13))
+    assert len(instances) == 11
+    assert len(calls) == 1
 
 
 def test_moment_instance_scales_and_floor():

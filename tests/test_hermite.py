@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import hermite_e
 
 from eblab.hermite import (
@@ -71,6 +74,36 @@ def test_factorial_scaled_kernel_matches_clenshaw():
     value, shifted = _hermite_sums(coeffs, ys, factorial=True)
     assert _relative_gap(value, hermite_e.hermeval(ys, coeffs / factorials)) <= 1e-12
     assert _relative_gap(shifted, hermite_e.hermeval(ys, coeffs[1:] / factorials[:-1])) <= 1e-12
+
+
+def _sparse_matrix(values):
+    """Zero out whole rows and columns of ``values``, by masks drawn alongside it."""
+    shape = values.shape
+    return st.tuples(
+        hnp.arrays(bool, shape[0]), hnp.arrays(bool, shape[1]), hnp.arrays(bool, shape)
+    ).map(lambda masks: np.where(masks[0][:, None] | masks[1] | masks[2], 0.0, values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    coeffs=st.tuples(st.integers(1, 320), st.integers(1, 5))
+    .flatmap(lambda shape: hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    .flatmap(_sparse_matrix),
+    ys=hnp.arrays(float, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),
+    factorial=st.booleans(),
+)
+def test_matrix_sums_equal_column_sums_exactly(coeffs, ys, factorial):
+    # plain H_j overflows past j ~ 100 at |y| = 1e3; a column that never uses
+    # such a degree must still come out exactly as on its own, and never NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, shifted = _hermite_sums(coeffs, ys, factorial=factorial)
+        assert value.shape == shifted.shape == (ys.size, coeffs.shape[1])
+        for c in range(coeffs.shape[1]):
+            column, column_shifted = _hermite_sums(coeffs[:, c], ys, factorial=factorial)
+            np.testing.assert_array_equal(value[:, c], column)
+            np.testing.assert_array_equal(shifted[:, c], column_shifted)
+            if not coeffs[:, c].any():
+                assert not value[:, c].any() and not shifted[:, c].any()
 
 
 def test_hermite_orthogonality_under_gaussian_rule():

@@ -276,10 +276,11 @@ def test_pair_integrand_rows_do_not_depend_on_node_batching(g, h, rhos, ys, data
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
-@given(m=st.integers(2, 12), ys=_NODES, data=st.data())
-def test_lowerbound_integrand_rows_do_not_depend_on_node_batching(m, ys, data):
-    f = _integrand_of(families, lambda: families.build_lowerbound_instance(m))
-    assert f(ys).shape == (ys.size, 2)
+@given(ms=st.sets(st.integers(2, 12), min_size=1).map(sorted), ys=_NODES, data=st.data())
+def test_lowerbound_integrand_rows_do_not_depend_on_node_batching(ms, ys, data):
+    # the sweep's one pass: an eps^2 and a regret column per m
+    f = _integrand_of(families, lambda: families._lowerbound_instances(ms))
+    assert f(ys).shape == (ys.size, 2 * len(ms))
     _assert_batch_invariant(f, ys, data.draw(st.integers(1, ys.size - 1)))
 
 
