@@ -108,17 +108,18 @@ def parse_prior_spec(text, rng):
 
 
 def _parse_floats(text):
+    """The numbers of a comma-separated list flag; an empty list is left to the runner."""
     try:
-        values = [float(v) for v in str(text).split(",") if v.strip()]
-    except ValueError as exc:
-        raise InvalidParameter(f"bad numeric list {text!r}") from exc
-    if not values:
-        raise InvalidParameter(f"empty numeric list {text!r}")
-    return values
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from None
 
 
 def _parse_ints(text):
-    return [int(v) for v in _parse_floats(text)]
+    values = _parse_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    return [int(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +254,7 @@ def _run_lowerbound(spec):
 def _run_moment(spec):
     p = spec.params
     p_exp = float(p.get("p", 2.0))
-    b_values = [float(b) for b in p.get("b_values", [4.0, 8.0, 16.0, 32.0])]
+    b_values = p.get("b_values", [4.0, 8.0, 16.0, 32.0])
     if not b_values:
         raise InvalidParameter("need at least one b value")
 
@@ -281,7 +282,7 @@ def _run_regratio(spec):
         return families.regularization_necessity_demo(
             float(p.get("p", 2.0)),
             float(p.get("b", 16.0)),
-            [float(r) for r in p.get("rhos", [])],
+            p.get("rhos", []),
         )
     _reject(p, ("p", "b", "rhos"), "with --pairs: it belongs to the clipping demo")
     if pairs.lstrip().startswith(("@", "{")):
@@ -375,7 +376,7 @@ def _run_npmle(spec):
     _reject(p, ("grid_min", "grid_max"), "without --data: synthetic runs build their own grid")
     rng = npmle.cell_rng(spec.seed, 0)
     true_prior = parse_prior_spec(p.get("prior", "two_point:m=1"), rng)
-    n_values = [int(n) for n in p.get("n_values", [200, 800, 3200])]
+    n_values = p.get("n_values", [200, 800, 3200])
     n_seeds = int(p.get("n_seeds", 20))
     if not n_values or n_seeds < 1:
         raise InvalidParameter("need at least one sample size and one seed")
@@ -455,7 +456,7 @@ def _build_parser():
     s = sub.add_parser("metrics", help="divergence battery between two priors")
     s.add_argument("--prior-g", required=True)
     s.add_argument("--prior-h", required=True)
-    s.add_argument("--rhos", help="comma-separated clipping levels")
+    s.add_argument("--rhos", type=_parse_floats, help="comma-separated clipping levels")
 
     s = sub.add_parser("bernstein", help="derivative-operator norms for phi^2/f weights")
     s.add_argument("--prior", required=True)
@@ -476,19 +477,19 @@ def _build_parser():
 
     s = sub.add_parser("moment", help="heavy-tail spike family sweep")
     s.add_argument("--p", type=float)
-    s.add_argument("--b-values")
+    s.add_argument("--b-values", type=_parse_floats)
 
     s = sub.add_parser("regratio", help="regret against the Hellinger rate over random pairs")
     s.add_argument("--pairs", help="pair generator, e.g. two_point:m=1 or k_atom:k=5,m=2")
     s.add_argument("--count", type=int)
     s.add_argument("--p", type=float, help="clipping demo: tail exponent")
     s.add_argument("--b", type=float, help="clipping demo: spike location")
-    s.add_argument("--rhos", help="clipping demo: comma-separated levels")
+    s.add_argument("--rhos", type=_parse_floats, help="clipping demo: comma-separated levels")
 
     s = sub.add_parser("npmle", help="grid maximum-likelihood prior fits")
     s.add_argument("--data", help="file of observations, one per line")
     s.add_argument("--prior", help="true prior for synthetic runs")
-    s.add_argument("--n-values", help="comma-separated sample sizes")
+    s.add_argument("--n-values", type=_parse_ints, help="comma-separated sample sizes")
     s.add_argument("--n-seeds", type=int)
     s.add_argument("--grid-min", type=float)
     s.add_argument("--grid-max", type=float)
@@ -503,8 +504,6 @@ def _build_parser():
 
 # dests every subcommand shares; the rest of the namespace is the subcommand's params
 _GLOBAL_DESTS = {"config", "seed", "out", "threads", "command"}
-_LIST_FLOAT_KEYS = {"rhos", "b_values"}
-_LIST_INT_KEYS = {"n_values"}
 
 
 def _load_config(path):
@@ -530,9 +529,13 @@ def _from_config(action, key, value):
         return value
     if action.type is None:
         return value
+    if isinstance(value, list) and action.type in (_parse_floats, _parse_ints):
+        value = ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)  # comma form
     text = value if isinstance(value, str) else json.dumps(value)
     try:
         return action.type(text)
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidParameter(f"config key {key!r}: {exc}") from None
     except ValueError:
         raise InvalidParameter(
             f"config key {key!r}: invalid {action.type.__name__} value {text!r}"
@@ -546,16 +549,8 @@ def _spec_from_args(args, config, actions):
             value = _from_config(actions[key], key, config[key])
         return value
 
-    params = {}
-    for key in (k for k in vars(args) if k not in _GLOBAL_DESTS):
-        value = pick(key)
-        if value is None:
-            continue
-        if key in _LIST_FLOAT_KEYS and isinstance(value, str):
-            value = _parse_floats(value)
-        elif key in _LIST_INT_KEYS and isinstance(value, str):
-            value = _parse_ints(value)
-        params[key] = value
+    params = {key: value for key in vars(args)
+              if key not in _GLOBAL_DESTS and (value := pick(key)) is not None}
 
     seed = pick("seed")
     return ExperimentSpec(name=args.command, params=params, seed=0 if seed is None else seed)
@@ -563,7 +558,10 @@ def _spec_from_args(args, config, actions):
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error (code 2) or the help
+        return exc.code
     try:
         config = _load_config(args.config)
         report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))

@@ -15,12 +15,13 @@ Two constructions stress the divergence-versus-regret relationship:
 
 Densities of the contamination pairs differ only at relative size
 tau_m ~ 1e-8 .. 1e-77 across the sweep, far below double-precision
-subtraction.  All functionals are therefore evaluated through the exact
-perturbation form f_G = phi (1 + tau (V + U)), f_H = phi (1 + tau (V - U))
-where U and U' come from the Hermite series of the exact moment gaps and
-V, P are direct quadrature sums of order one.  A sweep integrates every m
-in one pass: per node batch one Hermite recurrence serves all m, and the
-fine rule's sums and phi are shared; only the m-node sums are per m.
+subtraction.  All functionals are therefore evaluated from exact
+moments alone: with S(y) = sum w e^(x y - x^2/2) over G's arcsine
+sliver and U the half-gap series of H's sliver against it,
+f_G = phi (1 + tau (S - 1)) and f_H = f_G - 2 tau U phi.  S, S' and
+every m's U, U' are Hermite series in H_j / j! with coefficients the
+arcsine moments and the exact half gaps, so per node batch one
+recurrence serves the whole sweep and no atom is summed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from . import metrics
 from .hermite import _hermite_sums, moment_gap_table
 from .mixtures import DiscretePrior, phi
-from .quadrature import IntegrationSpec, chebyshev_rule, integrate_line
+from .quadrature import (IntegrationSpec, ToleranceNotMet, arcsine_moment, chebyshev_rule,
+                         integrate_line)
 
 __all__ = [
     "LowerBoundInstance",
@@ -59,17 +61,6 @@ def _contaminate(tau, rule):
     return DiscretePrior(np.delete(atoms, zero), np.delete(weights, zero))
 
 
-def _exp_sums(rule, y):
-    """S(y) = sum w e^(x y - x^2/2) and T(y) = sum w x e^(x y - x^2/2).
-
-    One ``np.vecdot`` per node, so a node's sums do not depend on its batch.
-    """
-    y = np.asarray(y, dtype=float)
-    x = rule.nodes
-    ex = np.exp(np.multiply.outer(y, x) - 0.5 * x * x)
-    return np.vecdot(ex, rule.weights), np.vecdot(ex, rule.weights * rule.nodes)
-
-
 @dataclass
 class LowerBoundInstance:
     """Matched-moment contamination pair at level m."""
@@ -88,43 +79,51 @@ class LowerBoundInstance:
         return self.regret_val / metrics.hellinger_rate_normalizer(self.eps_sq)
 
 
+def _lowerbound_coefficients(tables):
+    """Coefficients in H_j / j! of S (column 0) and of each table's U (column i).
+
+    e^(x y - x^2/2) = sum_j x^j H_j(y) / j!, so S takes the arcsine moments, to
+    degree max(j_max, 200), which is exact on |y| <= 16; U takes the half gaps.
+    """
+    half_gaps = np.stack([0.5 * table.gaps for table in tables], axis=1)
+    coefficients = np.zeros((max(len(half_gaps), 201), 1 + len(tables)))
+    coefficients[:, 0] = [arcsine_moment(j) for j in range(len(coefficients))]
+    coefficients[: len(half_gaps), 1:] = half_gaps
+    return coefficients
+
+
 def _lowerbound_instances(m_values, **table_options):
     """Contamination pairs for every m in one vector-valued integration pass.
 
     Column 2i of the pass is eps^2 and column 2i + 1 the regret of the
-    i-th m, each to its own relative target.  Per node batch the Hermite
-    recurrence runs once for all m, and the fine rule's sums and phi(y)
-    are evaluated once; only the m-node coarse sums are per m.
+    i-th m, each to its own relative target.  Per node batch one Hermite
+    recurrence gives S, S' and every m's U, U'; the Gauss rules only
+    build the recorded priors.
     """
     ms = [int(m) for m in m_values]
     if not all(2 <= m <= 12 for m in ms):
         raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
     tables = [moment_gap_table(m, **table_options) for m in ms]
     tau = np.array([table.alpha_m * table.alpha_m for table in tables])
-    fine = chebyshev_rule(ARCSINE_RESOLUTION)
-    coarse = [chebyshev_rule(m) for m in ms]
-    # U and U' are half-gap Hermite series in h_j = H_j / j!, one column per m
-    half_gaps = np.stack([0.5 * table.gaps for table in tables], axis=1)
+    coefficients = _lowerbound_coefficients(tables)
 
     def integrand(y):
-        u, uprime = _hermite_sums(half_gaps, y, factorial=True)
-        s_fine, t_fine = _exp_sums(fine, y)
-        s_coarse, t_coarse = np.stack([_exp_sums(rule, y) for rule in coarse], axis=-1)
-        v = 0.5 * (s_fine[:, None] + s_coarse) - 1.0
-        p = 0.5 * (t_fine[:, None] + t_coarse)
-        fg = 1.0 + tau * (v + u)
-        fh = 1.0 + tau * (v - u)
-        num = uprime * (1.0 + tau * v) - tau * p * u
+        sums, shifted = _hermite_sums(coefficients, y, factorial=True)
+        s, t, u, uprime = sums[:, :1], shifted[:, :1], sums[:, 1:], shifted[:, 1:]
+        fg = 1.0 + tau * (s - 1.0)
+        fh = fg - 2.0 * tau * u
+        num = uprime * fg - tau * t * u
         gauss = phi(y)[:, None]
         hellinger = 4.0 * tau * tau * u * u * gauss / (np.sqrt(fg) + np.sqrt(fh)) ** 2
         regret = 4.0 * tau * tau * num * num * gauss / (fg * fh * fh)
         return np.stack([hellinger, regret], axis=-1).reshape(len(y), -1)
 
     values = integrate_line(integrand, _FAMILY_SPEC).reshape(-1, 2)
+    fine = chebyshev_rule(ARCSINE_RESOLUTION)
     return [
         LowerBoundInstance(m, float(t), table.alpha_m, table.beta_m, _contaminate(t, fine),
-                           _contaminate(t, rule), *map(float, pair))
-        for m, t, table, rule, pair in zip(ms, tau, tables, coarse, values)
+                           _contaminate(t, chebyshev_rule(m)), *map(float, pair))
+        for m, t, table, pair in zip(ms, tau, tables, values)
     ]
 
 
@@ -175,15 +174,20 @@ def build_moment_instance(p, b):
 
     ``regret_lb`` is the closed-form floor b^2 (eta (1 - eta) - e^(-b^2/8));
     it can be negative for small b, where it carries no information.
+    Raises ``ToleranceNotMet`` if eps^2 comes back 0: the panels missed the spike.
     """
-    if not (p > 0.0 and b > 0.0):
-        raise ValueError("p and b must be positive")
+    if not (p > 0.0 and b > 1.0):
+        raise ValueError("need p > 0 and b > 1, so that eta = b^-p is below one")
     eta = b ** (-p)
-    if eta >= 1.0:
-        raise ValueError("eta = b^-p must be below one")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta = b^-p rounds to {eta!r}; it must lie strictly between 0 and 1")
     prior_g = DiscretePrior([0.0, b], [1.0 - eta, eta])
     values = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), ["hellinger_sq", "regret"])
     eps_sq, regret_val = values["hellinger_sq"], values["regret"]
+    if not eps_sq > 0.0:
+        # eps^2 is near eta > 0; an exact 0 means no panel node came near the spike
+        raise ToleranceNotMet(f"eps^2 came back 0: no panel resolved the spike at b = {b!r}",
+                              estimate=eps_sq, error_bound=math.inf)
     regret_lb = b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
     return MomentFamilyInstance(
         p=float(p), b=float(b), eta=eta, eps_sq=eps_sq, regret_val=regret_val, regret_lb=regret_lb

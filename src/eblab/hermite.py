@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 MAX_HERMITE_DEGREE = 400
+# alpha_m is a normal double through m = 66, subnormal to m = 69 and 0 from m = 70
+_MAX_GAP_LEVEL = 66
+# truncation_error stops once the tail envelope is below this share of the sum
+_TRUNCATION_REL_FLOOR = 1e-13
+_TRUNCATION_MAX_DEGREE = 5000
 
 
 def _hermite_sums(coefficients, y, factorial=False):
@@ -161,7 +166,7 @@ def expansion_coefficients(prior_g, prior_h, k):
     return HermiteSeries(coefficients=coeffs, degree=k)
 
 
-def truncation_error(prior_g, prior_h, k, rel_floor=1e-13, max_degree=5000):
+def truncation_error(prior_g, prior_h, k):
     """L2(phi) tails of the degree-k truncation of g and g'.
 
     Returns (err_g, err_gprime) with
@@ -170,7 +175,7 @@ def truncation_error(prior_g, prior_h, k, rel_floor=1e-13, max_degree=5000):
         err_gprime = sum_{j > k} (m_j(G) - m_j(H))^2 / (j - 1)!
 
     Terms are accumulated in log space.  Summation stops once the crude
-    envelope 4 M^(2j) / (j-1)! sinks below ``rel_floor`` times the sum
+    envelope 4 M^(2j) / (j-1)! sinks below 1e-13 times the sum
     so far (or underflows outright).  The envelope dominates every
     remaining term (gaps are at most 2 M^j in absolute value), so
     structurally zero terms cannot end the sum early, and a relative
@@ -183,15 +188,13 @@ def truncation_error(prior_g, prior_h, k, rel_floor=1e-13, max_degree=5000):
     if scale == 0.0:
         return 0.0, 0.0
     log_scale = math.log(scale)
-    err_g = 0.0
-    err_gp = 0.0
-    j = k + 1
-    while j <= max_degree:
+    err_g = err_gp = 0.0
+    for j in range(k + 1, _TRUNCATION_MAX_DEGREE + 1):
         log_envelope = 2.0 * j * log_scale + math.log(4.0) - math.lgamma(float(j))
         if j > k + 1:
             cutoff = -745.0  # below exp underflow: nothing left to add
             if err_gp > 0.0:
-                cutoff = max(cutoff, math.log(rel_floor * err_gp))
+                cutoff = max(cutoff, math.log(_TRUNCATION_REL_FLOOR * err_gp))
             if log_envelope < cutoff:
                 break
         gap = _scaled_moment_gap(prior_g, prior_h, j, scale)
@@ -199,7 +202,6 @@ def truncation_error(prior_g, prior_h, k, rel_floor=1e-13, max_degree=5000):
             log_sq = 2.0 * (j * log_scale + math.log(abs(gap)))
             err_g += math.exp(log_sq - math.lgamma(j + 1.0))
             err_gp += math.exp(log_sq - math.lgamma(float(j)))
-        j += 1
     return err_g, err_gp
 
 
@@ -250,14 +252,13 @@ class MomentGapTable:
 def moment_gap_table(m, j_max=200):
     """Gap table plus alpha/beta tail sums for the m-point Gauss rule."""
     m = int(m)
-    if m < 1:
-        raise ValueError("rule size must be positive")
+    if not 1 <= m <= _MAX_GAP_LEVEL:
+        raise ValueError(f"rule size must be in [1, {_MAX_GAP_LEVEL}]: alpha_m underflows beyond")
     j_max = int(j_max)
     if j_max < 2 * m:
         raise ValueError("j_max must reach the first nonzero gap 2m")
     gaps = np.array([_arcsine_rule_gap_exact(m, j) for j in range(j_max + 1)])
-    alpha = 0.0
-    beta = 0.0
+    alpha = beta = 0.0
     for j in range(2 * m, j_max + 1):
         gap = gaps[j]
         if gap == 0.0:
@@ -270,15 +271,7 @@ def moment_gap_table(m, j_max=200):
     log2 = math.log(2.0)
     alpha_rem = math.exp(log2 - math.lgamma(j_max + 2.0))
     beta_rem = math.exp(log2 - math.lgamma(j_max + 1.0))
-    return MomentGapTable(
-        m=m,
-        j_max=j_max,
-        gaps=gaps,
-        alpha_m=alpha,
-        beta_m=beta,
-        alpha_remainder=alpha_rem,
-        beta_remainder=beta_rem,
-    )
+    return MomentGapTable(m, j_max, gaps, alpha, beta, alpha_rem, beta_rem)
 
 
 def alpha_bounds(m):

@@ -53,6 +53,8 @@ __all__ = [
 _FORM_REL_TOL = 1e-7
 _FORM_ABS_FLOOR = 1e-12
 _TAIL_MASS = 1e-14
+# the window radius for _TAIL_MASS is finite only up to a support bound of 1.5e147
+_MAX_SUPPORT_BOUND = 1e147
 
 
 class FormMismatch(RuntimeError):
@@ -65,8 +67,11 @@ def integration_window(*models):
     The radius guarantees that the (1 + y^2)-weighted tail of each
     marginal beyond the window is below 1e-14.
     """
-    bound = max(m.support_bound for m in models) ** 2
-    return IntegrationSpec(truncation_radius=gaussian_tail_radius(bound, _TAIL_MASS))
+    bound = max(m.support_bound for m in models)
+    if bound > _MAX_SUPPORT_BOUND:
+        raise ValueError(f"support bound {bound:.6g} is past {_MAX_SUPPORT_BOUND:.0e}: "
+                         "the integration window would overflow")
+    return IntegrationSpec(truncation_radius=gaussian_tail_radius(bound**2, _TAIL_MASS))
 
 
 def _as_models(*priors_or_models):
@@ -87,6 +92,8 @@ class _PairState:
         (self.lg, pg), (self.lh, ph) = model_g.evaluate(y), model_h.evaluate(y)
         self.fg, self.fh = np.exp(self.lg), np.exp(self.lh)
         self.mg, self.mh = np.vecdot(pg, model_g.atoms), np.vecdot(ph, model_h.atoms)
+        # (f_G - f_H) / (f_G + f_H) from the logs: finite where both densities underflow
+        self.imbalance = np.tanh(0.5 * (self.lg - self.lh))
 
 
 def _flux_gprime(s):
@@ -126,8 +133,9 @@ def _clipped_regret(s, rho):
 # each functional's integrand as a formula over the pair state
 _FORMULAS = {
     "hellinger_sq": lambda s: (np.exp(0.5 * s.lg) - np.exp(0.5 * s.lh)) ** 2,
-    "delta": lambda s: (s.fg - s.fh) ** 2 / (2.0 * (s.fg + s.fh)),
-    "delta_flux": lambda s: 2.0 * (s.fg * s.mg - s.fh * s.mh) ** 2 / (s.fg + s.fh),
+    "delta": lambda s: 0.5 * (s.fg + s.fh) * s.imbalance**2,
+    # 2 (m_G f_G - m_H f_H) / (f_G + f_H) = m_G - m_H + imbalance (m_G + m_H)
+    "delta_flux": lambda s: 0.5 * (s.fg + s.fh) * (s.mg - s.mh + s.imbalance * (s.mg + s.mh)) ** 2,
     "regret": lambda s: (s.mh - s.mg) ** 2 * s.fg,
     "regret_score_form": _regret_score,
 }
@@ -223,9 +231,8 @@ def decomposition_residual(model_g, model_h, y):
     """
     y = np.asarray(y, dtype=float)
     s = _PairState(*_as_models(model_g, model_h), y)
-    imbalance = np.tanh(0.5 * (s.lh - s.lg))  # (f_H - f_G) / (f_G + f_H)
     pg = np.exp(-np.logaddexp(0.0, s.lh - s.lg))  # f_G / (f_G + f_H)
-    rhs = (s.mg + s.mh) * imbalance + 2.0 * (s.mg * pg - s.mh * (1.0 - pg))
+    rhs = 2.0 * (s.mg * pg - s.mh * (1.0 - pg)) - (s.mg + s.mh) * s.imbalance
     out = np.abs(s.mg - s.mh - rhs)
     if np.ndim(y) == 0:
         return float(out)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_WEIGHT_TOL = 1e-12  # how far prior weights may sum from one
 
 
 def phi(x):
@@ -42,7 +43,7 @@ def log_phi(x):
     return -0.5 * x * x - LOG_SQRT_2PI
 
 
-def _validate_measure(atoms, weights, weight_tol=1e-12):
+def _validate_measure(atoms, weights):
     atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
     weights = np.atleast_1d(np.asarray(weights, dtype=float))
     if atoms.ndim != 1 or weights.ndim != 1 or atoms.size != weights.size:
@@ -54,7 +55,7 @@ def _validate_measure(atoms, weights, weight_tol=1e-12):
     if np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(weights.sum())
-    if abs(total - 1.0) > weight_tol:
+    if abs(total - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
     order = np.argsort(atoms)
     atoms = atoms[order]

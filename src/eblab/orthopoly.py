@@ -48,6 +48,7 @@ __all__ = [
 
 MAX_STABLE_DEGREE = 60
 _GRAM_TOL = 1e-6
+_PANEL_ORDER = 16  # Gauss-Legendre nodes per panel of the Stieltjes grid
 
 
 class DegreeUnstable(RuntimeError):
@@ -58,10 +59,10 @@ class HypothesisViolated(RuntimeError):
     """A premise required by a bound check fails on the evaluation grid."""
 
 
-def _composite_legendre(radius, n_nodes, panel_order=16):
+def _composite_legendre(radius, n_nodes):
     """Composite Gauss-Legendre grid on [-radius, radius]."""
-    n_panels = max(4, int(math.ceil(n_nodes / panel_order)))
-    base_x, base_w = np.polynomial.legendre.leggauss(panel_order)
+    n_panels = max(4, int(math.ceil(n_nodes / _PANEL_ORDER)))
+    base_x, base_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
     edges = np.linspace(-radius, radius, n_panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -208,16 +209,10 @@ def build_operators(nu, table):
     l_mat = qw @ qd.T
     mult = qw @ (q * mvals).T  # <q_i, m_nu q_j>
     a_mat = np.triu(mult, 1)
-    b_mat = np.zeros((kp1, kp1))
-    for j in range(1, kp1):
-        b_mat[j - 1, j] = table.a[j - 1]
+    b_mat = np.diag(table.a[:k], 1)
     s_mat = qw @ (q * (table.nodes + mvals)).T
 
-    n_j = k + 2
-    j_mat = np.zeros((n_j, n_j))
-    j_mat[np.arange(n_j), np.arange(n_j)] = table.b
-    j_mat[np.arange(n_j - 1), np.arange(1, n_j)] = table.a
-    j_mat[np.arange(1, n_j), np.arange(n_j - 1)] = table.a
+    j_mat = np.diag(table.b) + np.diag(table.a, 1) + np.diag(table.a, -1)
 
     return OperatorMatrices(L=l_mat, A=a_mat, B=b_mat, S=s_mat, J=j_mat)
 

@@ -97,6 +97,26 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (["hermite", "--m-min", "80", "--m-max", "90"], 2, "[1, 66]"),
+        (["moment", "--p", "3", "--b-values", "1e200"], 2, "eta = b^-p rounds to 0.0"),
+        (["regratio", "--p", "2", "--b", "1e200"], 2, "eta = b^-p rounds to 0.0"),
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e160"], 2, "past 1e+147"),
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e150"], 2, "past 1e+147"),
+        (["moment", "--p", "1", "--b-values", "1000000"], 3, "spike at b = 1000000.0"),
+    ],
+    ids=["hermite-alpha-underflow", "moment-eta-underflow", "demo-eta-underflow",
+         "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed"],
+)
+def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     data = tmp_path / "y.txt"
     np.savetxt(data, cell_rng(0, 6).standard_normal(80))
@@ -395,6 +415,26 @@ def test_config_values_take_their_flags_parse(tmp_path, capsys):
         config.write_text(json.dumps(bad))
         assert main(args) == 2
         assert capsys.readouterr().err == f"eblab: {message}\n"
+
+
+def test_list_flags_parse_alike_from_the_command_line_and_config(tmp_path, capsys):
+    assert main(["npmle", "--n-values", "50.7", "--n-seeds", "1"]) == 2
+    assert "argument --n-values: bad integer list '50.7'" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    for command, bad, message in (
+        ("npmle", {"n_values": [50.7]}, "config key 'n_values': bad integer list '50.7'"),
+        ("regratio", {"rhos": [0.05, "x"]}, "config key 'rhos': bad numeric list '0.05,x'"),
+        ("moment", {"b_values": [4, True]}, "config key 'b_values': bad numeric list '4,true'"),
+        ("moment", {"p": [3]}, "config key 'p': invalid float value '[3]'"),
+    ):
+        config.write_text(json.dumps(bad))
+        assert main(["--config", str(config), command]) == 2
+        assert capsys.readouterr().err == f"eblab: {message}\n"
+    # a config list is echoed as parsed, like the same flag's value
+    config.write_text(json.dumps({"b_values": [4, "8"]}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "m"), "moment"]) == 0
+    params = json.loads((tmp_path / "m.json").read_text())["spec"]["params"]
+    assert params == {"b_values": [4.0, 8.0]}
 
 
 def test_reruns_of_refining_integrals_are_byte_identical(tmp_path):

@@ -12,8 +12,9 @@ from eblab.families import (
     moment_family_sweep,
     regularization_necessity_demo,
 )
-from eblab.hermite import prior_moment
+from eblab.hermite import _hermite_sums, moment_gap_table, prior_moment
 from eblab.mixtures import DiscretePrior
+from eblab.quadrature import chebyshev_rule
 
 
 def test_lowerbound_m2_against_direct_quadrature():
@@ -100,6 +101,31 @@ def test_lowerbound_sweep_is_one_integration_pass(monkeypatch):
     instances, _ = lowerbound_ratio_sweep(range(2, 13))
     assert len(instances) == 11
     assert len(calls) == 1
+
+
+def _atom_sums(rule, y):
+    """S = sum w e^(x y - x^2/2) and T = S' summed over the rule's atoms directly."""
+    ex = np.exp(np.multiply.outer(y, rule.nodes) - 0.5 * rule.nodes**2)
+    return np.vecdot(ex, rule.weights), np.vecdot(ex, rule.weights * rule.nodes)
+
+
+def test_lowerbound_moment_series_equal_the_atom_sums():
+    # the integrand sums no atom: S, S' come from the arcsine moments and
+    # each m-node rule's sums are S - 2U, S' - 2U' from its half gaps
+    ys = np.linspace(-16.0, 16.0, 641)
+    ms = range(2, 13)
+    coefficients = families._lowerbound_coefficients([moment_gap_table(m) for m in ms])
+    sums, shifted = _hermite_sums(coefficients, ys, factorial=True)
+    s_fine, t_fine = _atom_sums(chebyshev_rule(families.ARCSINE_RESOLUTION), ys)
+    # |x| <= 1, so a rule's S bounds its T and sets the scale of both
+    np.testing.assert_array_less(np.abs(sums[:, 0] - s_fine), 1e-13 * s_fine)
+    np.testing.assert_array_less(np.abs(shifted[:, 0] - t_fine), 1e-13 * s_fine)
+    for i, m in enumerate(ms, 1):
+        s_rule, t_rule = _atom_sums(chebyshev_rule(m), ys)
+        np.testing.assert_array_less(np.abs(sums[:, 0] - 2.0 * sums[:, i] - s_rule), 1e-13 * s_rule)
+        np.testing.assert_array_less(
+            np.abs(shifted[:, 0] - 2.0 * shifted[:, i] - t_rule), 1e-13 * s_rule
+        )
 
 
 def test_moment_instance_scales_and_floor():

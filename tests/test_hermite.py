@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +215,10 @@ def test_moment_gap_table_sums_and_validation():
         moment_gap_table(0)
     with pytest.raises(ValueError):
         moment_gap_table(5, j_max=9)
+    # alpha_m is the last normal double at m = 66 and subnormal from m = 67
+    assert moment_gap_table(66).alpha_m >= sys.float_info.min
+    with pytest.raises(ValueError, match="alpha_m underflows"):
+        moment_gap_table(67)
 
 
 def test_alpha_bounds_hold_for_small_rules():

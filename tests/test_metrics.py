@@ -66,6 +66,22 @@ def test_regret_between_point_masses_is_squared_shift():
         assert abs(regret_score_form(g, h) - c**2) <= 1e-9 * c**2
 
 
+@pytest.mark.parametrize("u", [30.0, 100.0])
+def test_far_apart_point_masses_score_in_closed_form(u):
+    # both densities underflow between the two bumps, where delta and Delta
+    # must read their density ratios from the logs, not divide 0 by 0
+    report = compute_metric_report(DiscretePrior.point(0.0), DiscretePrior.point(u))
+    for value, exact in ((report.hellinger_sq, 2.0), (report.delta, 1.0),
+                         (report.delta_flux, 2.0 * u * u), (report.regret, u * u)):
+        assert abs(value - exact) <= 1e-9 * exact
+
+
+def test_integration_window_refuses_supports_it_cannot_cover():
+    with pytest.raises(ValueError, match="support bound 1e\\+160 is past 1e\\+147"):
+        integration_window(MarginalModel(DiscretePrior.point(1e160)))
+    assert math.isfinite(integration_window(MarginalModel(DiscretePrior.point(1e147))).truncation_radius)
+
+
 def test_metrics_vanish_for_identical_priors():
     prior = DiscretePrior([-0.5, 1.0], [0.3, 0.7])
     assert hellinger_sq(prior, prior) <= 1e-11
