@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -291,28 +292,32 @@ def _run_regratio(spec):
     if count < 1:
         raise InvalidParameter("count must be >= 1")
 
-    rows = []
-    for idx in range(count):
-        rng = npmle.cell_rng(spec.seed, idx)
-        for _ in range(100):
-            prior_g = parse_prior_spec(pairs, rng)
-            prior_h = parse_prior_spec(pairs, rng)
-            report = metrics.compute_metric_report(prior_g, prior_h)
-            # identical draws carry no separation signal; redraw
-            if report.hellinger_sq > 0.0:
-                break
-        else:
-            raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
-        rows.append(
-            {
-                "pair": idx,
-                "eps_sq": report.hellinger_sq,
-                "delta": report.delta,
-                "delta_flux": report.delta_flux,
-                "regret": report.regret,
-                "ratio": report.regret / metrics.hellinger_rate_normalizer(report.hellinger_sq),
-            }
-        )
+    # every cell draws its pair from its own stream; a cell whose pair comes back
+    # identical (eps^2 = 0 carries no separation signal) redraws, at most 100 draws
+    rngs = [npmle.cell_rng(spec.seed, idx) for idx in range(count)]
+    reports = [None] * count
+    redraw = range(count)
+    for _ in range(100):
+        drawn = [(parse_prior_spec(pairs, rngs[idx]), parse_prior_spec(pairs, rngs[idx]))
+                 for idx in redraw]
+        for idx, report in zip(redraw, metrics.compute_metric_reports(drawn)):
+            reports[idx] = report
+        redraw = [idx for idx in redraw if not reports[idx].hellinger_sq > 0.0]
+        if not redraw:
+            break
+    else:
+        raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
+    rows = [
+        {
+            "pair": idx,
+            "eps_sq": report.hellinger_sq,
+            "delta": report.delta,
+            "delta_flux": report.delta_flux,
+            "regret": report.regret,
+            "ratio": report.regret / metrics.hellinger_rate_normalizer(report.hellinger_sq),
+        }
+        for idx, report in enumerate(reports)
+    ]
     summary = {
         "generator": pairs,
         "pairs": count,
@@ -439,6 +444,7 @@ def run(spec):
 # argument parsing
 
 
+@functools.cache  # argparse parsers keep no state between parse_args calls
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="eblab",

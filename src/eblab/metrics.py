@@ -15,24 +15,31 @@ integrates each requested functional as one column of a single
 vector-valued ``integrate_line`` pass, to its own tolerance, on a window
 whose discarded tail is below 1e-14.  ``compute_metric_report`` is one
 such pass; each single-functional function integrates only its own
-columns.  Delta is always integrated in two independently coded forms,
-which must agree to 1e-7 relative or ``FormMismatch`` is raised.
+columns.  ``compute_metric_reports`` reports on a whole sweep of pairs
+with ``integrate_lines``: it stacks the pairs' atoms, gives each node the
+atoms of its own pair, and feeds the same pair state and formulas, so
+each pair's report equals its ``compute_metric_report`` bit for bit
+while 100 pairs share about 15 integrand calls.  Delta is always
+integrated in two independently coded forms, which must agree to 1e-7
+relative or ``FormMismatch`` is raised, pair by pair.
 ``regret_score_form`` is an independent route to ``regret`` through
 linear-space atom sums; it is not run alongside it, and the tests
 compare the two (``test_metrics``, ``test_acceptance`` test_07,
-``test_families``).
+``test_families``).  ``decomposition_residual`` checks the pair state's
+posterior means against the same linear-space sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mixtures import MarginalModel, log_phi
-from .quadrature import IntegrationSpec, gaussian_tail_radius, integrate_line
+from .quadrature import IntegrationSpec, gaussian_tail_radius, integrate_line, integrate_lines
 
 __all__ = [
     "FormMismatch",
@@ -47,6 +54,7 @@ __all__ = [
     "pair_integrals",
     "decomposition_residual",
     "compute_metric_report",
+    "compute_metric_reports",
     "hellinger_rate_normalizer",
 ]
 
@@ -108,17 +116,18 @@ def _flux_gprime(s):
     return diff * diff
 
 
+def _linear_density_and_score(model, y):
+    """f and the score f'/f from direct (linear-space) atom sums, not from ``evaluate``."""
+    diff = model.atoms - y[..., None]
+    kernel = np.exp(log_phi(diff))
+    f = np.vecdot(kernel, model.weights)
+    return f, np.vecdot(kernel * diff, model.weights) / f
+
+
 def _regret_score(s):
     """Regret integrand from direct (linear-space) atom sums for f and f'."""
-
-    def density_and_score(model):
-        diff = model.atoms - s.y[..., None]
-        kernel = np.exp(log_phi(diff))
-        f = np.vecdot(kernel, model.weights)
-        return f, np.vecdot(kernel * diff, model.weights) / f
-
-    fg, sg = density_and_score(s.model_g)
-    _, sh = density_and_score(s.model_h)
+    fg, sg = _linear_density_and_score(s.model_g, s.y)
+    _, sh = _linear_density_and_score(s.model_h, s.y)
     return (sg - sh) ** 2 * fg
 
 
@@ -141,6 +150,34 @@ _FORMULAS = {
 }
 
 
+def _pair_formulas(names, rhos):
+    """A pair pass's columns: each named formula, a clipped regret per rho, Delta's second form."""
+    if not all(rho > 0.0 for rho in rhos):
+        raise ValueError("rho must be positive")
+    formulas = [_FORMULAS[name] for name in names]
+    formulas += [functools.partial(_clipped_regret, rho=rho) for rho in rhos]
+    if "delta_flux" in names:
+        formulas.append(_flux_gprime)
+    return formulas
+
+
+def _columns(formulas, state):
+    return np.stack([formula(state) for formula in formulas], axis=-1)
+
+
+def _checked_values(values, names, rhos, spec):
+    """One pass's integrals keyed by name and rho, once Delta's two forms agree."""
+    values = [float(v) for v in values]
+    if "delta_flux" in names:
+        first, second = values[names.index("delta_flux")], values.pop()
+        if abs(first - second) > _FORM_REL_TOL * max(abs(first), abs(second)) + _FORM_ABS_FLOOR:
+            raise FormMismatch(
+                f"score-flux forms disagree: {first!r} vs {second!r} "
+                f"(window {spec.truncation_radius:.2f})"
+            )
+    return dict(zip([*names, *rhos], values))
+
+
 def pair_integrals(model_g, model_h, names=(), rhos=(), spec=None):
     """Integrals of the named functionals and of the clipped regret at each rho.
 
@@ -151,29 +188,14 @@ def pair_integrals(model_g, model_h, names=(), rhos=(), spec=None):
     ``FormMismatch`` is raised if they disagree beyond 1e-7 relative.
     """
     rhos = list(dict.fromkeys(float(r) for r in rhos))
-    if not all(rho > 0.0 for rho in rhos):
-        raise ValueError("rho must be positive")
+    formulas = _pair_formulas(names, rhos)
     model_g, model_h = _as_models(model_g, model_h)
     spec = spec or integration_window(model_g, model_h)
-    formulas = [_FORMULAS[name] for name in names]
-    formulas += [functools.partial(_clipped_regret, rho=rho) for rho in rhos]
-    checked = "delta_flux" in names
-    if checked:
-        formulas.append(_flux_gprime)
 
     def integrand(y):
-        state = _PairState(model_g, model_h, y)
-        return np.stack([formula(state) for formula in formulas], axis=-1)
+        return _columns(formulas, _PairState(model_g, model_h, y))
 
-    values = [float(v) for v in integrate_line(integrand, spec)]
-    if checked:
-        first, second = values[names.index("delta_flux")], values.pop()
-        if abs(first - second) > _FORM_REL_TOL * max(abs(first), abs(second)) + _FORM_ABS_FLOOR:
-            raise FormMismatch(
-                f"score-flux forms disagree: {first!r} vs {second!r} "
-                f"(window {spec.truncation_radius:.2f})"
-            )
-    return dict(zip([*names, *rhos], values))
+    return _checked_values(integrate_line(integrand, spec), names, rhos, spec)
 
 
 def hellinger_sq(model_g, model_h, spec=None):
@@ -226,14 +248,19 @@ def decomposition_residual(model_g, model_h, y):
 
     The score difference f_G'/f_G - f_H'/f_H equals
     (m_G + m_H)(f_H - f_G)/(f_G + f_H) + 2(m_G f_G - m_H f_H)/(f_G + f_H)
-    identically; both sides are evaluated in cancellation-free form and
-    the absolute difference returned.
+    identically.  The left side comes from direct (linear-space) atom sums
+    for f and f', the right side from the log-space pair state, so a wrong
+    posterior mean or density in either route shows as a residual.  The
+    linear sums need f > 0 in floating point: |y - u| below about 37 for
+    some atom u.  Returns the absolute difference.
     """
     y = np.asarray(y, dtype=float)
     s = _PairState(*_as_models(model_g, model_h), y)
+    _, score_g = _linear_density_and_score(s.model_g, y)
+    _, score_h = _linear_density_and_score(s.model_h, y)
     pg = np.exp(-np.logaddexp(0.0, s.lh - s.lg))  # f_G / (f_G + f_H)
     rhs = 2.0 * (s.mg * pg - s.mh * (1.0 - pg)) - (s.mg + s.mh) * s.imbalance
-    out = np.abs(s.mg - s.mh - rhs)
+    out = np.abs(score_g - score_h - rhs)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -262,12 +289,59 @@ class MetricReport:
     regret_regularized: dict = field(default_factory=dict)
 
 
+_REPORT_NAMES = ["hellinger_sq", "delta", "delta_flux", "regret"]
+
+
+def _report(values, rhos):
+    return MetricReport(
+        **{name: values[name] for name in _REPORT_NAMES},
+        regret_regularized={rho: values[rho] for rho in rhos},
+    )
+
+
 def compute_metric_report(model_g, model_h, rhos=(), spec=None):
     """Every functional of the pair, and the clipped regret at each rho, from one pass."""
     rhos = [float(r) for r in rhos]
-    names = ["hellinger_sq", "delta", "delta_flux", "regret"]
-    values = pair_integrals(model_g, model_h, names, rhos, spec)
-    return MetricReport(
-        **{name: values[name] for name in names},
-        regret_regularized={rho: values[rho] for rho in rhos},
-    )
+    return _report(pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec), rhos)
+
+
+def _node_model(models, which):
+    """The MarginalModel whose row j holds the atoms and weights of models[which[j]].
+
+    ``MarginalModel.evaluate`` and the formulas broadcast over these rows,
+    so node j gets the values that its own model alone would give it.
+    """
+    atoms = np.stack([m.atoms for m in models])[which]
+    weights = np.stack([m.weights for m in models])[which]
+    return MarginalModel(types.SimpleNamespace(atoms=atoms, weights=weights))
+
+
+def compute_metric_reports(pairs, rhos=(), spec=None):
+    """``compute_metric_report`` of each (G, H) in ``pairs``, integrated in lock step.
+
+    Every pair keeps its own window (unless ``spec`` is given), targets,
+    budget and Delta cross-check, and its report equals its own
+    ``compute_metric_report`` bit for bit; the pairs share each integrand
+    call (``quadrature.integrate_lines``), one pass per class of pairs
+    with the same atom counts.
+    """
+    rhos = list(dict.fromkeys(float(r) for r in rhos))
+    formulas = _pair_formulas(_REPORT_NAMES, rhos)
+    models = [_as_models(g, h) for g, h in pairs]
+    specs = [spec or integration_window(*pair) for pair in models]
+    # a pass stacks its pairs' atoms, so it takes pairs of one shape
+    classes = {}
+    for i, (g, h) in enumerate(models):
+        classes.setdefault((g.atoms.size, h.atoms.size), []).append(i)
+    reports = [None] * len(models)
+    for members in classes.values():
+        side_g, side_h = ([models[i][side] for i in members] for side in (0, 1))
+
+        def integrand(y, which, side_g=side_g, side_h=side_h):
+            state = _PairState(_node_model(side_g, which), _node_model(side_h, which), y)
+            return _columns(formulas, state)
+
+        passes = integrate_lines(integrand, [specs[i] for i in members])
+        for i, values in zip(members, passes):
+            reports[i] = _report(_checked_values(values, _REPORT_NAMES, rhos, specs[i]), rhos)
+    return reports

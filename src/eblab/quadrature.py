@@ -20,6 +20,11 @@ here:
   whose errors sum past E_c - target_c / 8, as in ``quad_vec``, and
   evaluates all their children in one integrand call.  Every real-line
   integral of ``metrics`` and ``families`` is one such pass.
+  ``integrate_lines`` runs many such integrals in lock step, each with
+  its own spec, so that they share every integrand call; each result
+  equals its own ``integrate_line`` bit for bit.  The rule is written
+  once, as a generator (``_refinement``) that yields the panels it needs
+  and is sent their estimates; ``_lock_step`` feeds one or many of them.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -27,7 +32,8 @@ here:
 
 Integrands handed to ``integrate_line`` map an array of nodes to an
 array of shape (nodes,) or, for k integrals that share one pass and so
-one evaluation of whatever state they have in common, (nodes, k).  The
+one evaluation of whatever state they have in common, (nodes, k).
+``integrate_lines`` also passes the index of each node's integral.  The
 error control per component follows QUADPACK (Piessens et al. 1983) and
 ``scipy.integrate.quad_vec``.  Window radii for Gaussian-mixture
 integrands come from ``gaussian_tail_radius``, which converts a support
@@ -49,6 +55,7 @@ __all__ = [
     "hermite_rule",
     "arcsine_moment",
     "integrate_line",
+    "integrate_lines",
     "gaussian_tail_radius",
 ]
 
@@ -224,20 +231,26 @@ _GAUSS_W[1:-1:2] = np.concatenate((_WG[:-1], _WG[::-1]))
 
 # Panels split per refinement round at most (scipy's quad_vec parallel_count).
 _BATCH_PANELS = 128
+# Panels evaluated in one lock-step integrand call at most: one integral's round may need this many.
+_CALL_PANELS = 2 * _BATCH_PANELS
 
 
-def _panel_estimates(f, ends):
-    """K15 values and |K15 - G7| error estimates on the panels [a_i, b_i] = ends[i].
-
-    All panels' nodes go to ``f`` in one call.  Returns values and error
-    estimates of shape (panels, k), and the shape of one integral: () for
-    a scalar integrand, (k,) for k components.
-    """
+def _nodes(ends):
+    """The 15 Kronrod nodes of each panel [a_i, b_i] = ends[i], panel by panel."""
     a, b = ends[:, :1], ends[:, 1:]
-    half = 0.5 * (b - a)
-    fx = np.asarray(f((0.5 * (a + b) + half * _KRONROD_X).ravel()), dtype=float)
+    return (0.5 * (a + b) + 0.5 * (b - a) * _KRONROD_X).ravel()
+
+
+def _panel_estimates(fx, ends):
+    """K15 values and |K15 - G7| error estimates from the integrand values ``fx`` at ``_nodes(ends)``.
+
+    Returns values and errors of shape (panels, k) and ``shape``, the shape
+    of one integral: () for a scalar integrand, (k,) for k components.
+    """
+    fx = np.asarray(fx, dtype=float)
     shape = fx.shape[1:]
     fx = fx.reshape(len(ends), 15, -1)
+    half = 0.5 * (ends[:, 1:] - ends[:, :1])
     kron = half * (_KRONROD_W @ fx)
     err = abs(kron - half * (_GAUSS_W @ fx))
     if not np.isfinite(err).all():
@@ -250,39 +263,39 @@ def _panel_estimates(f, ends):
     return kron, err, shape
 
 
-def integrate_line(f, spec=IntegrationSpec()):
-    """Adaptively integrate a vectorized integrand over [-R, R].
+def _grown(array, rows):
+    """``array``, or a copy with room for at least ``rows`` rows, doubling as it grows."""
+    if rows <= len(array):
+        return array
+    out = np.empty((max(rows, 2 * len(array)), *array.shape[1:]))
+    out[: len(array)] = array
+    return out
 
-    R is ``spec.truncation_radius``.  ``f`` maps nodes to values of shape
-    (nodes,) or (nodes, k); the result is a float or an array of k
-    integrals.  Component c is done when its summed error estimate E_c is
-    at most target_c = max(abs_tol, rel_tol * |I_c|).  The first pass
-    calls ``f`` once per initial panel.  Each later round takes the
-    component c furthest over its target, orders the live panels by their
-    c-error (largest first, oldest first among equals) and bisects the
-    shortest prefix whose errors sum past E_c - target_c / 8, at most 128
-    panels, as ``scipy.integrate.quad_vec`` does; all children of a round
-    go to ``f`` in one call.  Raises ``ToleranceNotMet`` when
-    ``max_panels`` panels are in play and a target is still missed, or
-    when the integrand returns a non-finite value.
+
+def _refinement(spec):
+    """The adaptive rule of ``integrate_line`` for one integral, with the integrand left out.
+
+    A generator: it yields the ends (panels, 2) of the panels it needs next
+    and is sent back their K15 values, error estimates and integral shape,
+    as ``_panel_estimates`` gives them.  It returns the integral once every
+    component meets its target and raises ``ToleranceNotMet`` when the
+    panel budget runs out first.
     """
     radius = spec.truncation_radius
     n_init = int(min(64.0, max(8.0, math.ceil(radius))))
     edges = np.linspace(-radius, radius, n_init + 1)
 
-    # Panels in creation order.  A split panel's errors become -inf, so it
-    # sorts after every live panel.
-    capacity = n_init + 2 * max(spec.max_panels - n_init, 0)
-    ends = np.empty((capacity, 2))
-    ends[:n_init] = np.stack([edges[:-1], edges[1:]], axis=1)
-    first = [_panel_estimates(f, ends[i : i + 1]) for i in range(n_init)]
+    # Panels in creation order, grown on demand.  A split panel's errors
+    # become -inf, so it sorts after every live panel.
+    ends = np.stack([edges[:-1], edges[1:]], axis=1)
+    first = []
+    for i in range(n_init):  # the first pass: one panel at a time
+        first.append((yield ends[i : i + 1]))
     shape = first[0][2]  # () for a scalar integrand, (k,) for k components
-    values = np.empty((capacity, *(shape or (1,))))
-    errors = np.empty_like(values)
-    values[:n_init] = np.concatenate([v for v, _, _ in first])
-    errors[:n_init] = np.concatenate([e for _, e, _ in first])
-    total = values[:n_init].sum(axis=0)
-    err = errors[:n_init].sum(axis=0)
+    values = np.concatenate([v for v, _, _ in first])
+    errors = np.concatenate([e for _, e, _ in first])
+    total = values.sum(axis=0)
+    err = errors.sum(axis=0)
     n = live = n_init
 
     def result(x):
@@ -312,11 +325,84 @@ def integrate_line(f, spec=IntegrationSpec()):
         a, b = ends[batch].T
         mid = 0.5 * (a + b)
         new = slice(n, n + 2 * batch.size)
+        ends, values, errors = (_grown(x, new.stop) for x in (ends, values, errors))
         ends[new] = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)  # left, right child
-        values[new], errors[new], _ = _panel_estimates(f, ends[new])
+        values[new], errors[new], _ = yield ends[new]
         total += values[new].sum(axis=0)
         err += errors[new].sum(axis=0)
         n, live = new.stop, live + batch.size
+
+
+def _lock_step(f, specs, indexed):
+    """Run one ``_refinement`` per spec, sharing each integrand call among them.
+
+    Each call evaluates the waiting requests in order, as many whole
+    requests as fit in ``_CALL_PANELS`` panels and at least one, so a
+    single integral makes exactly the calls it would make alone.  With
+    ``indexed`` set, ``f`` also gets the index of each node's integral.
+    Returns the integrals in the order of ``specs``.
+    """
+    runs = [_refinement(spec) for spec in specs]
+    results = [None] * len(runs)
+    waiting = [(i, next(run)) for i, run in enumerate(runs)]  # (integral, ends of its panels)
+    while waiting:
+        take, panels = 1, len(waiting[0][1])
+        while take < len(waiting) and panels + len(waiting[take][1]) <= _CALL_PANELS:
+            panels += len(waiting[take][1])
+            take += 1
+        step, waiting = waiting[:take], waiting[take:]
+        ends = step[0][1] if take == 1 else np.concatenate([request for _, request in step])
+        x = _nodes(ends)
+        if indexed:
+            fx = f(x, np.repeat([i for i, _ in step], [15 * len(request) for _, request in step]))
+        else:
+            fx = f(x)
+        values, errors, shape = _panel_estimates(fx, ends)
+        start = 0
+        for i, request in step:
+            stop = start + len(request)
+            try:
+                waiting.append((i, runs[i].send((values[start:stop], errors[start:stop], shape))))
+            except StopIteration as done:
+                results[i] = done.value
+            start = stop
+    return results
+
+
+def integrate_line(f, spec=IntegrationSpec()):
+    """Adaptively integrate a vectorized integrand over [-R, R].
+
+    R is ``spec.truncation_radius``.  ``f`` maps nodes to values of shape
+    (nodes,) or (nodes, k); the result is a float or an array of k
+    integrals.  Component c is done when its summed error estimate E_c is
+    at most target_c = max(abs_tol, rel_tol * |I_c|).  The first pass
+    calls ``f`` once per initial panel.  Each later round takes the
+    component c furthest over its target, orders the live panels by their
+    c-error (largest first, oldest first among equals) and bisects the
+    shortest prefix whose errors sum past E_c - target_c / 8, at most 128
+    panels, as ``scipy.integrate.quad_vec`` does; all children of a round
+    go to ``f`` in one call.  Raises ``ToleranceNotMet`` when
+    ``max_panels`` panels are in play and a target is still missed, or
+    when the integrand returns a non-finite value.
+    """
+    return _lock_step(f, [spec], indexed=False)[0]
+
+
+def integrate_lines(f, specs):
+    """Integrate one vectorized integrand family over many windows in lock step.
+
+    Integral i is exactly ``integrate_line`` of y -> f(y, i) with
+    ``specs[i]``: its own window, first pass, per-component targets,
+    refinement batches and panel budget.  Each step evaluates the
+    integrals' waiting panels together in one call ``f(y, which)``, where
+    ``which[j]`` is the index of the integral that node y[j] belongs to,
+    with at most 2 * 128 panels per call.  Rows of ``f`` must not depend on
+    which other nodes share the call; then every result equals its
+    ``integrate_line`` bit for bit.  Returns a list with one float or
+    array per spec.  The first integral to fail raises its
+    ``ToleranceNotMet``.
+    """
+    return _lock_step(f, list(specs), indexed=True)
 
 
 def gaussian_tail_radius(second_moment_bound, target_tail_mass):

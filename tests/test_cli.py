@@ -244,6 +244,61 @@ def test_regratio_pair_sweep_records_max_ratio(tmp_path):
     assert min(eps) > 0.0
 
 
+@pytest.mark.parametrize("seed", [0, 5, 101])
+@pytest.mark.parametrize("generator", ["k_atom:k=5,m=1", "two_point:m=1", "g_alpha"])
+def test_regratio_sweep_rows_are_each_pair_reported_alone(tmp_path, generator, seed):
+    out = tmp_path / "sweep"
+    argv = ["--seed", str(seed), "--out", str(out), "regratio", "--pairs", generator, "--count", "12"]
+    assert main(argv) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    for idx, row in enumerate(rows):
+        rng = cell_rng(seed, idx)
+        report = metrics.compute_metric_report(parse_prior_spec(generator, rng),
+                                               parse_prior_spec(generator, rng))
+        fields = (report.hellinger_sq, report.delta, report.delta_flux, report.regret)
+        assert row.split(",")[:5] == [str(idx), *("%.17g" % v for v in fields)]
+
+
+def test_regratio_sweep_shares_its_integrand_calls(tmp_path, monkeypatch):
+    sizes = []
+    integrate = metrics.integrate_lines
+
+    def counting(f, specs):
+        def counted(y, which):
+            sizes.append(y.size)
+            return f(y, which)
+
+        return integrate(counted, specs)
+
+    monkeypatch.setattr(metrics, "integrate_lines", counting)
+    argv = ["--out", str(tmp_path / "sweep"), "regratio", "--pairs", "k_atom:k=5,m=1", "--count", "100"]
+    assert main(argv) == 0
+    # about 13 first-pass calls of one panel per pair, then the refinement rounds
+    assert len(sizes) <= 20 and max(sizes) <= 15 * 2 * 128
+
+
+def test_regratio_pairs_that_stay_identical_exit_2(capsys):
+    assert main(["regratio", "--pairs", "point:u=0", "--count", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "eblab: generator 'point:u=0' keeps returning identical pairs\n"
+
+
+def test_consecutive_runs_echo_only_their_own_params(tmp_path):
+    runs = [
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1", "--rhos", "0.1"],
+         {"prior_g": "point:u=0", "prior_h": "point:u=1", "rhos": [0.1]}),
+        (["regratio", "--pairs", "two_point:m=1", "--count", "2"],
+         {"pairs": "two_point:m=1", "count": 2}),
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=2"],
+         {"prior_g": "point:u=0", "prior_h": "point:u=2"}),
+    ]
+    for i, (argv, params) in enumerate(runs):
+        assert main(["--out", str(tmp_path / f"r{i}"), *argv]) == 0
+        payload = json.loads((tmp_path / f"r{i}.json").read_text())
+        assert payload["spec"]["params"] == params
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_regratio_rejects_mixed_and_fixed_specs(capsys):
     assert main(["regratio", "--pairs", "two_point:m=1", "--b", "8"]) == 2
     assert main(["regratio", "--pairs", '{"atoms": [0.0], "weights": [1.0]}']) == 2

@@ -12,6 +12,7 @@ from eblab.metrics import (
     Delta_stat,
     FormMismatch,
     compute_metric_report,
+    compute_metric_reports,
     decomposition_residual,
     delta_stat,
     hellinger_rate_normalizer,
@@ -248,6 +249,14 @@ def test_one_pass_report_matches_single_functionals(g, h, rhos):
     assert abs(swapped - report.delta_flux) <= 1e-9 * report.delta_flux + 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(pairs=st.lists(st.tuples(_PRIORS, _PRIORS), max_size=6),
+       rhos=st.lists(st.floats(1e-3, 1.0), max_size=2))
+def test_report_sweep_is_each_pair_reported_alone(pairs, rhos):
+    # pairs of different atom counts go to different lock-step passes
+    assert compute_metric_reports(pairs, rhos) == [compute_metric_report(g, h, rhos) for g, h in pairs]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     g=_PRIORS,
@@ -256,6 +265,21 @@ def test_one_pass_report_matches_single_functionals(g, h, rhos):
 )
 def test_decomposition_residual_vanishes_on_random_priors(g, h, ys):
     assert np.max(decomposition_residual(g, h, ys)) <= 1e-9
+
+
+def test_decomposition_residual_sees_wrong_posterior_means(monkeypatch):
+    g = DiscretePrior([-1.0, 0.3, 1.4], [0.2, 0.5, 0.3])
+    h = DiscretePrior([-0.6, 0.8], [0.55, 0.45])
+    ys = np.linspace(-8.0, 8.0, 101)
+    assert np.max(decomposition_residual(g, h, ys)) <= 1e-9
+    init = metrics._PairState.__init__
+
+    def corrupted(self, *args):
+        init(self, *args)
+        self.mg, self.mh = 3.0 * self.mg + 7.0, -self.mh
+
+    monkeypatch.setattr(metrics._PairState, "__init__", corrupted)
+    assert np.max(decomposition_residual(g, h, ys)) >= 1e-3
 
 
 def _integrand_of(module, build):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eblab import quadrature
 from eblab.quadrature import (
     IntegrationSpec,
     QuadratureRule,
@@ -12,6 +15,7 @@ from eblab.quadrature import (
     gaussian_tail_radius,
     hermite_rule,
     integrate_line,
+    integrate_lines,
 )
 
 
@@ -216,6 +220,87 @@ def test_split_panels_share_integrand_calls():
     flat = _counted(np.zeros_like)
     assert integrate_line(flat, spec) == 0.0
     assert flat.batches == [15] * 30
+
+
+def _bumps(centers, widths, vector):
+    """f(y, which): integral i sums Gaussian bumps with centers[i] and widths[i], one per column."""
+
+    def f(y, which):
+        out = np.exp(-0.5 * ((y[:, None] - centers[which]) / widths[which]) ** 2)
+        return out if vector else out.sum(axis=-1)
+
+    return f
+
+
+def _one_by_one(f, specs):
+    """Each integral through ``integrate_line``, the reference for the lock-step pass."""
+    return [integrate_line(lambda y, i=i: f(y, np.full(y.shape, i)), spec)
+            for i, spec in enumerate(specs)]
+
+
+_SPECS = st.builds(
+    IntegrationSpec,
+    abs_tol=st.sampled_from([0.0, 1e-13, 1e-10]),
+    rel_tol=st.floats(1e-12, 1e-6),
+    truncation_radius=st.floats(1.0, 80.0),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(specs=st.lists(_SPECS, min_size=1, max_size=6), vector=st.booleans(), data=st.data())
+def test_lock_step_pass_is_each_integral_alone(specs, vector, data):
+    shape = (len(specs), data.draw(st.integers(1, 3)))
+    centers = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=shape[0] * shape[1],
+                                          max_size=shape[0] * shape[1]))).reshape(shape)
+    widths = np.array(data.draw(st.lists(st.sampled_from([1e-3, 0.05, 0.3, 1.0, 3.0]),
+                                         min_size=centers.size, max_size=centers.size)))
+    f = _bumps(centers, widths.reshape(shape), vector)
+    for got, alone in zip(integrate_lines(f, specs), _one_by_one(f, specs)):
+        assert type(got) is type(alone)
+        np.testing.assert_array_equal(got, alone)
+
+
+def test_deep_lock_step_pass_caps_its_calls_and_matches_each_integral():
+    # a kink every pi/3 in every column: rounds of many panels, more than one call can take
+    centers = np.array([[0.3, -2.0], [1.7, 4.1], [-3.3, 0.0], [2.2, -0.6], [0.1, 0.2], [0.5, 0.9]])
+
+    def f(y, which):
+        return np.sqrt(np.abs(np.sin(3.0 * (y[:, None] - centers[which]))))
+
+    calls = []
+
+    def counted(y, which):
+        calls.append(y.size)
+        return f(y, which)
+
+    radii = (6.0, 8.0, 9.0, 12.0, 7.0, 10.0)
+    specs = [IntegrationSpec(abs_tol=0.0, rel_tol=1e-9, truncation_radius=r) for r in radii]
+    for lock_step, alone in zip(integrate_lines(counted, specs), _one_by_one(f, specs)):
+        np.testing.assert_array_equal(lock_step, alone)
+    assert max(calls) == 15 * quadrature._CALL_PANELS
+    # every integral has 8 to 12 first-pass panels; the first 8 calls hold one of each
+    assert calls[:8] == [6 * 15] * 8
+
+
+def test_lock_step_failures_raise_like_integrate_line():
+    tight = IntegrationSpec(abs_tol=0.0, rel_tol=1e-12, truncation_radius=10.0, max_panels=4)
+    centers, widths = np.array([[0.0], [1.0]]), np.array([[1.0], [1e-6]])
+    f = _bumps(centers, widths, vector=False)
+    with pytest.raises(ToleranceNotMet, match=r"^error bound .* in component 0 after 10 panels") as info:
+        integrate_lines(f, [IntegrationSpec(), tight])
+    assert isinstance(info.value.estimate, float) and info.value.error_bound > 0.0
+    with pytest.raises(ToleranceNotMet) as alone:
+        integrate_line(lambda y: f(y, np.ones(y.shape, dtype=int)), tight)
+    assert str(info.value) == str(alone.value) and info.value.estimate == alone.value.estimate
+
+    def hole(y, which):
+        return np.where((which == 1) & (y > 3.0), np.nan, np.exp(-0.5 * y * y))[:, None]
+
+    with pytest.raises(ToleranceNotMet, match=r"^integrand produced non-finite values on \[2, 4\]$") as info:
+        with np.errstate(invalid="ignore"):
+            integrate_lines(hole, [IntegrationSpec(), IntegrationSpec()])
+    assert info.value.estimate.shape == info.value.error_bound.shape == (1,)
+    assert np.isnan(info.value.estimate).all() and np.isinf(info.value.error_bound).all()
 
 
 def test_integration_spec_validation():
