@@ -117,11 +117,19 @@ def _flux_gprime(s):
 
 
 def _linear_density_and_score(model, y):
-    """f and the score f'/f from direct (linear-space) atom sums, not from ``evaluate``."""
-    diff = model.atoms - y[..., None]
-    kernel = np.exp(log_phi(diff))
-    f = np.vecdot(kernel, model.weights)
-    return f, np.vecdot(kernel * diff, model.weights) / f
+    """f and the score f'/f from direct (linear-space) atom sums, not from ``evaluate``.
+
+    The sums run over the atoms of positive weight, on the kernel divided by
+    its largest term at each node: the score is unchanged by that scale and
+    stays finite where f itself underflows.
+    """
+    live = model.weights > 0.0
+    weights, diff = model.weights[live], model.atoms[live] - y[..., None]
+    log_kernel = log_phi(diff)
+    top = log_kernel.max(axis=-1, keepdims=True)
+    kernel = np.exp(log_kernel - top)
+    scaled_f = np.vecdot(kernel, weights)
+    return np.exp(top[..., 0]) * scaled_f, np.vecdot(kernel * diff, weights) / scaled_f
 
 
 def _regret_score(s):
@@ -250,9 +258,9 @@ def decomposition_residual(model_g, model_h, y):
     (m_G + m_H)(f_H - f_G)/(f_G + f_H) + 2(m_G f_G - m_H f_H)/(f_G + f_H)
     identically.  The left side comes from direct (linear-space) atom sums
     for f and f', the right side from the log-space pair state, so a wrong
-    posterior mean or density in either route shows as a residual.  The
-    linear sums need f > 0 in floating point: |y - u| below about 37 for
-    some atom u.  Returns the absolute difference.
+    posterior mean or density in either route shows as a residual.  Both
+    sides stay finite where the densities underflow, as far from the atoms
+    as the pair state does.  Returns the absolute difference.
     """
     y = np.asarray(y, dtype=float)
     s = _PairState(*_as_models(model_g, model_h), y)
@@ -316,19 +324,18 @@ def _node_model(models, which):
     return MarginalModel(types.SimpleNamespace(atoms=atoms, weights=weights))
 
 
-def compute_metric_reports(pairs, rhos=(), spec=None):
-    """``compute_metric_report`` of each (G, H) in ``pairs``, integrated in lock step.
+def compute_metric_reports(pairs):
+    """``compute_metric_report(g, h)`` of each (g, h) in ``pairs``, integrated in lock step.
 
-    Every pair keeps its own window (unless ``spec`` is given), targets,
-    budget and Delta cross-check, and its report equals its own
-    ``compute_metric_report`` bit for bit; the pairs share each integrand
-    call (``quadrature.integrate_lines``), one pass per class of pairs
-    with the same atom counts.
+    Every pair keeps its own window, targets, budget and Delta
+    cross-check, and its report equals its own ``compute_metric_report``
+    bit for bit; the pairs share each integrand call
+    (``quadrature.integrate_lines``), one pass per class of pairs with the
+    same atom counts.  No clipped regret is integrated.
     """
-    rhos = list(dict.fromkeys(float(r) for r in rhos))
-    formulas = _pair_formulas(_REPORT_NAMES, rhos)
+    formulas = _pair_formulas(_REPORT_NAMES, [])
     models = [_as_models(g, h) for g, h in pairs]
-    specs = [spec or integration_window(*pair) for pair in models]
+    specs = [integration_window(*pair) for pair in models]
     # a pass stacks its pairs' atoms, so it takes pairs of one shape
     classes = {}
     for i, (g, h) in enumerate(models):
@@ -343,5 +350,5 @@ def compute_metric_reports(pairs, rhos=(), spec=None):
 
         passes = integrate_lines(integrand, [specs[i] for i in members])
         for i, values in zip(members, passes):
-            reports[i] = _report(_checked_values(values, _REPORT_NAMES, rhos, specs[i]), rhos)
+            reports[i] = _report(_checked_values(values, _REPORT_NAMES, [], specs[i]), [])
     return reports

@@ -24,7 +24,8 @@ here:
   its own spec, so that they share every integrand call; each result
   equals its own ``integrate_line`` bit for bit.  The rule is written
   once, as a generator (``_refinement``) that yields the panels it needs
-  and is sent their estimates; ``_lock_step`` feeds one or many of them.
+  and is sent their estimates; ``integrate_lines`` feeds one per integral,
+  and ``integrate_line`` is its one-integral case.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -333,14 +334,20 @@ def _refinement(spec):
         n, live = new.stop, live + batch.size
 
 
-def _lock_step(f, specs, indexed):
-    """Run one ``_refinement`` per spec, sharing each integrand call among them.
+def integrate_lines(f, specs):
+    """Integrate one vectorized integrand family over many windows in lock step.
 
-    Each call evaluates the waiting requests in order, as many whole
-    requests as fit in ``_CALL_PANELS`` panels and at least one, so a
-    single integral makes exactly the calls it would make alone.  With
-    ``indexed`` set, ``f`` also gets the index of each node's integral.
-    Returns the integrals in the order of ``specs``.
+    Integral i is exactly ``integrate_line`` of y -> f(y, i) with
+    ``specs[i]``: its own window, first pass, per-component targets,
+    refinement batches and panel budget (one ``_refinement`` each).  Each
+    step evaluates the waiting panel requests together in one call
+    ``f(y, which)``, where ``which[j]`` is the index of the integral that
+    node y[j] belongs to: the requests in order, as many whole ones as fit
+    in 2 * 128 panels and at least one, so a single integral makes exactly
+    the calls it would make alone.  Rows of ``f`` must not depend on which
+    other nodes share the call; then every result equals its
+    ``integrate_line`` bit for bit.  Returns a list with one float or array
+    per spec.  The first integral to fail raises its ``ToleranceNotMet``.
     """
     runs = [_refinement(spec) for spec in specs]
     results = [None] * len(runs)
@@ -351,13 +358,9 @@ def _lock_step(f, specs, indexed):
             panels += len(waiting[take][1])
             take += 1
         step, waiting = waiting[:take], waiting[take:]
-        ends = step[0][1] if take == 1 else np.concatenate([request for _, request in step])
-        x = _nodes(ends)
-        if indexed:
-            fx = f(x, np.repeat([i for i, _ in step], [15 * len(request) for _, request in step]))
-        else:
-            fx = f(x)
-        values, errors, shape = _panel_estimates(fx, ends)
+        ends = np.concatenate([request for _, request in step])
+        which = np.repeat([i for i, _ in step], [15 * len(request) for _, request in step])
+        values, errors, shape = _panel_estimates(f(_nodes(ends), which), ends)
         start = 0
         for i, request in step:
             stop = start + len(request)
@@ -383,26 +386,10 @@ def integrate_line(f, spec=IntegrationSpec()):
     panels, as ``scipy.integrate.quad_vec`` does; all children of a round
     go to ``f`` in one call.  Raises ``ToleranceNotMet`` when
     ``max_panels`` panels are in play and a target is still missed, or
-    when the integrand returns a non-finite value.
+    when the integrand returns a non-finite value.  This is the
+    one-integral case of ``integrate_lines``.
     """
-    return _lock_step(f, [spec], indexed=False)[0]
-
-
-def integrate_lines(f, specs):
-    """Integrate one vectorized integrand family over many windows in lock step.
-
-    Integral i is exactly ``integrate_line`` of y -> f(y, i) with
-    ``specs[i]``: its own window, first pass, per-component targets,
-    refinement batches and panel budget.  Each step evaluates the
-    integrals' waiting panels together in one call ``f(y, which)``, where
-    ``which[j]`` is the index of the integral that node y[j] belongs to,
-    with at most 2 * 128 panels per call.  Rows of ``f`` must not depend on
-    which other nodes share the call; then every result equals its
-    ``integrate_line`` bit for bit.  Returns a list with one float or
-    array per spec.  The first integral to fail raises its
-    ``ToleranceNotMet``.
-    """
-    return _lock_step(f, list(specs), indexed=True)
+    return integrate_lines(lambda y, which: f(y), [spec])[0]
 
 
 def gaussian_tail_radius(second_moment_bound, target_tail_mass):
