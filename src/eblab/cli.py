@@ -24,7 +24,9 @@ import sys
 import numpy as np
 
 from . import families, metrics, npmle, orthopoly
-from .hermite import alpha_bounds, alpha_bounds_hold, moment_gap_table
+# moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
+from .hermite import (_moment_gap_tables, alpha_bounds, alpha_bounds_hold,  # noqa: F401
+                      moment_gap_table)
 from .mixtures import DiscretePrior, MarginalModel, check_class_membership
 from .quadrature import ToleranceNotMet
 from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment
@@ -204,8 +206,8 @@ def _run_hermite(spec):
         raise InvalidParameter("need 1 <= m_min <= m_max")
 
     rows = []
-    for m in range(m_min, m_max + 1):
-        table = moment_gap_table(m, **table_options)
+    for table in _moment_gap_tables(range(m_min, m_max + 1), **table_options):
+        m = table.m
         alpha_lower, alpha_upper = alpha_bounds(m)
         rows.append(
             {
@@ -585,7 +587,11 @@ def main(argv=None):
         return 3
     out = args.out if args.out is not None else config.get("out")
     if out:
-        report.write(out)
+        try:
+            report.write(out)
+        except OSError as exc:
+            print(f"eblab: cannot write --out {out!r}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {pathlib.Path(out).with_suffix('.csv')}")
         print(f"wrote {pathlib.Path(out).with_suffix('.json')}")
     else:

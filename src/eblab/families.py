@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .hermite import _hermite_sums, moment_gap_table
+# moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
+from .hermite import _hermite_sums, _moment_gap_tables, moment_gap_table  # noqa: F401
 from .mixtures import DiscretePrior, phi
 from .quadrature import (IntegrationSpec, ToleranceNotMet, arcsine_moment, chebyshev_rule,
                          integrate_line)
@@ -103,7 +104,7 @@ def _lowerbound_instances(m_values, **table_options):
     ms = [int(m) for m in m_values]
     if not all(2 <= m <= 12 for m in ms):
         raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
-    tables = [moment_gap_table(m, **table_options) for m in ms]
+    tables = _moment_gap_tables(ms, **table_options)
     tau = np.array([table.alpha_m * table.alpha_m for table in tables])
     coefficients = _lowerbound_coefficients(tables)
 
@@ -169,29 +170,52 @@ class MomentFamilyInstance:
     regret_lb: float
 
 
+def _spike_hellinger_floor(eta, b):
+    """Hellinger distance^2 of the spike pair's marginals on {y > b/2} and its complement.
+
+    A lower bound on eps^2 (data processing), from the cell's chances P under
+    G and Q = P(Z > b/2) under H, as (P - Q)^2 over squared root sums.
+    """
+    q = 0.5 * math.erfc(b / (2.0 * math.sqrt(2.0)))
+    big_p, gap = (1.0 - eta) * q + eta * (1.0 - q), eta * (1.0 - 2.0 * q)
+    return gap * gap * (1.0 / (math.sqrt(big_p) + math.sqrt(q)) ** 2
+                        + 1.0 / (math.sqrt(1.0 - big_p) + math.sqrt(1.0 - q)) ** 2)
+
+
+def _moment_instances(p, b_values):
+    """Spike instances for every b, scored in one lock-step ``integrate_lines`` pass."""
+    if not p > 0.0 or not all(b > 1.0 for b in b_values):
+        raise ValueError("need p > 0 and b > 1, so that eta = b^-p is below one")
+    etas = [b ** (-p) for b in b_values]
+    for eta in etas:
+        if not 0.0 < eta < 1.0:
+            raise ValueError(f"eta = b^-p rounds to {eta!r}; it must lie strictly between 0 and 1")
+    pairs = [(DiscretePrior([0.0, b], [1.0 - eta, eta]), DiscretePrior.point(0.0))
+             for b, eta in zip(b_values, etas)]
+    sweep = metrics._sweep_integrals(pairs, ["hellinger_sq", "regret"])
+    instances = []
+    for b, eta, values in zip(b_values, etas, sweep):
+        eps_sq, floor = values["hellinger_sq"], _spike_hellinger_floor(eta, b)
+        if eps_sq < floor * (1.0 - 1e-7):
+            raise ToleranceNotMet(f"eps^2 = {eps_sq!r} is below its lower bound {floor!r} from the "
+                                  f"cell y > b/2: no panel resolved the spike at b = {b!r}",
+                                  estimate=eps_sq, error_bound=math.inf)
+        regret_lb = b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
+        instances.append(MomentFamilyInstance(p=float(p), b=float(b), eta=eta, eps_sq=eps_sq,
+                                              regret_val=values["regret"], regret_lb=regret_lb))
+    return instances
+
+
 def build_moment_instance(p, b):
     """Spike pair at height b with mass eta = b^(-p), fully scored.
 
     ``regret_lb`` is the closed-form floor b^2 (eta (1 - eta) - e^(-b^2/8));
     it can be negative for small b, where it carries no information.
-    Raises ``ToleranceNotMet`` if eps^2 comes back 0: the panels missed the spike.
+    Raises ``ToleranceNotMet`` if eps^2 reads below its data-processing
+    floor, the squared Hellinger distance on the cells y > b/2 and y <= b/2:
+    the panels missed the spike.  The one-b case of ``moment_family_sweep``.
     """
-    if not (p > 0.0 and b > 1.0):
-        raise ValueError("need p > 0 and b > 1, so that eta = b^-p is below one")
-    eta = b ** (-p)
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta = b^-p rounds to {eta!r}; it must lie strictly between 0 and 1")
-    prior_g = DiscretePrior([0.0, b], [1.0 - eta, eta])
-    values = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), ["hellinger_sq", "regret"])
-    eps_sq, regret_val = values["hellinger_sq"], values["regret"]
-    if not eps_sq > 0.0:
-        # eps^2 is near eta > 0; an exact 0 means no panel node came near the spike
-        raise ToleranceNotMet(f"eps^2 came back 0: no panel resolved the spike at b = {b!r}",
-                              estimate=eps_sq, error_bound=math.inf)
-    regret_lb = b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
-    return MomentFamilyInstance(
-        p=float(p), b=float(b), eta=eta, eps_sq=eps_sq, regret_val=regret_val, regret_lb=regret_lb
-    )
+    return _moment_instances(p, [b])[0]
 
 
 def fit_loglog_exponent(xs, ys):
@@ -207,13 +231,14 @@ def fit_loglog_exponent(xs, ys):
 
 
 def moment_family_sweep(p, b_values):
-    """Spike instances across b plus the fitted regret-vs-eps^2 exponent.
+    """Spike instances across b, scored in one lock-step pass, plus the fitted exponent.
 
+    Each instance equals its own ``build_moment_instance`` bit for bit.
     The summary reports the measured log-log slope next to the target
     (p - 2)/p: regret ~ b^2 eta and eps^2 ~ eta with eta = b^(-p).  With
     fewer than two distinct b values there is no slope, and it is None.
     """
-    instances = [build_moment_instance(p, b) for b in b_values]
+    instances = _moment_instances(p, b_values)
     exponent = None
     if len(set(b_values)) > 1:
         exponent = fit_loglog_exponent(

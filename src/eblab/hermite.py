@@ -15,6 +15,8 @@ The same machinery specialises to the arcsine law nu versus its m-point
 Gauss rule nu_m: their moment gaps are exact binomial expressions (see
 ``moment_gap_table``), which keeps the leading gap 2^(1-2m) accurate to
 the last bit instead of being drowned by floating-point cancellation.
+Every series is summed in degree order from 0, one addition per nonzero
+coefficient, exactly as a per-degree loop adds it (``_hermite_sums``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _MAX_GAP_LEVEL = 66
 # truncation_error stops once the tail envelope is below this share of the sum
 _TRUNCATION_REL_FLOOR = 1e-13
 _TRUNCATION_MAX_DEGREE = 5000
+# nodes per product block of _hermite_sums: bounds its (degrees, 2, nodes, series) buffer
+_SUM_BLOCK = 64
 
 
 def _hermite_sums(coefficients, y, factorial=False):
@@ -56,25 +60,37 @@ def _hermite_sums(coefficients, y, factorial=False):
     coefficients give k series on one recurrence, sums of shape
     y.shape + (k,) whose columns equal the 1-d calls bit for bit.  Zero
     coefficients are skipped per column, so an overflowed s_j stays out.
+
+    Each sum is 0 + a_0 s_0 + a_1 s_1 + ... over the nonzero a_j, in that
+    order: per block of nodes one ``sum`` over the degree axis, which numpy
+    adds row after row (pairwise only along a lone axis; here the s_j,
+    s_{j-1} axis is 2 wide).
     """
     coefficients = np.asarray(coefficients, dtype=float)
     y = np.asarray(y, dtype=float)
-    acc, acc_prev = np.zeros((2, *y.shape, *coefficients.shape[1:]))
-    s_prev, s = np.zeros_like(y), np.ones_like(y)
-    for j, a in enumerate(coefficients):
-        if j > 0:
-            if factorial:
-                s_prev, s = s, (y * s - s_prev) / j
-            else:
-                s_prev, s = s, y * s - (j - 1) * s_prev
-        live = a != 0.0
-        if live.all():
-            acc += np.multiply.outer(s, a)
-            acc_prev += np.multiply.outer(s_prev, a)
-        elif live.any():
-            acc[..., live] += np.multiply.outer(s, a[live])
-            acc_prev[..., live] += np.multiply.outer(s_prev, a[live])
-    return acc, acc_prev
+    a = coefficients.reshape(len(coefficients), -1)
+    nodes = y.reshape(-1)
+    s = np.empty((len(a) + 1, nodes.size))  # s[j + 1] = s_j, s[0] = s_{-1}
+    s[0], s[1] = 0.0, 1.0
+    for j in range(1, len(a)):
+        out = np.multiply(nodes, s[j], out=s[j + 1])
+        if factorial:
+            np.divide(np.subtract(out, s[j - 1], out=out), j, out=out)
+        else:
+            np.subtract(out, (j - 1) * s[j - 1], out=out)
+    live = a != 0.0
+    rows = np.flatnonzero(live.any(axis=1))  # degrees that some series uses
+    terms = np.stack([s[rows + 1], s[rows]], axis=1)[:, :, None]  # s_j and s_{j-1}
+    factors, live = a[rows, None, :, None], live[rows, None, :, None]
+    if np.isfinite(terms).all():  # a zero coefficient adds +-0 to a sum begun at +0: no bit moves
+        live = True
+    sums = np.empty((2, a.shape[1], nodes.size))
+    for start in range(0, nodes.size, _SUM_BLOCK):
+        block = terms[..., start : start + _SUM_BLOCK]
+        products = np.zeros((len(rows) + 1, 2, a.shape[1], block.shape[-1]))  # row 0: the 0 start
+        np.multiply(block, factors, out=products[1:], where=live)
+        products.sum(axis=0, out=sums[..., start : start + _SUM_BLOCK])
+    return tuple(part.T.reshape(y.shape + coefficients.shape[1:]) for part in sums)
 
 
 def _scalar_or_array(y, value):
@@ -205,31 +221,6 @@ def truncation_error(prior_g, prior_h, k):
     return err_g, err_gp
 
 
-def _arcsine_rule_gap_exact(m, j):
-    """Exact moment gap (arcsine minus m-point Gauss rule) for degree j.
-
-    Averaging cos^j over the Chebyshev angles kills every harmonic except
-    multiples of 2m, leaving
-
-        gap = 2 * 4^(-r) * sum_{t >= 1} (-1)^(t+1) binom(2r, r - t m)
-
-    for j = 2r (odd gaps vanish by symmetry).  Integer arithmetic keeps
-    the result exact to the final rounding; in particular the leading gap
-    at j = 2m is exactly 2^(1-2m).
-    """
-    if j % 2 == 1:
-        return 0.0
-    r = j // 2
-    t_max = r // m
-    if t_max == 0:
-        return 0.0
-    acc = 0
-    for t in range(1, t_max + 1):
-        term = math.comb(2 * r, r - t * m)
-        acc += term if t % 2 == 1 else -term
-    return 2 * acc / 4**r
-
-
 @dataclass
 class MomentGapTable:
     """Moment gaps of the arcsine law against its m-point Gauss rule.
@@ -249,29 +240,53 @@ class MomentGapTable:
     beta_remainder: float
 
 
-def moment_gap_table(m, j_max=200):
-    """Gap table plus alpha/beta tail sums for the m-point Gauss rule."""
-    m = int(m)
-    if not 1 <= m <= _MAX_GAP_LEVEL:
+def _moment_gap_tables(ms, j_max=200):
+    """``moment_gap_table(m, j_max)`` for every m in ``ms``, from one set of binomial rows.
+
+    Averaging cos^j over the Chebyshev angles kills every harmonic except
+    multiples of 2m, leaving for j = 2r (odd gaps vanish by symmetry)
+
+        gap = 2 * 4^(-r) * sum_{t >= 1} (-1)^(t+1) binom(2r, r - t m).
+
+    Every m reads its terms from the same exact rows binom(2r, k), k <= r.
+    Integer arithmetic keeps each gap exact to the final rounding; in
+    particular the leading gap at j = 2m is exactly 2^(1-2m).
+    """
+    ms, j_max = [int(m) for m in ms], int(j_max)
+    if not all(1 <= m <= _MAX_GAP_LEVEL for m in ms):
         raise ValueError(f"rule size must be in [1, {_MAX_GAP_LEVEL}]: alpha_m underflows beyond")
-    j_max = int(j_max)
-    if j_max < 2 * m:
+    if j_max < 2 * max(ms, default=0):
         raise ValueError("j_max must reach the first nonzero gap 2m")
-    gaps = np.array([_arcsine_rule_gap_exact(m, j) for j in range(j_max + 1)])
-    alpha = beta = 0.0
-    for j in range(2 * m, j_max + 1):
-        gap = gaps[j]
-        if gap == 0.0:
-            continue
-        log_sq = 2.0 * math.log(abs(gap))
-        alpha += 0.25 * math.exp(log_sq - math.lgamma(j + 1.0))
-        beta += 0.25 * math.exp(log_sq - math.lgamma(float(j)))
+    rows = [[1] for _ in range(j_max // 2 + 1)]
+    for r, row in enumerate(rows):
+        for k in range(r):
+            row.append(row[k] * (2 * r - k) // (k + 1))
     # |gap| <= 2 always, so the discarded alpha tail is below
     # sum_{j > j_max} 1/j! <= 2/(j_max + 1)!.  May underflow to zero.
     log2 = math.log(2.0)
     alpha_rem = math.exp(log2 - math.lgamma(j_max + 2.0))
     beta_rem = math.exp(log2 - math.lgamma(j_max + 1.0))
-    return MomentGapTable(m, j_max, gaps, alpha, beta, alpha_rem, beta_rem)
+    tables = []
+    for m in ms:
+        gaps = np.zeros(j_max + 1)
+        for r in range(m, len(rows)):
+            terms = rows[r][r - m :: -m]  # t = 1, 2, ...
+            gaps[2 * r] = 2 * (sum(terms[::2]) - sum(terms[1::2])) / 4**r
+        alpha = beta = 0.0
+        for j in range(2 * m, j_max + 1):
+            gap = gaps[j]
+            if gap == 0.0:
+                continue
+            log_sq = 2.0 * math.log(abs(gap))
+            alpha += 0.25 * math.exp(log_sq - math.lgamma(j + 1.0))
+            beta += 0.25 * math.exp(log_sq - math.lgamma(float(j)))
+        tables.append(MomentGapTable(m, j_max, gaps, alpha, beta, alpha_rem, beta_rem))
+    return tables
+
+
+def moment_gap_table(m, j_max=200):
+    """Gap table plus alpha/beta tail sums for the m-point Gauss rule (a one-level sweep)."""
+    return _moment_gap_tables([m], j_max)[0]
 
 
 def alpha_bounds(m):

@@ -19,9 +19,12 @@ columns.  ``compute_metric_reports`` reports on a whole sweep of pairs
 with ``integrate_lines``: it stacks the pairs' atoms, gives each node the
 atoms of its own pair, and feeds the same pair state and formulas, so
 each pair's report equals its ``compute_metric_report`` bit for bit
-while 100 pairs share about 15 integrand calls.  Delta is always
-integrated in two independently coded forms, which must agree to 1e-7
-relative or ``FormMismatch`` is raised, pair by pair.
+while 100 pairs share about 15 integrand calls; ``families`` scores its
+spike sweep through the same stacking.  This rests on one summation
+order: every sum over atoms runs along one node's own row, never across
+nodes, so a node's value does not depend on who shares its call.  Delta is
+always integrated in two independently coded forms, which must agree to
+1e-7 relative or ``FormMismatch`` is raised, pair by pair.
 ``regret_score_form`` is an independent route to ``regret`` through
 linear-space atom sums; it is not run alongside it, and the tests
 compare the two (``test_metrics``, ``test_acceptance`` test_07,
@@ -324,23 +327,22 @@ def _node_model(models, which):
     return MarginalModel(types.SimpleNamespace(atoms=atoms, weights=weights))
 
 
-def compute_metric_reports(pairs):
-    """``compute_metric_report(g, h)`` of each (g, h) in ``pairs``, integrated in lock step.
+def _sweep_integrals(pairs, names):
+    """``pair_integrals(g, h, names)`` of each (g, h) in ``pairs``, integrated in lock step.
 
     Every pair keeps its own window, targets, budget and Delta
-    cross-check, and its report equals its own ``compute_metric_report``
-    bit for bit; the pairs share each integrand call
-    (``quadrature.integrate_lines``), one pass per class of pairs with the
-    same atom counts.  No clipped regret is integrated.
+    cross-check, and its values equal its own ``pair_integrals`` bit for
+    bit; the pairs share each integrand call (``quadrature.integrate_lines``),
+    one pass per class of pairs with the same atom counts.
     """
-    formulas = _pair_formulas(_REPORT_NAMES, [])
+    formulas = _pair_formulas(names, [])
     models = [_as_models(g, h) for g, h in pairs]
     specs = [integration_window(*pair) for pair in models]
     # a pass stacks its pairs' atoms, so it takes pairs of one shape
     classes = {}
     for i, (g, h) in enumerate(models):
         classes.setdefault((g.atoms.size, h.atoms.size), []).append(i)
-    reports = [None] * len(models)
+    values = [None] * len(models)
     for members in classes.values():
         side_g, side_h = ([models[i][side] for i in members] for side in (0, 1))
 
@@ -349,6 +351,15 @@ def compute_metric_reports(pairs):
             return _columns(formulas, state)
 
         passes = integrate_lines(integrand, [specs[i] for i in members])
-        for i, values in zip(members, passes):
-            reports[i] = _report(_checked_values(values, _REPORT_NAMES, [], specs[i]), [])
-    return reports
+        for i, integrals in zip(members, passes):
+            values[i] = _checked_values(integrals, names, [], specs[i])
+    return values
+
+
+def compute_metric_reports(pairs):
+    """``compute_metric_report(g, h)`` of each (g, h) in ``pairs``, integrated in lock step.
+
+    Each report equals its own ``compute_metric_report`` bit for bit; the
+    pairs share every integrand call.  No clipped regret is integrated.
+    """
+    return [_report(values, []) for values in _sweep_integrals(pairs, _REPORT_NAMES)]

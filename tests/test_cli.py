@@ -106,14 +106,25 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e160"], 2, "past 1e+147"),
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e150"], 2, "past 1e+147"),
         (["moment", "--p", "1", "--b-values", "1000000"], 3, "spike at b = 1000000.0"),
+        (["moment", "--p", "1", "--b-values", "30000"], 3, "spike at b = 30000.0"),
+        (["moment", "--p", "1", "--b-values", "100000"], 3, "spike at b = 100000.0"),
     ],
     ids=["hermite-alpha-underflow", "moment-eta-underflow", "demo-eta-underflow",
-         "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed"],
+         "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed",
+         "moment-spike-missed-3e4", "moment-spike-bump-missed-1e5"],
 )
 def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("eblab: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main(["--out", str(out), "hermite"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"eblab: cannot write --out {str(out)!r}: ")
     assert "Traceback" not in err
 
 

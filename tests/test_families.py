@@ -14,7 +14,7 @@ from eblab.families import (
 )
 from eblab.hermite import _hermite_sums, moment_gap_table, prior_moment
 from eblab.mixtures import DiscretePrior
-from eblab.quadrature import chebyshev_rule
+from eblab.quadrature import ToleranceNotMet, chebyshev_rule
 
 
 def test_lowerbound_m2_against_direct_quadrature():
@@ -168,6 +168,47 @@ def test_moment_sweep_summary_fields():
     assert summary["max_regret_to_eps_sq"] == max(
         inst.regret_val / inst.eps_sq for inst in instances
     )
+
+
+def test_moment_sweep_rows_are_each_b_scored_alone(monkeypatch):
+    calls = []
+    integrate = metrics.integrate_lines
+
+    def counted(f, specs):
+        calls.append(len(specs))
+        return integrate(f, specs)
+
+    monkeypatch.setattr(metrics, "integrate_lines", counted)
+    b_values = (4.0, 8.0, 16.0, 32.0)
+    instances, _ = moment_family_sweep(3.0, b_values)
+    assert calls == [4]  # one lock-step pass for the whole sweep
+    monkeypatch.undo()
+    assert instances == [build_moment_instance(3.0, b) for b in b_values]
+    for inst in instances:
+        prior_g = DiscretePrior([0.0, inst.b], [1.0 - inst.eta, inst.eta])
+        alone = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), ["hellinger_sq", "regret"])
+        assert (inst.eps_sq, inst.regret_val) == (alone["hellinger_sq"], alone["regret"])
+
+
+def test_spike_hellinger_floor_is_the_two_cell_distance():
+    for eta, b in ((0.25, 2.0), (1.0 / 64.0, 4.0), (1e-3, 9.0), (0.5, 1.5)):
+        q = 0.5 * math.erfc(b / (2.0 * math.sqrt(2.0)))
+        big_p = (1.0 - eta) * q + eta * (1.0 - q)
+        plain = (math.sqrt(big_p) - math.sqrt(q)) ** 2 + (math.sqrt(1.0 - big_p) - math.sqrt(1.0 - q)) ** 2
+        assert families._spike_hellinger_floor(eta, b) == pytest.approx(plain, rel=1e-9)
+    for p, b in ((3.0, 4.0), (3.0, 8.0), (3.0, 16.0), (3.0, 32.0), (2.0, 8.0)):
+        inst = build_moment_instance(p, b)
+        assert inst.eps_sq >= families._spike_hellinger_floor(inst.eta, b) * (1.0 - 1e-7)
+
+
+@pytest.mark.parametrize("b", [3e4, 1e5])
+def test_missed_spike_reads_below_the_hellinger_floor(b):
+    # at 3e4 no panel meets the spike (eps^2 ~ 8e-13); at 1e5 the first pass
+    # misses the centre bump and eps^2 reads 2.5e-6 relative below the floor
+    with pytest.raises(ToleranceNotMet, match=f"spike at b = {b!r}"):
+        build_moment_instance(1.0, b)
+    with pytest.raises(ToleranceNotMet, match=f"spike at b = {b!r}"):
+        moment_family_sweep(1.0, (100.0, b))
 
 
 def test_regularization_demo_clipping_helps_at_eps():

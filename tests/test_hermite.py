@@ -3,16 +3,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.polynomial import hermite_e
 
+from eblab import hermite
 from eblab.hermite import (
     MAX_HERMITE_DEGREE,
     HermiteSeries,
-    _arcsine_rule_gap_exact,
     _hermite_sums,
+    _moment_gap_tables,
     alpha_bounds_hold,
     expansion_coefficients,
     hermite_eval,
@@ -45,6 +46,44 @@ def test_hermite_eval_low_degrees():
         hermite_eval(-1, 0.0)
     with pytest.raises(ValueError):
         hermite_eval(MAX_HERMITE_DEGREE + 1, 0.0)
+
+
+def _loop_hermite_sums(coefficients, y, factorial=False):
+    """Reference for ``_hermite_sums``: one recurrence step and one addition per degree."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    y = np.asarray(y, dtype=float)
+    acc, acc_prev = np.zeros((2, *y.shape, *coefficients.shape[1:]))
+    s_prev, s = np.zeros_like(y), np.ones_like(y)
+    for j, a in enumerate(coefficients):
+        if j > 0:
+            if factorial:
+                s_prev, s = s, (y * s - s_prev) / j
+            else:
+                s_prev, s = s, y * s - (j - 1) * s_prev
+        live = a != 0.0
+        if live.all():
+            acc += np.multiply.outer(s, a)
+            acc_prev += np.multiply.outer(s_prev, a)
+        elif live.any():
+            acc[..., live] += np.multiply.outer(s, a[live])
+            acc_prev[..., live] += np.multiply.outer(s_prev, a[live])
+    return acc, acc_prev
+
+
+def _arcsine_rule_gap_exact(m, j):
+    """Reference gap of the arcsine law against its m-point Gauss rule, one binomial at a time.
+
+    gap = 2 * 4^(-r) * sum_{t >= 1} (-1)^(t+1) binom(2r, r - t m) for j = 2r;
+    odd gaps vanish by symmetry.
+    """
+    if j % 2 == 1:
+        return 0.0
+    r = j // 2
+    acc = 0
+    for t in range(1, r // m + 1):
+        term = math.comb(2 * r, r - t * m)
+        acc += term if t % 2 == 1 else -term
+    return 2 * acc / 4**r
 
 
 def _relative_gap(value, reference):
@@ -105,6 +144,39 @@ def test_matrix_sums_equal_column_sums_exactly(coeffs, ys, factorial):
             np.testing.assert_array_equal(shifted[:, c], column_shifted)
             if not coeffs[:, c].any():
                 assert not value[:, c].any() and not shifted[:, c].any()
+
+
+_BLOCK = hermite._SUM_BLOCK
+_EDGE_Y = st.sampled_from([0.0, -0.0, 1e3, -1e3])
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    coeffs=st.tuples(st.integers(1, 240), st.integers(1, 4))
+    .flatmap(lambda shape: hnp.arrays(
+        float, shape, elements=st.one_of(st.just(-0.0), st.floats(-1e3, 1e3))))
+    .flatmap(_sparse_matrix),
+    one_series=st.booleans(),
+    ys=st.one_of(
+        st.one_of(_EDGE_Y, st.floats(-1e3, 1e3)).map(np.float64),
+        hnp.arrays(float, st.sampled_from([1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]),
+                   elements=st.one_of(_EDGE_Y, st.floats(-1e3, 1e3))),
+    ),
+    factorial=st.booleans(),
+)
+# the first product added is -0.0, and the loop's 0 + (-0.0) is +0.0
+@example(coeffs=np.array([[0.0], [1.0]]), one_series=True, ys=np.float64(-0.0), factorial=True)
+def test_hermite_sums_equal_the_per_degree_loop_bit_for_bit(coeffs, one_series, ys, factorial):
+    # zero rows and columns, -0.0 and negative coefficients, y = 0 and |y| = 1e3
+    # (plain H_j overflows), scalar y and node counts around a product block
+    if one_series:
+        coeffs = coeffs[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _hermite_sums(coeffs, ys, factorial=factorial)
+        expected = _loop_hermite_sums(coeffs, ys, factorial=factorial)
+    for value, reference in zip(got, expected):
+        assert value.shape == reference.shape == np.shape(ys) + coeffs.shape[1:]
+        assert value.tobytes() == reference.tobytes()
 
 
 def test_hermite_orthogonality_under_gaussian_rule():
@@ -197,6 +269,17 @@ def test_arcsine_rule_gap_structure():
         if j % 2 == 1 or j < 2 * m:
             assert exact == 0.0
     assert _arcsine_rule_gap_exact(m, 2 * m) == 2.0 ** (1 - 2 * m)
+
+
+def test_gap_tables_from_shared_rows_equal_the_binomial_sums():
+    tables = _moment_gap_tables(range(1, 67), j_max=200)
+    for m, table in enumerate(tables, start=1):
+        reference = np.array([_arcsine_rule_gap_exact(m, j) for j in range(201)])
+        alone = moment_gap_table(m)
+        assert table.m == alone.m == m and table.j_max == alone.j_max == 200
+        assert table.gaps.tobytes() == alone.gaps.tobytes() == reference.tobytes()
+        sums = (table.alpha_m, table.beta_m, table.alpha_remainder, table.beta_remainder)
+        assert sums == (alone.alpha_m, alone.beta_m, alone.alpha_remainder, alone.beta_remainder)
 
 
 def test_moment_gap_table_sums_and_validation():
