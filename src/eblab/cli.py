@@ -27,7 +27,7 @@ from . import families, metrics, npmle, orthopoly
 # moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
 from .hermite import (_moment_gap_tables, alpha_bounds, alpha_bounds_hold,  # noqa: F401
                       moment_gap_table)
-from .mixtures import DiscretePrior, MarginalModel, check_class_membership
+from .mixtures import DiscretePrior, check_class_membership
 from .quadrature import ToleranceNotMet
 from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment
 
@@ -150,11 +150,10 @@ def _run_metrics(spec):
     prior_h = parse_prior_spec(p["prior_h"], rng)
     rhos = sorted(p.get("rhos", []))
     report = metrics.compute_metric_report(prior_g, prior_h, rhos=rhos)
-    fields = ("hellinger_sq", "delta", "delta_flux", "regret")
-    row = {name: getattr(report, name) for name in fields}
+    row = {name: report[name] for name in ("hellinger_sq", "delta", "delta_flux", "regret")}
     for i, rho in enumerate(rhos):
         row[f"rho_{i}"] = rho
-        row[f"regret_reg_{i}"] = report.regret_regularized[rho]
+        row[f"regret_reg_{i}"] = report[rho]
     summary = {
         "prior_g": json.loads(prior_g.to_json()),
         "prior_h": json.loads(prior_h.to_json()),
@@ -304,7 +303,7 @@ def _run_regratio(spec):
                  for idx in redraw]
         for idx, report in zip(redraw, metrics.compute_metric_reports(drawn)):
             reports[idx] = report
-        redraw = [idx for idx in redraw if not reports[idx].hellinger_sq > 0.0]
+        redraw = [idx for idx in redraw if not reports[idx]["hellinger_sq"] > 0.0]
         if not redraw:
             break
     else:
@@ -312,11 +311,11 @@ def _run_regratio(spec):
     rows = [
         {
             "pair": idx,
-            "eps_sq": report.hellinger_sq,
-            "delta": report.delta,
-            "delta_flux": report.delta_flux,
-            "regret": report.regret,
-            "ratio": report.regret / metrics.hellinger_rate_normalizer(report.hellinger_sq),
+            "eps_sq": report["hellinger_sq"],
+            "delta": report["delta"],
+            "delta_flux": report["delta_flux"],
+            "regret": report["regret"],
+            "ratio": report["regret"] / metrics.hellinger_rate_normalizer(report["hellinger_sq"]),
         }
         for idx, report in enumerate(reports)
     ]
@@ -514,19 +513,32 @@ def _build_parser():
 _GLOBAL_DESTS = {"config", "seed", "out", "threads", "command"}
 
 
-def _load_config(path):
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _load_config(path, parser):
+    """The config file's object; a key that is no global or subcommand flag is refused.
+
+    A key of another subcommand's flag passes, so that one config can serve
+    every subcommand.
+    """
     if not path:
         return {}
     config = json.loads(pathlib.Path(path).read_text())
     if not isinstance(config, dict):
         raise InvalidParameter("config file must hold a JSON object")
+    flags = {a.dest for p in (parser, *_subparsers(parser).values()) for a in p._actions
+             if a.option_strings and a.dest != "help"}
+    for key in config:
+        if key not in flags:
+            raise InvalidParameter(f"config key {key!r} is not a flag of eblab or of any subcommand")
     return config
 
 
 def _flag_actions(parser, command):
     """The global and the subcommand's flag actions, keyed by dest."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for p in (parser, subparsers.choices[command]) for a in p._actions}
+    return {a.dest: a for p in (parser, _subparsers(parser)[command]) for a in p._actions}
 
 
 def _from_config(action, key, value):
@@ -571,7 +583,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse has printed a usage error (code 2) or the help
         return exc.code
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, parser)
         report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))
     except (InvalidParameter, UnknownExperiment, ValueError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)

@@ -35,8 +35,7 @@ from . import metrics
 # moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
 from .hermite import _hermite_sums, _moment_gap_tables, moment_gap_table  # noqa: F401
 from .mixtures import DiscretePrior, phi
-from .quadrature import (IntegrationSpec, ToleranceNotMet, arcsine_moment, chebyshev_rule,
-                         integrate_line)
+from .quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, integrate_line
 
 __all__ = [
     "LowerBoundInstance",
@@ -170,18 +169,6 @@ class MomentFamilyInstance:
     regret_lb: float
 
 
-def _spike_hellinger_floor(eta, b):
-    """Hellinger distance^2 of the spike pair's marginals on {y > b/2} and its complement.
-
-    A lower bound on eps^2 (data processing), from the cell's chances P under
-    G and Q = P(Z > b/2) under H, as (P - Q)^2 over squared root sums.
-    """
-    q = 0.5 * math.erfc(b / (2.0 * math.sqrt(2.0)))
-    big_p, gap = (1.0 - eta) * q + eta * (1.0 - q), eta * (1.0 - 2.0 * q)
-    return gap * gap * (1.0 / (math.sqrt(big_p) + math.sqrt(q)) ** 2
-                        + 1.0 / (math.sqrt(1.0 - big_p) + math.sqrt(1.0 - q)) ** 2)
-
-
 def _moment_instances(p, b_values):
     """Spike instances for every b, scored in one lock-step ``integrate_lines`` pass."""
     if not p > 0.0 or not all(b > 1.0 for b in b_values):
@@ -193,17 +180,10 @@ def _moment_instances(p, b_values):
     pairs = [(DiscretePrior([0.0, b], [1.0 - eta, eta]), DiscretePrior.point(0.0))
              for b, eta in zip(b_values, etas)]
     sweep = metrics._sweep_integrals(pairs, ["hellinger_sq", "regret"])
-    instances = []
-    for b, eta, values in zip(b_values, etas, sweep):
-        eps_sq, floor = values["hellinger_sq"], _spike_hellinger_floor(eta, b)
-        if eps_sq < floor * (1.0 - 1e-7):
-            raise ToleranceNotMet(f"eps^2 = {eps_sq!r} is below its lower bound {floor!r} from the "
-                                  f"cell y > b/2: no panel resolved the spike at b = {b!r}",
-                                  estimate=eps_sq, error_bound=math.inf)
-        regret_lb = b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
-        instances.append(MomentFamilyInstance(p=float(p), b=float(b), eta=eta, eps_sq=eps_sq,
-                                              regret_val=values["regret"], regret_lb=regret_lb))
-    return instances
+    return [MomentFamilyInstance(p=float(p), b=float(b), eta=eta, eps_sq=values["hellinger_sq"],
+                                 regret_val=values["regret"],
+                                 regret_lb=b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0)))
+            for b, eta, values in zip(b_values, etas, sweep)]
 
 
 def build_moment_instance(p, b):

@@ -2,34 +2,33 @@
 
 Every quantity is an integral over the real line of a formula in one
 pointwise pair state: the marginal densities f_G, f_H, their logs, and
-the posterior means m_G, m_H:
+the posterior means m_G, m_H.  ``pair_integrals`` keys them by name:
 
-* squared Hellinger   eps^2 = int (sqrt(f_G) - sqrt(f_H))^2
-* chi-square-type     delta = int (f_G - f_H)^2 / (2 (f_G + f_H))
-* score-flux          Delta = 2 int (m_G f_G - m_H f_H)^2 / (f_G + f_H)
-* regret              int (m_H - m_G)^2 f_G
-* regularized regret  int (f_G'/(f_G v rho) - f_H'/(f_H v rho))^2 f_G
+* ``hellinger_sq``  eps^2 = int (sqrt(f_G) - sqrt(f_H))^2
+* ``delta``         int (f_G - f_H)^2 / (2 (f_G + f_H))
+* ``delta_flux``    Delta = 2 int (m_G f_G - m_H f_H)^2 / (f_G + f_H)
+* ``regret``        int (m_H - m_G)^2 f_G, and ``regret_score_form``, the
+  same integral through linear-space atom sums
+* each rho          int (f_G'/(f_G v rho) - f_H'/(f_H v rho))^2 f_G
 
-``pair_integrals`` evaluates the state once per batch of nodes and
-integrates each requested functional as one column of a single
-vector-valued ``integrate_line`` pass, to its own tolerance, on a window
-whose discarded tail is below 1e-14.  ``compute_metric_report`` is one
-such pass; each single-functional function integrates only its own
-columns.  ``compute_metric_reports`` reports on a whole sweep of pairs
-with ``integrate_lines``: it stacks the pairs' atoms, gives each node the
-atoms of its own pair, and feeds the same pair state and formulas, so
-each pair's report equals its ``compute_metric_report`` bit for bit
-while 100 pairs share about 15 integrand calls; ``families`` scores its
-spike sweep through the same stacking.  This rests on one summation
-order: every sum over atoms runs along one node's own row, never across
-nodes, so a node's value does not depend on who shares its call.  Delta is
-always integrated in two independently coded forms, which must agree to
-1e-7 relative or ``FormMismatch`` is raised, pair by pair.
-``regret_score_form`` is an independent route to ``regret`` through
-linear-space atom sums; it is not run alongside it, and the tests
-compare the two (``test_metrics``, ``test_acceptance`` test_07,
-``test_families``).  ``decomposition_residual`` checks the pair state's
-posterior means against the same linear-space sums.
+One entry point serves each shape of work.  ``pair_integrals`` evaluates
+the state once per batch of nodes and integrates each requested
+functional as one column of a single vector-valued ``integrate_line``
+pass, to its own tolerance, on a window whose discarded tail is below
+1e-14; ``compute_metric_report`` is its pass over the four report
+functionals.  ``compute_metric_reports`` reports on a sweep of pairs
+with ``integrate_lines``: it stacks the pairs' atoms and gives each node
+the atoms of its own pair, so each pair's dict equals its
+``compute_metric_report`` bit for bit while 100 pairs share about 15
+integrand calls; ``families`` scores its spike sweep the same way.  This
+rests on one summation order: every sum over atoms runs along one
+node's own row, so a node's value does not depend on who shares its call.
+Each pass checks itself, pair by pair: Delta's two independently coded
+forms must agree to 1e-7 relative (``FormMismatch``), and eps^2 must
+reach its two-cell floor (``ToleranceNotMet``).  ``regret_score_form``
+is not run alongside ``regret``; the tests compare the two.
+``decomposition_residual`` checks the pair state's posterior means
+against the same linear-space sums.
 """
 
 from __future__ import annotations
@@ -37,23 +36,16 @@ from __future__ import annotations
 import functools
 import math
 import types
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mixtures import MarginalModel, log_phi
-from .quadrature import IntegrationSpec, gaussian_tail_radius, integrate_line, integrate_lines
+from .quadrature import (IntegrationSpec, ToleranceNotMet, gaussian_tail_radius, integrate_line,
+                         integrate_lines)
 
 __all__ = [
     "FormMismatch",
-    "MetricReport",
     "integration_window",
-    "hellinger_sq",
-    "delta_stat",
-    "Delta_stat",
-    "regret",
-    "regret_score_form",
-    "regret_regularized",
     "pair_integrals",
     "decomposition_residual",
     "compute_metric_report",
@@ -63,6 +55,7 @@ __all__ = [
 
 _FORM_REL_TOL = 1e-7
 _FORM_ABS_FLOOR = 1e-12
+_FLOOR_REL_TOL = 1e-7
 _TAIL_MASS = 1e-14
 # the window radius for _TAIL_MASS is finite only up to a support bound of 1.5e147
 _MAX_SUPPORT_BOUND = 1e147
@@ -176,8 +169,29 @@ def _columns(formulas, state):
     return np.stack([formula(state) for formula in formulas], axis=-1)
 
 
-def _checked_values(values, names, rhos, spec):
-    """One pass's integrals keyed by name and rho, once Delta's two forms agree."""
+def _hellinger_floor(model_g, model_h):
+    """(floor, t): the squared Hellinger distance of the marginals on the cells y > t and y <= t.
+
+    A lower bound on eps^2 (data processing), with t halfway between the
+    priors' largest atoms of positive weight.  Each cell's chances under G
+    and H are tail sums of their own; the gap between them is one sum over
+    both priors' atoms, common atoms merged into one signed weight, so
+    nothing cancels and identical priors give a gap of exactly zero.
+    """
+    g, h = (dict(zip(m.atoms.tolist(), m.weights.tolist())) for m in (model_g, model_h))
+    t = 0.5 * sum(max(u for u, w in prior.items() if w > 0.0) for prior in (g, h))
+    signed = {u: g.get(u, 0.0) - h.get(u, 0.0) for u in {**g, **h}}
+
+    def chance(prior, side):  # P(y > t) for side 1, P(y <= t) for side -1
+        return sum(w * 0.5 * math.erfc(side * (t - u) / math.sqrt(2.0)) for u, w in prior.items())
+
+    gap = chance(signed, 1.0)
+    root_sums = [math.sqrt(chance(g, side)) + math.sqrt(chance(h, side)) for side in (1.0, -1.0)]
+    return sum((gap / s) ** 2 for s in root_sums if s > 0.0), t
+
+
+def _checked_values(values, names, rhos, spec, models):
+    """One pass's integrals keyed by name and rho, once Delta's two forms agree and eps^2 its floor."""
     values = [float(v) for v in values]
     if "delta_flux" in names:
         first, second = values[names.index("delta_flux")], values.pop()
@@ -186,6 +200,13 @@ def _checked_values(values, names, rhos, spec):
                 f"score-flux forms disagree: {first!r} vs {second!r} "
                 f"(window {spec.truncation_radius:.2f})"
             )
+    if "hellinger_sq" in names:
+        eps_sq = values[names.index("hellinger_sq")]
+        floor, t = _hellinger_floor(*models)
+        if eps_sq < floor * (1.0 - _FLOOR_REL_TOL):
+            raise ToleranceNotMet(f"eps^2 = {eps_sq!r} is below its lower bound {floor!r} from the "
+                                  f"cell y > {t!r}: no panel resolved an atom",
+                                  estimate=eps_sq, error_bound=math.inf)
     return dict(zip([*names, *rhos], values))
 
 
@@ -195,63 +216,29 @@ def pair_integrals(model_g, model_h, names=(), rhos=(), spec=None):
     ``names`` pick from hellinger_sq, delta, delta_flux, regret and
     regret_score_form; all come from one ``integrate_line`` pass over the
     pair state, each to its own tolerance.  Returns a dict keyed by name
-    and by rho.  ``delta_flux`` is integrated in both forms;
-    ``FormMismatch`` is raised if they disagree beyond 1e-7 relative.
+    and by rho (as a float).  A rho that is not positive raises
+    ``ValueError`` before any integration.
+
+    ``delta`` sits inside the Hellinger sandwich pointwise,
+    (a-b)^2 / (2(a+b)) <= (sqrt(a)-sqrt(b))^2 <= (a-b)^2/(a+b), so
+    eps^2 / 2 <= delta <= eps^2; it is the normalization the regret
+    reduction constant 16 is calibrated against.  ``delta_flux`` is
+    integrated in two forms: from posterior means and log-space
+    densities, and by differentiating (f_G - f_H) / phi atom by atom,
+    which reduces the integrand to differences of
+    (sum_i w_i u_i phi(y - u_i) / sqrt(fbar))^2; ``FormMismatch`` is
+    raised if they disagree beyond 1e-7 relative.  ``hellinger_sq``
+    raises ``ToleranceNotMet`` if it reads below its two-cell floor.
     """
     rhos = list(dict.fromkeys(float(r) for r in rhos))
     formulas = _pair_formulas(names, rhos)
-    model_g, model_h = _as_models(model_g, model_h)
-    spec = spec or integration_window(model_g, model_h)
+    models = _as_models(model_g, model_h)
+    spec = spec or integration_window(*models)
 
     def integrand(y):
-        return _columns(formulas, _PairState(model_g, model_h, y))
+        return _columns(formulas, _PairState(*models, y))
 
-    return _checked_values(integrate_line(integrand, spec), names, rhos, spec)
-
-
-def hellinger_sq(model_g, model_h, spec=None):
-    """Squared Hellinger distance between the two marginals."""
-    return pair_integrals(model_g, model_h, ["hellinger_sq"], spec=spec)["hellinger_sq"]
-
-
-def delta_stat(model_g, model_h, spec=None):
-    """int (f_G - f_H)^2 / (2 (f_G + f_H)); between eps^2 / 2 and eps^2.
-
-    This normalization is the one that sits inside the Hellinger sandwich
-    pointwise: (a-b)^2 / (2(a+b)) <= (sqrt(a)-sqrt(b))^2 <= (a-b)^2/(a+b),
-    and the one the regret reduction constant 16 is calibrated against.
-    """
-    return pair_integrals(model_g, model_h, ["delta"], spec=spec)["delta"]
-
-
-def Delta_stat(model_g, model_h, spec=None):
-    """Score-flux statistic 2 int (m_G f_G - m_H f_H)^2 / (f_G + f_H).
-
-    Computed twice: once from posterior means and log-space densities,
-    once by differentiating (f_G - f_H) / phi atom by atom, which reduces
-    the integrand to (sum_i w_i u_i phi(y - u_i) / sqrt(fbar))^2
-    differences.  The two routes must agree to 1e-7 relative.
-    """
-    return pair_integrals(model_g, model_h, ["delta_flux"], spec=spec)["delta_flux"]
-
-
-def regret(model_g, model_h, spec=None):
-    """int (m_H - m_G)^2 f_G: excess risk of the rule tuned to H under G."""
-    return pair_integrals(model_g, model_h, ["regret"], spec=spec)["regret"]
-
-
-def regret_score_form(model_g, model_h, spec=None):
-    """Same regret integral written through density-derivative ratios.
-
-    Uses direct (linear-space) atom sums for f and f', a deliberately
-    independent code path from ``regret``.
-    """
-    return pair_integrals(model_g, model_h, ["regret_score_form"], spec=spec)["regret_score_form"]
-
-
-def regret_regularized(model_g, model_h, rho, spec=None):
-    """Regret of the rho-regularized rules: scores use f v rho in place of f."""
-    return pair_integrals(model_g, model_h, rhos=[rho], spec=spec)[float(rho)]
+    return _checked_values(integrate_line(integrand, spec), names, rhos, spec, models)
 
 
 def decomposition_residual(model_g, model_h, y):
@@ -289,31 +276,12 @@ def hellinger_rate_normalizer(eps_sq):
     return eps_sq * log_inv_eps / math.log(log_inv_eps)
 
 
-@dataclass
-class MetricReport:
-    """All divergence functionals for one (G, H) pair."""
-
-    hellinger_sq: float
-    delta: float
-    delta_flux: float
-    regret: float
-    regret_regularized: dict = field(default_factory=dict)
-
-
 _REPORT_NAMES = ["hellinger_sq", "delta", "delta_flux", "regret"]
 
 
-def _report(values, rhos):
-    return MetricReport(
-        **{name: values[name] for name in _REPORT_NAMES},
-        regret_regularized={rho: values[rho] for rho in rhos},
-    )
-
-
 def compute_metric_report(model_g, model_h, rhos=(), spec=None):
-    """Every functional of the pair, and the clipped regret at each rho, from one pass."""
-    rhos = [float(r) for r in rhos]
-    return _report(pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec), rhos)
+    """``pair_integrals`` of the four report functionals and the clipped regret at each rho."""
+    return pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec)
 
 
 def _node_model(models, which):
@@ -352,14 +320,14 @@ def _sweep_integrals(pairs, names):
 
         passes = integrate_lines(integrand, [specs[i] for i in members])
         for i, integrals in zip(members, passes):
-            values[i] = _checked_values(integrals, names, [], specs[i])
+            values[i] = _checked_values(integrals, names, [], specs[i], models[i])
     return values
 
 
 def compute_metric_reports(pairs):
     """``compute_metric_report(g, h)`` of each (g, h) in ``pairs``, integrated in lock step.
 
-    Each report equals its own ``compute_metric_report`` bit for bit; the
+    Each dict equals its own ``compute_metric_report`` bit for bit; the
     pairs share every integrand call.  No clipped regret is integrated.
     """
-    return [_report(values, []) for values in _sweep_integrals(pairs, _REPORT_NAMES)]
+    return _sweep_integrals(pairs, _REPORT_NAMES)

@@ -264,15 +264,6 @@ def _panel_estimates(fx, ends):
     return kron, err, shape
 
 
-def _grown(array, rows):
-    """``array``, or a copy with room for at least ``rows`` rows, doubling as it grows."""
-    if rows <= len(array):
-        return array
-    out = np.empty((max(rows, 2 * len(array)), *array.shape[1:]))
-    out[: len(array)] = array
-    return out
-
-
 def _refinement(spec):
     """The adaptive rule of ``integrate_line`` for one integral, with the integrand left out.
 
@@ -286,8 +277,7 @@ def _refinement(spec):
     n_init = int(min(64.0, max(8.0, math.ceil(radius))))
     edges = np.linspace(-radius, radius, n_init + 1)
 
-    # Panels in creation order, grown on demand.  A split panel's errors
-    # become -inf, so it sorts after every live panel.
+    # The live panels in creation order: a split panel is dropped and its children appended.
     ends = np.stack([edges[:-1], edges[1:]], axis=1)
     first = []
     for i in range(n_init):  # the first pass: one panel at a time
@@ -297,7 +287,6 @@ def _refinement(spec):
     errors = np.concatenate([e for _, e, _ in first])
     total = values.sum(axis=0)
     err = errors.sum(axis=0)
-    n = live = n_init
 
     def result(x):
         return float(x[0]) if shape == () else x.copy()
@@ -309,29 +298,29 @@ def _refinement(spec):
             return result(total)
         with np.errstate(divide="ignore", invalid="ignore"):
             c = int(np.argmax(np.where(over, err / target, 0.0)))
-        if live >= spec.max_panels:
+        if len(ends) >= spec.max_panels:
             raise ToleranceNotMet(
                 f"error bound {err[c]:.3e} against target {target[c]:.3e} "
-                f"in component {c} after {live} panels "
+                f"in component {c} after {len(ends)} panels "
                 f"(target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
                 estimate=result(total),
                 error_bound=result(err),
             )
-        order = np.argsort(-errors[:n, c], kind="stable")[:live]
+        order = np.argsort(-errors[:, c], kind="stable")
         reach = np.searchsorted(np.cumsum(errors[order, c]), err[c] - target[c] / 8.0, "right")
-        batch = order[: min(reach + 1, _BATCH_PANELS, spec.max_panels - live)]
+        batch = order[: min(reach + 1, _BATCH_PANELS, spec.max_panels - len(ends))]
         total -= values[batch].sum(axis=0)
         err -= errors[batch].sum(axis=0)
-        errors[batch] = -np.inf
         a, b = ends[batch].T
         mid = 0.5 * (a + b)
-        new = slice(n, n + 2 * batch.size)
-        ends, values, errors = (_grown(x, new.stop) for x in (ends, values, errors))
-        ends[new] = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)  # left, right child
-        values[new], errors[new], _ = yield ends[new]
-        total += values[new].sum(axis=0)
-        err += errors[new].sum(axis=0)
-        n, live = new.stop, live + batch.size
+        children = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)  # left, right child
+        child_values, child_errors, _ = yield children
+        total += child_values.sum(axis=0)
+        err += child_errors.sum(axis=0)
+        live = np.ones(len(ends), dtype=bool)
+        live[batch] = False
+        ends, values, errors = (np.concatenate((old[live], new)) for old, new in
+                                ((ends, children), (values, child_values), (errors, child_errors)))
 
 
 def integrate_lines(f, specs):

@@ -123,12 +123,12 @@ def test_07_metric_identities_on_random_pairs():
         g = _random_prior(rng, 2.0)
         h = _random_prior(rng, 2.0)
         assert float(np.max(metrics.decomposition_residual(g, h, ys))) <= 1e-9
-        eps_sq = metrics.hellinger_sq(g, h)
-        delta = metrics.delta_stat(g, h)
+        eps_sq = metrics.pair_integrals(g, h, ["hellinger_sq"])["hellinger_sq"]
+        delta = metrics.pair_integrals(g, h, ["delta"])["delta"]
         assert 0.5 * eps_sq - 1e-12 <= delta <= eps_sq + 1e-12
-        metrics.Delta_stat(g, h)  # raises FormMismatch beyond 1e-7 relative
-        r1 = metrics.regret(g, h)
-        r2 = metrics.regret_score_form(g, h)
+        metrics.pair_integrals(g, h, ["delta_flux"])  # raises FormMismatch beyond 1e-7 relative
+        r1 = metrics.pair_integrals(g, h, ["regret"])["regret"]
+        r2 = metrics.pair_integrals(g, h, ["regret_score_form"])["regret_score_form"]
         assert abs(r1 - r2) <= 1e-7 * max(r1, r2) + 1e-15
 
 

@@ -105,13 +105,18 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
         (["regratio", "--p", "2", "--b", "1e200"], 2, "eta = b^-p rounds to 0.0"),
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e160"], 2, "past 1e+147"),
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e150"], 2, "past 1e+147"),
-        (["moment", "--p", "1", "--b-values", "1000000"], 3, "spike at b = 1000000.0"),
-        (["moment", "--p", "1", "--b-values", "30000"], 3, "spike at b = 30000.0"),
-        (["moment", "--p", "1", "--b-values", "100000"], 3, "spike at b = 100000.0"),
+        (["moment", "--p", "1", "--b-values", "1000000"], 3, "cell y > 500000.0: no panel"),
+        (["moment", "--p", "1", "--b-values", "30000"], 3, "cell y > 15000.0: no panel"),
+        (["moment", "--p", "1", "--b-values", "100000"], 3, "cell y > 50000.0: no panel"),
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e5"], 3,
+         "below its lower bound 2.0 from the cell y > 50000.0: no panel"),
+        (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e146"], 3,
+         "eps^2 = 0.0 is below its lower bound 2.0"),
     ],
     ids=["hermite-alpha-underflow", "moment-eta-underflow", "demo-eta-underflow",
          "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed",
-         "moment-spike-missed-3e4", "moment-spike-bump-missed-1e5"],
+         "moment-spike-missed-3e4", "moment-spike-bump-missed-1e5", "metrics-far-atom-1e5",
+         "metrics-far-atom-1e146"],
 )
 def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     assert main(argv) == code
@@ -266,8 +271,8 @@ def test_regratio_sweep_rows_are_each_pair_reported_alone(tmp_path, generator, s
         rng = cell_rng(seed, idx)
         report = metrics.compute_metric_report(parse_prior_spec(generator, rng),
                                                parse_prior_spec(generator, rng))
-        fields = (report.hellinger_sq, report.delta, report.delta_flux, report.regret)
-        assert row.split(",")[:5] == [str(idx), *("%.17g" % v for v in fields)]
+        fields = ("hellinger_sq", "delta", "delta_flux", "regret")
+        assert row.split(",")[:5] == [str(idx), *("%.17g" % report[name] for name in fields)]
 
 
 def test_regratio_sweep_shares_its_integrand_calls(tmp_path, monkeypatch):
@@ -462,6 +467,19 @@ def test_empty_sweep_list_from_config_exits_2(tmp_path, capsys, command, key):
     assert main(["--config", str(config), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("eblab: need at least one")
+
+
+def test_misspelled_config_key_exits_2_naming_it(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"m_maxx": 3}))
+    assert main(["--config", str(config), "hermite"]) == 2
+    assert capsys.readouterr().err == (
+        "eblab: config key 'm_maxx' is not a flag of eblab or of any subcommand\n"
+    )
+    # a key of another subcommand's flag is left alone
+    config.write_text(json.dumps({"k_max": 3, "m_max": 2, "seed": 1}))
+    assert main(["--config", str(config), "--out", str(tmp_path / "h"), "hermite"]) == 0
+    assert json.loads((tmp_path / "h.json").read_text())["spec"]["params"] == {"m_max": 2}
 
 
 def test_config_values_take_their_flags_parse(tmp_path, capsys):

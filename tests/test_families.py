@@ -21,8 +21,8 @@ def test_lowerbound_m2_against_direct_quadrature():
     # m = 2 is the only level where tau ~ 3e-8 leaves the direct route
     # enough signal above double-precision cancellation to cross-check
     inst = build_lowerbound_instance(2)
-    direct_eps = metrics.hellinger_sq(inst.prior_g, inst.prior_h)
-    direct_reg = metrics.regret(inst.prior_g, inst.prior_h)
+    direct_eps = metrics.pair_integrals(inst.prior_g, inst.prior_h, ["hellinger_sq"])["hellinger_sq"]
+    direct_reg = metrics.pair_integrals(inst.prior_g, inst.prior_h, ["regret"])["regret"]
     assert abs(inst.eps_sq - direct_eps) <= 1e-6 * inst.eps_sq
     assert abs(inst.regret_val - direct_reg) <= 1e-9 * inst.regret_val
 
@@ -55,7 +55,7 @@ def test_lowerbound_densities_stay_above_half_gaussian():
 
 def test_lowerbound_m2_delta_sits_in_sandwich():
     inst = build_lowerbound_instance(2)
-    delta = metrics.delta_stat(inst.prior_g, inst.prior_h)
+    delta = metrics.pair_integrals(inst.prior_g, inst.prior_h, ["delta"])["delta"]
     assert 0.5 * inst.eps_sq * (1.0 - 1e-6) <= delta <= inst.eps_sq * (1.0 + 1e-6)
 
 
@@ -137,7 +137,7 @@ def test_moment_instance_scales_and_floor():
     # independent score-form route through the explicit priors
     g = DiscretePrior([0.0, 6.0], [1.0 - inst.eta, inst.eta])
     h = DiscretePrior.point(0.0)
-    other = metrics.regret_score_form(g, h)
+    other = metrics.pair_integrals(g, h, ["regret_score_form"])["regret_score_form"]
     assert abs(other - inst.regret_val) <= 1e-9 * inst.regret_val
     with pytest.raises(ValueError):
         build_moment_instance(-1.0, 6.0)
@@ -190,24 +190,39 @@ def test_moment_sweep_rows_are_each_b_scored_alone(monkeypatch):
         assert (inst.eps_sq, inst.regret_val) == (alone["hellinger_sq"], alone["regret"])
 
 
+def _spike_floor(eta, b):
+    """The spike pair's two-cell Hellinger distance in closed form, cells y > b/2 and y <= b/2."""
+    q = 0.5 * math.erfc(b / (2.0 * math.sqrt(2.0)))
+    big_p, gap = (1.0 - eta) * q + eta * (1.0 - q), eta * (1.0 - 2.0 * q)
+    return gap * gap * (1.0 / (math.sqrt(big_p) + math.sqrt(q)) ** 2
+                        + 1.0 / (math.sqrt(1.0 - big_p) + math.sqrt(1.0 - q)) ** 2)
+
+
 def test_spike_hellinger_floor_is_the_two_cell_distance():
     for eta, b in ((0.25, 2.0), (1.0 / 64.0, 4.0), (1e-3, 9.0), (0.5, 1.5)):
         q = 0.5 * math.erfc(b / (2.0 * math.sqrt(2.0)))
         big_p = (1.0 - eta) * q + eta * (1.0 - q)
         plain = (math.sqrt(big_p) - math.sqrt(q)) ** 2 + (math.sqrt(1.0 - big_p) - math.sqrt(1.0 - q)) ** 2
-        assert families._spike_hellinger_floor(eta, b) == pytest.approx(plain, rel=1e-9)
+        assert _spike_floor(eta, b) == pytest.approx(plain, rel=1e-9)
+    # the generic floor of metrics on the benchmark's spike rows: moment --p 3 and the clipped demo
     for p, b in ((3.0, 4.0), (3.0, 8.0), (3.0, 16.0), (3.0, 32.0), (2.0, 8.0)):
         inst = build_moment_instance(p, b)
-        assert inst.eps_sq >= families._spike_hellinger_floor(inst.eta, b) * (1.0 - 1e-7)
+        models = metrics._as_models(DiscretePrior([0.0, b], [1.0 - inst.eta, inst.eta]),
+                                    DiscretePrior.point(0.0))
+        floor, t = metrics._hellinger_floor(*models)
+        assert t == b / 2.0
+        assert floor == pytest.approx(_spike_floor(inst.eta, b), rel=1e-12, abs=0.0)
+        assert inst.eps_sq >= floor * (1.0 - 1e-7)
 
 
 @pytest.mark.parametrize("b", [3e4, 1e5])
 def test_missed_spike_reads_below_the_hellinger_floor(b):
     # at 3e4 no panel meets the spike (eps^2 ~ 8e-13); at 1e5 the first pass
     # misses the centre bump and eps^2 reads 2.5e-6 relative below the floor
-    with pytest.raises(ToleranceNotMet, match=f"spike at b = {b!r}"):
+    missed = f"from the cell y > {b / 2.0!r}: no panel resolved an atom"
+    with pytest.raises(ToleranceNotMet, match=missed):
         build_moment_instance(1.0, b)
-    with pytest.raises(ToleranceNotMet, match=f"spike at b = {b!r}"):
+    with pytest.raises(ToleranceNotMet, match=missed):
         moment_family_sweep(1.0, (100.0, b))
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from unittest import mock
 
@@ -9,20 +10,26 @@ from hypothesis import strategies as st
 from eblab import families, metrics
 from eblab.cli import main
 from eblab.metrics import (
-    Delta_stat,
     FormMismatch,
     compute_metric_report,
     compute_metric_reports,
     decomposition_residual,
-    delta_stat,
     hellinger_rate_normalizer,
-    hellinger_sq,
     integration_window,
-    regret,
-    regret_regularized,
-    regret_score_form,
+    pair_integrals,
 )
 from eblab.mixtures import DiscretePrior, MarginalModel
+from eblab.quadrature import ToleranceNotMet
+
+
+def _single(name, g, h, spec=None):
+    """One functional integrated in a pass of its own."""
+    return pair_integrals(g, h, [name], spec=spec)[name]
+
+
+def _clipped(g, h, rho):
+    """The clipped regret at one rho, integrated in a pass of its own."""
+    return pair_integrals(g, h, rhos=[rho])[float(rho)]
 
 
 def _prior_from_pairs(pairs):
@@ -55,7 +62,7 @@ def test_hellinger_between_shifted_point_masses():
         g = DiscretePrior([0.0], [1.0])
         h = DiscretePrior([c], [1.0])
         exact = 2.0 * (1.0 - math.exp(-(c**2) / 8.0))
-        assert abs(hellinger_sq(g, h) - exact) <= 1e-11 + 1e-9 * exact
+        assert abs(_single("hellinger_sq", g, h) - exact) <= 1e-11 + 1e-9 * exact
 
 
 def test_regret_between_point_masses_is_squared_shift():
@@ -63,8 +70,8 @@ def test_regret_between_point_masses_is_squared_shift():
     for c in (0.4, 1.3):
         g = DiscretePrior([c], [1.0])
         h = DiscretePrior([0.0], [1.0])
-        assert abs(regret(g, h) - c**2) <= 1e-9 * c**2
-        assert abs(regret_score_form(g, h) - c**2) <= 1e-9 * c**2
+        assert abs(_single("regret", g, h) - c**2) <= 1e-9 * c**2
+        assert abs(_single("regret_score_form", g, h) - c**2) <= 1e-9 * c**2
 
 
 @pytest.mark.parametrize("u", [30.0, 100.0])
@@ -72,9 +79,20 @@ def test_far_apart_point_masses_score_in_closed_form(u):
     # both densities underflow between the two bumps, where delta and Delta
     # must read their density ratios from the logs, not divide 0 by 0
     report = compute_metric_report(DiscretePrior.point(0.0), DiscretePrior.point(u))
-    for value, exact in ((report.hellinger_sq, 2.0), (report.delta, 1.0),
-                         (report.delta_flux, 2.0 * u * u), (report.regret, u * u)):
-        assert abs(value - exact) <= 1e-9 * exact
+    exact = {"hellinger_sq": 2.0, "delta": 1.0, "delta_flux": 2.0 * u * u, "regret": u * u}
+    for name, value in report.items():
+        assert abs(value - exact[name]) <= 1e-9 * exact[name]
+
+
+def test_hellinger_floor_refuses_missed_far_atoms():
+    # the marginals are 2 apart in eps^2, but the panels never meet the bump at 1e5
+    far = (DiscretePrior.point(0.0), DiscretePrior.point(1e5))
+    assert metrics._hellinger_floor(*metrics._as_models(*far)) == (2.0, 5e4)
+    same = DiscretePrior([-0.5, 1.0], [0.3, 0.7])
+    assert metrics._hellinger_floor(*metrics._as_models(same, same))[0] == 0.0
+    for run in (compute_metric_report, lambda g, h: compute_metric_reports([(g, h)])):
+        with pytest.raises(ToleranceNotMet, match="below its lower bound 2.0 from the cell y > 50000.0"):
+            run(*far)
 
 
 def test_integration_window_refuses_supports_it_cannot_cover():
@@ -85,10 +103,10 @@ def test_integration_window_refuses_supports_it_cannot_cover():
 
 def test_metrics_vanish_for_identical_priors():
     prior = DiscretePrior([-0.5, 1.0], [0.3, 0.7])
-    assert hellinger_sq(prior, prior) <= 1e-11
-    assert delta_stat(prior, prior) <= 1e-11
-    assert Delta_stat(prior, prior) <= 1e-11
-    assert regret(prior, prior) <= 1e-11
+    assert _single("hellinger_sq", prior, prior) <= 1e-11
+    assert _single("delta", prior, prior) <= 1e-11
+    assert _single("delta_flux", prior, prior) <= 1e-11
+    assert _single("regret", prior, prior) <= 1e-11
 
 
 def test_delta_sits_inside_hellinger_sandwich():
@@ -96,8 +114,8 @@ def test_delta_sits_inside_hellinger_sandwich():
     for _ in range(12):
         g = _random_prior(rng, 2.0)
         h = _random_prior(rng, 2.0)
-        eps_sq = hellinger_sq(g, h)
-        delta = delta_stat(g, h)
+        eps_sq = _single("hellinger_sq", g, h)
+        delta = _single("delta", g, h)
         assert 0.5 * eps_sq - 1e-12 <= delta <= eps_sq + 1e-12
 
 
@@ -111,9 +129,9 @@ def test_regret_reduction_bound():
         g = _random_prior(rng, bound)
         h = _random_prior(rng, bound)
         spec = integration_window(g, h)
-        reg = regret(g, h, spec)
-        d = delta_stat(g, h, spec)
-        dd = Delta_stat(g, h, spec)
+        reg = _single("regret", g, h, spec)
+        d = _single("delta", g, h, spec)
+        dd = _single("delta_flux", g, h, spec)
         assert reg <= 16.0 * (bound**2 * d + dd)
         empirical = max(empirical, reg / (bound**2 * d + dd))
     assert empirical <= 2.0  # recorded constant, margin over the 1.39 measured
@@ -123,11 +141,11 @@ def test_shift_invariance_of_regret_and_hellinger():
     rng = np.random.default_rng(14)
     g = _random_prior(rng, 1.5)
     h = _random_prior(rng, 1.5)
-    base_reg = regret(g, h)
-    base_eps = hellinger_sq(g, h)
+    base_reg = _single("regret", g, h)
+    base_eps = _single("hellinger_sq", g, h)
     for mu in (0.7, -2.3):
-        assert abs(regret(g.shift(mu), h.shift(mu)) - base_reg) <= 1e-8
-        assert abs(hellinger_sq(g.shift(mu), h.shift(mu)) - base_eps) <= 1e-8
+        assert abs(_single("regret", g.shift(mu), h.shift(mu)) - base_reg) <= 1e-8
+        assert abs(_single("hellinger_sq", g.shift(mu), h.shift(mu)) - base_eps) <= 1e-8
 
 
 def test_small_separation_ratio_stays_bounded():
@@ -143,11 +161,11 @@ def test_small_separation_ratio_stays_bounded():
         nudged = np.asarray(g.weights) + 0.003 * rng.uniform(-1.0, 1.0, g.atoms.size)
         nudged = np.abs(nudged)
         h = DiscretePrior(g.atoms, nudged / nudged.sum())
-        eps_sq = hellinger_sq(g, h)
+        eps_sq = _single("hellinger_sq", g, h)
         if not 0.0 < eps_sq <= 1e-3:
             continue
         checked += 1
-        ratio = regret(g, h) / hellinger_rate_normalizer(eps_sq)
+        ratio = _single("regret", g, h) / hellinger_rate_normalizer(eps_sq)
         assert ratio <= 4.0
     assert checked >= 20
 
@@ -157,8 +175,8 @@ def test_regret_routes_agree_on_random_pairs():
     for _ in range(8):
         g = _random_prior(rng, 1.5)
         h = _random_prior(rng, 1.5)
-        a = regret(g, h)
-        b = regret_score_form(g, h)
+        a = _single("regret", g, h)
+        b = _single("regret_score_form", g, h)
         assert abs(a - b) <= 1e-7 * max(a, b) + 1e-12
 
 
@@ -167,8 +185,8 @@ def test_flux_statistic_symmetric_and_consistent():
     for _ in range(6):
         g = _random_prior(rng, 1.5)
         h = _random_prior(rng, 1.5)
-        forward = Delta_stat(g, h)  # raises FormMismatch if routes split
-        backward = Delta_stat(h, g)
+        forward = _single("delta_flux", g, h)  # raises FormMismatch if routes split
+        backward = _single("delta_flux", h, g)
         assert forward >= 0.0
         assert abs(forward - backward) <= 1e-9 * max(forward, backward) + 1e-12
 
@@ -188,13 +206,13 @@ def test_decomposition_residual_near_zero():
 def test_regularized_regret_recovers_plain_regret_as_rho_vanishes():
     g = DiscretePrior([-1.0, 1.0], [0.5, 0.5])
     h = DiscretePrior([-0.8, 0.9], [0.45, 0.55])
-    base = regret(g, h)
-    small = regret_regularized(g, h, 1e-200)
+    base = _single("regret", g, h)
+    small = _clipped(g, h, 1e-200)
     assert abs(small - base) <= 1e-8 * base
     # clipping at a large floor shrinks the scores, hence the regret
-    assert regret_regularized(g, h, 10.0) < base
+    assert _clipped(g, h, 10.0) < base
     with pytest.raises(ValueError):
-        regret_regularized(g, h, 0.0)
+        _clipped(g, h, 0.0)
 
 
 def test_rate_normalizer_closed_form_and_clamp():
@@ -220,8 +238,8 @@ def test_metric_report_shape_and_serialization():
     g = DiscretePrior([-1.0, 1.0], [0.5, 0.5])
     h = DiscretePrior([0.0], [1.0])
     report = compute_metric_report(g, h, rhos=(0.2, 0.05))
-    assert abs(report.regret - regret(g, h)) <= 1e-12
-    assert set(report.regret_regularized) == {0.05, 0.2}
+    assert abs(report["regret"] - _single("regret", g, h)) <= 1e-12
+    assert set(report) == {"hellinger_sq", "delta", "delta_flux", "regret", 0.05, 0.2}
     assert isinstance(FormMismatch("x"), RuntimeError)
 
 
@@ -230,23 +248,23 @@ def test_metric_report_shape_and_serialization():
 def test_one_pass_report_matches_single_functionals(g, h, rhos):
     report = compute_metric_report(g, h, rhos)
     singles = {
-        "hellinger_sq": hellinger_sq(g, h),
-        "delta": delta_stat(g, h),
-        "delta_flux": Delta_stat(g, h),
-        "regret": regret(g, h),
+        "hellinger_sq": _single("hellinger_sq", g, h),
+        "delta": _single("delta", g, h),
+        "delta_flux": _single("delta_flux", g, h),
+        "regret": _single("regret", g, h),
     }
     for name, single in singles.items():
-        assert abs(getattr(report, name) - single) <= 1e-9 * abs(single) + 1e-12, name
+        assert abs(report[name] - single) <= 1e-9 * abs(single) + 1e-12, name
     for rho in rhos:
-        single = regret_regularized(g, h, rho)
-        assert abs(report.regret_regularized[rho] - single) <= 1e-9 * abs(single) + 1e-12
+        single = _clipped(g, h, rho)
+        assert abs(report[rho] - single) <= 1e-9 * abs(single) + 1e-12
     slack = 1.0 + 1e-9
-    assert report.delta <= report.hellinger_sq * slack
-    assert report.hellinger_sq <= 2.0 * report.delta * slack
-    score = regret_score_form(g, h)
-    assert abs(report.regret - score) <= 1e-7 * max(report.regret, score) + 1e-15
-    swapped = compute_metric_report(h, g).delta_flux
-    assert abs(swapped - report.delta_flux) <= 1e-9 * report.delta_flux + 1e-12
+    assert report["delta"] <= report["hellinger_sq"] * slack
+    assert report["hellinger_sq"] <= 2.0 * report["delta"] * slack
+    score = _single("regret_score_form", g, h)
+    assert abs(report["regret"] - score) <= 1e-7 * max(report["regret"], score) + 1e-15
+    swapped = compute_metric_report(h, g)["delta_flux"]
+    assert abs(swapped - report["delta_flux"]) <= 1e-9 * report["delta_flux"] + 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -295,15 +313,19 @@ def test_decomposition_residual_sees_wrong_posterior_means(monkeypatch):
     assert np.max(decomposition_residual(g, h, ys)) >= 1e-3
 
 
+class _Captured(Exception):
+    pass
+
+
 def _integrand_of(module, build):
-    """The integrand ``build`` hands to ``module.integrate_line``; the pass is not run."""
+    """The integrand ``build`` hands to ``module.integrate_line``; the pass stops there."""
     captured = []
 
     def capture(f, spec=None):
         captured.append(f)
-        return np.zeros(f(np.zeros(1)).shape[-1])
+        raise _Captured
 
-    with mock.patch.object(module, "integrate_line", capture):
+    with mock.patch.object(module, "integrate_line", capture), pytest.raises(_Captured):
         build()
     return captured[0]
 
@@ -348,7 +370,7 @@ def test_bad_rho_raises_before_integrating(monkeypatch):
         with pytest.raises(ValueError):
             compute_metric_report(g, h, rhos=(0.1, bad))
         with pytest.raises(ValueError):
-            regret_regularized(g, h, bad)
+            _clipped(g, h, bad)
         with pytest.raises(ValueError):
             families.regularization_necessity_demo(2.0, 6.0, rho_values=(bad,))
     args = ["--prior-g", "two_point:m=1", "--prior-h", "point:u=0", "--rhos", "0.1,nan"]
@@ -362,7 +384,7 @@ def test_flux_forms_are_cross_checked_in_every_pass(monkeypatch):
     exact_form = metrics._flux_gprime
     for scale, passes in ((1.0 + 5e-8, True), (1.0 + 2e-7, False)):
         monkeypatch.setattr(metrics, "_flux_gprime", lambda s: scale * exact_form(s))
-        for run in (Delta_stat, compute_metric_report):
+        for run in (functools.partial(_single, "delta_flux"), compute_metric_report):
             if passes:
                 run(g, h)
             else:
