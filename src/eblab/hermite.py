@@ -210,7 +210,7 @@ def truncation_error(prior_g, prior_h, k):
         if j > k + 1:
             cutoff = -745.0  # below exp underflow: nothing left to add
             if err_gp > 0.0:
-                cutoff = max(cutoff, math.log(_TRUNCATION_REL_FLOOR * err_gp))
+                cutoff = max(cutoff, math.log(_TRUNCATION_REL_FLOOR) + math.log(err_gp))
             if log_envelope < cutoff:
                 break
         gap = _scaled_moment_gap(prior_g, prior_h, j, scale)

@@ -12,16 +12,19 @@ exact kernel.  Each step builds the Hessian on a small working set (the
 support plus the local maxima of the certificate
 D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one), solves the
 nonnegative QP with a primal active-set loop, backtracks on phi and
-renormalizes, so the mean log-likelihood never decreases.  A step that
-fails is replaced by a short run of the multiplicative fixed-point
-iteration w_u <- w_u * D(u).  The kernel K[u, i] = phi(y_i - u) is held
-grid-major, one (m, n) array: the certificate is one pass K (1/f) / n,
-a working set is a block of contiguous rows, and every density f is
-summed over the rows of the nonzero weights only, w[S] @ K[S], since a
-fit keeps a handful of the m grid weights nonzero.  Stopping is
-governed solely by the exact full-grid first-order certificate
-max_u D(u) <= 1 + tol, which bounds the log-likelihood suboptimality
-of the returned weights over the grid.
+renormalizes, so the mean log-likelihood never decreases.  The QP loop
+starts from the current weights once an SQP step has set the support
+(from 0 before); the ridged QP is strictly convex, so its answer is the
+same to the bit from either start, and the warm start only saves passes.
+A step that fails is replaced by a short run of the multiplicative
+fixed-point iteration w_u <- w_u * D(u).  The kernel
+K[u, i] = phi(y_i - u) is held grid-major, one (m, n) array: the
+certificate is one pass K (1/f) / n, a working set is a block of
+contiguous rows, and every density f is summed over the rows of the
+nonzero weights only, w[S] @ K[S], since a fit keeps a handful of the
+m grid weights nonzero.  Stopping is governed solely by the exact
+full-grid first-order certificate max_u D(u) <= 1 + tol, which bounds
+the log-likelihood suboptimality of the returned weights over the grid.
 Randomized experiment helpers derive every stream from a named
 (master seed, cell index) pair via numpy's SeedSequence so repeated
 runs are bit-for-bit identical regardless of execution order.
@@ -140,6 +143,11 @@ def _kernel(y, grid):
     return np.exp(kernel, out=kernel)
 
 
+def _loglik(fvals):
+    """Mean log f: np.mean's arithmetic (add.reduce, then divide) without its per-call overhead."""
+    return float(np.log(fvals).sum() / fvals.size)
+
+
 def _density(kernel, w):
     """f = w @ K summed over the nonzero weights only: a fit has few."""
     nz = np.flatnonzero(w)
@@ -168,9 +176,11 @@ def solve_npmle(problem):
     """
     y = problem.observations
     grid = problem.grid
-    kernel = _kernel(y, grid)
-    if np.any(kernel.max(axis=0) == 0.0):
+    right = np.clip(np.searchsorted(grid, y), 1, grid.size - 1)  # neighbours right - 1, right
+    nearest = np.minimum(np.abs(grid[right - 1] - y), np.abs(grid[right] - y))
+    if np.any(_kernel(nearest, np.zeros(1)) == 0.0):  # phi(nearest) in the kernel's own arithmetic
         raise ValueError("an observation is too far from every grid point")
+    kernel = _kernel(y, grid)
     count = max(_START_ATOMS, math.ceil((grid[-1] - grid[0]) / _START_SPACING) + 1)
     w = np.zeros(grid.size)
     w[np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)] = 1.0
@@ -178,7 +188,7 @@ def solve_npmle(problem):
         w[:] = 1.0  # some observation sits far from every start atom
     w /= w.sum()
     fvals = _density(kernel, w)
-    trace = [float(np.mean(np.log(fvals)))]
+    trace = [_loglik(fvals)]
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}
     em_left = 0
@@ -187,7 +197,8 @@ def solve_npmle(problem):
         certificate = float(direction.max())
         if certificate <= stop_at or len(trace) >= problem.max_iters:
             break
-        step = None if em_left else _sqp_step(kernel, w, fvals, direction, trace[-1])
+        warm = counts["sqp_steps"] > 0  # the uniform start is no support to start a QP from
+        step = None if em_left else _sqp_step(kernel, w, fvals, direction, trace[-1], warm)
         if step is None:
             em_left = (em_left or _EM_CHUNK) - 1
             w = w * direction
@@ -198,7 +209,7 @@ def solve_npmle(problem):
             counts["max_working_set"] = max(counts["max_working_set"], size)
         w /= w.sum()
         fvals = _density(kernel, w)
-        trace.append(float(np.mean(np.log(fvals))))
+        trace.append(_loglik(fvals))
     solution = _package_solution(problem, kernel, w, certificate, trace, counts)
     if certificate > 1.0 + problem.tol:
         raise NotConverged(
@@ -209,25 +220,27 @@ def solve_npmle(problem):
     return solution
 
 
-def _sqp_step(kernel, w, fvals, direction, loglik):
+def _sqp_step(kernel, w, fvals, direction, loglik, warm):
     """One SQP step on the working set; (new x, working-set size) or None.
 
     The QP is the second-order model of phi around w restricted to the
     support plus the certificate's local maxima above one, with a small
     ridge; the step towards its solution is backtracked (Armijo) on the
-    exact phi, and the caller renormalizes x.  Returns None when the QP
+    exact phi, and the caller renormalizes x.  A ``warm`` QP starts from
+    w on the working set, a cold one from 0.  Returns None when the QP
     direction is not a descent direction or no step length passes.
     """
-    padded = np.r_[-np.inf, direction, -np.inf]
-    peak = (direction >= padded[:-2]) & (direction >= padded[2:])
-    work = np.flatnonzero((w > _PRUNE_WEIGHT) | (peak & (direction > 1.0)))
+    peak = direction > 1.0
+    peak[1:] &= direction[1:] >= direction[:-1]
+    peak[:-1] &= direction[:-1] >= direction[1:]
+    work = np.flatnonzero((w > _PRUNE_WEIGHT) | peak)
     k_work = kernel[work]
     scaled = k_work / fvals
     hess = scaled @ scaled.T / fvals.size
-    hess[np.diag_indices_from(hess)] += _RIDGE * float(hess.diagonal().max())
+    hess.reshape(-1)[:: work.size + 1] += _RIDGE * float(hess.diagonal().max())  # diagonal view
     grad = 1.0 - direction[work]
     w_work = w[work]
-    target = _nonnegative_qp(hess, grad - hess @ w_work)
+    target = _nonnegative_qp(hess, grad - hess @ w_work, w_work if warm else np.zeros(work.size))
     step = target - w_work
     slope = float(grad @ step)
     if not slope < 0.0:
@@ -238,7 +251,7 @@ def _sqp_step(kernel, w, fvals, direction, loglik):
     for _ in range(_HALVINGS):
         f_try = fvals + alpha * k_step
         if np.all(f_try > 0.0):
-            change = loglik - float(np.mean(np.log(f_try))) + alpha * mass
+            change = loglik - _loglik(f_try) + alpha * mass
             if change <= _ARMIJO * alpha * slope:
                 x = w.copy()
                 x[work] = (1.0 - alpha) * w_work + alpha * target
@@ -247,23 +260,25 @@ def _sqp_step(kernel, w, fvals, direction, loglik):
     return None
 
 
-def _nonnegative_qp(hess, lin):
+def _nonnegative_qp(hess, lin, x):
     """Primal active-set solve of min x'Hx/2 + lin'x over x >= 0.
 
-    Starts from x = 0 with every coordinate fixed at zero.  Each pass
-    minimizes over the free coordinates with the rest held at zero; if
-    that point leaves the orthant the pass stops at the first blocking
-    coordinate and fixes it, otherwise the fixed coordinate with the
-    most negative multiplier is freed.  Coordinates enter one at a time,
-    so the pass count tracks the size of the solution's support, not of
-    the working set.
+    Starts from the feasible x with its positive coordinates free.  Each
+    pass minimizes over the free coordinates with the rest held at zero;
+    if that point leaves the orthant the pass stops at the first blocking
+    coordinate and fixes it, otherwise the fixed coordinate with the most
+    negative multiplier is freed (one per pass).  The result is the last
+    solve, over the final free set.  The ridge makes the QP strictly
+    convex, so (barring a degenerate KKT point, a zero coordinate with a
+    zero multiplier) that set is the solution's support from any start,
+    and a warm start returns the cold start's x bit for bit.
     """
-    x = np.zeros(lin.size)
-    free = np.zeros(lin.size, dtype=bool)
+    free = x > 0.0
     for _ in range(2 * x.size + 10):
         idx = np.flatnonzero(free)
         target = np.zeros_like(x)
-        target[idx] = np.linalg.solve(hess[idx[:, None], idx], -lin[idx])
+        if idx.size:
+            target[idx] = np.linalg.solve(hess[idx[:, None], idx], -lin[idx])
         blocked = idx[target[idx] < 0.0]
         if blocked.size:
             ratios = x[blocked] / (x[blocked] - target[blocked])
@@ -292,7 +307,7 @@ def _package_solution(problem, kernel, w, certificate, trace, counts):
     fvals = weights @ kernel[keep]
     return NpmleSolution(
         prior=prior,
-        loglik=float(np.mean(np.log(fvals))),
+        loglik=_loglik(fvals),
         gradient_cert=certificate,
         iterations=len(trace),
         loglik_trace=np.asarray(trace),

@@ -21,6 +21,7 @@ from eblab.hermite import (
     prior_moment,
     truncation_error,
 )
+from eblab.families import build_lowerbound_instance
 from eblab.mixtures import DiscretePrior
 from eblab.quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, hermite_rule, integrate_line
 
@@ -257,6 +258,16 @@ def test_truncation_error_decreases_and_handles_degenerate_input():
     assert truncation_error(DiscretePrior([0.0], [1.0]), DiscretePrior([0.0], [1.0]), 3) == (0.0, 0.0)
     with pytest.raises(ValueError):
         truncation_error(g, h, -1)
+
+
+def test_truncation_error_survives_a_subnormal_tail_sum():
+    # on the m = 2 lower-bound pair the first tail term at k = 132 is subnormal, so
+    # 1e-13 * err_gp underflowed to 0 and its log raised a math domain error
+    instance = build_lowerbound_instance(2)
+    g, h = instance.prior_g, instance.prior_h
+    at_132 = truncation_error(g, h, 132)
+    for low, mid, high in zip(truncation_error(g, h, 140), at_132, truncation_error(g, h, 120)):
+        assert math.isfinite(mid) and low < mid < high
 
 
 def test_arcsine_rule_gap_structure():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eblab.npmle as npmle
@@ -17,6 +17,63 @@ from eblab.npmle import (
 )
 
 TRUE_PRIOR = DiscretePrior([-1.0, 1.0], [0.5, 0.5])
+
+
+def _cold_nonnegative_qp(hess, lin, *_start):
+    """Reference for ``_nonnegative_qp``: every QP from x = 0, first solving on no coordinates."""
+    x = np.zeros(lin.size)
+    free = np.zeros(lin.size, dtype=bool)
+    for _ in range(2 * x.size + 10):
+        idx = np.flatnonzero(free)
+        target = np.zeros_like(x)
+        target[idx] = np.linalg.solve(hess[idx[:, None], idx], -lin[idx])
+        blocked = idx[target[idx] < 0.0]
+        if blocked.size:
+            ratios = x[blocked] / (x[blocked] - target[blocked])
+            k = int(np.argmin(ratios))
+            x = np.maximum(x + ratios[k] * (target - x), 0.0)
+            x[blocked[k]] = 0.0
+            free[blocked[k]] = False
+            continue
+        x = target
+        multipliers = hess @ x + lin
+        multipliers[free] = np.inf
+        j = int(np.argmin(multipliers))
+        if not multipliers[j] < -npmle._QP_TOL:
+            break
+        free[j] = True
+    return x
+
+
+def _stranded_by_full_pass(y, grid):
+    """Reference coverage check: some observation's kernel column is 0 on the whole grid."""
+    return bool(np.any(npmle._kernel(y, grid).max(axis=0) == 0.0))
+
+
+def _underflow_distance():
+    """Smallest distance whose phi underflows to 0 in the kernel's arithmetic (about 38.6)."""
+    lo, hi = 38.0, 39.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if npmle._kernel(np.array([mid]), np.zeros(1))[0, 0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+_UNDERFLOW = _underflow_distance()
+
+
+@st.composite
+def _npmle_problems(draw):
+    atoms = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(20, 400))
+    grid_size = draw(st.integers(20, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = DiscretePrior(atoms, rng.dirichlet(np.ones(len(atoms))))
+    y = sample_observations(prior, n, rng)
+    return NpmleProblem.from_observations(y, grid_size=grid_size)
 
 
 def _small_problem(seed=3, n=150, **kwargs):
@@ -106,6 +163,9 @@ def test_fit_is_certified_monotone_and_unbeaten_on_random_priors(atoms, n, grid_
     kernel /= np.sqrt(2.0 * np.pi)
     for w in rng.dirichlet(np.ones(grid_size), size=20):
         assert float(np.mean(np.log(kernel @ w))) <= solution.loglik + 1e-9
+    # the log-likelihood is concave, so L(w*) - L(w) <= max_u D(u) - 1: no tighter fit gains more
+    tight = solve_npmle(NpmleProblem(problem.observations, problem.grid, tol=1e-11))
+    assert tight.loglik - solution.loglik <= solution.gradient_cert - 1.0 + 1e-12
 
 
 def test_problem_validation():
@@ -129,6 +189,80 @@ def test_observation_stranded_off_grid_raises():
     problem = NpmleProblem(observations=y, grid=np.linspace(-1.0, 1.0, 50))
     with pytest.raises(ValueError):
         solve_npmle(problem)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(problem=_npmle_problems())
+def test_warm_started_qp_returns_the_cold_start_bits(problem):
+    # a mismatch here is a degenerate KKT point (a zero coordinate with a zero multiplier)
+    qp, warm_starts = npmle._nonnegative_qp, []
+
+    def checked(hess, lin, x):
+        warm_starts.append(bool(np.any(x)))
+        result = qp(hess, lin, x)
+        assert result.tobytes() == _cold_nonnegative_qp(hess, lin).tobytes()
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npmle, "_nonnegative_qp", checked)
+        solve_npmle(problem)
+    assert warm_starts and not warm_starts[0]  # the first step off the uniform start stays cold
+    assert all(warm_starts[1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(problem=_npmle_problems())
+def test_fit_with_the_cold_qp_is_the_same_fit(problem):
+    fit = solve_npmle(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npmle, "_nonnegative_qp", _cold_nonnegative_qp)
+        cold = solve_npmle(problem)
+    assert fit.prior.atoms.tobytes() == cold.prior.atoms.tobytes()
+    assert fit.prior.weights.tobytes() == cold.prior.weights.tobytes()
+    assert (fit.loglik, fit.gradient_cert, fit.iterations) == (
+        cold.loglik, cold.gradient_cert, cold.iterations
+    )
+    assert fit.loglik_trace.tobytes() == cold.loglik_trace.tobytes()
+    assert fit.diagnostics == cold.diagnostics
+
+
+def _raises_too_far(problem):
+    try:
+        with np.errstate(all="ignore"):  # only the coverage check is under test here
+            solve_npmle(problem)
+    except ValueError as exc:
+        assert "an observation is too far from every grid point" in str(exc)
+        return True
+    except NotConverged:
+        pass
+    return False
+
+
+_OFFSETS = st.one_of(
+    st.floats(0.0, 60.0),
+    st.floats(_UNDERFLOW - 1e-9, _UNDERFLOW + 1e-9),
+    st.sampled_from([float(np.nextafter(_UNDERFLOW, 0.0)), _UNDERFLOW]),
+    st.floats(60.0, 1e6),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    grid=st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=12, unique=True).map(np.sort),
+    picks=st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from([-1.0, 1.0]), _OFFSETS),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(grid=np.array([-50.0, 50.0]), picks=[(0, 1.0, 50.0)])  # midway between two far points
+@example(grid=np.array([0.0, 2.0 * _UNDERFLOW]), picks=[(0, 1.0, _UNDERFLOW)])
+@example(grid=np.array([0.0, 1.0]), picks=[(0, -1.0, _UNDERFLOW), (1, 1.0, 1.0)])
+def test_nearest_grid_point_check_agrees_with_the_full_kernel_pass(grid, picks):
+    # observations beyond both grid ends and between grid points, on both sides of phi's underflow
+    y = np.array([grid[min(i, grid.size - 1)] + side * offset for i, side, offset in picks])
+    problem = NpmleProblem(observations=y, grid=grid, max_iters=1)
+    assert _raises_too_far(problem) == _stranded_by_full_pass(y, grid)
 
 
 # strictly increasing grids on [-10, 10]: a density there is at least 1e-12 phi(20), far from subnormal
