@@ -293,20 +293,13 @@ def _run_regratio(spec):
     if count < 1:
         raise InvalidParameter("count must be >= 1")
 
-    # every cell draws its pair from its own stream; a cell whose pair comes back
-    # identical (eps^2 = 0 carries no separation signal) redraws, at most 100 draws
+    # every cell draws its pair from its own stream; an identical pair (eps^2 = 0
+    # carries no separation signal) comes only from a generator without randomness
     rngs = [npmle.cell_rng(spec.seed, idx) for idx in range(count)]
-    reports = [None] * count
-    redraw = range(count)
-    for _ in range(100):
-        drawn = [(parse_prior_spec(pairs, rngs[idx]), parse_prior_spec(pairs, rngs[idx]))
-                 for idx in redraw]
-        for idx, report in zip(redraw, metrics.compute_metric_reports(drawn)):
-            reports[idx] = report
-        redraw = [idx for idx in redraw if not reports[idx]["hellinger_sq"] > 0.0]
-        if not redraw:
-            break
-    else:
+    reports = metrics.compute_metric_reports(
+        [(parse_prior_spec(pairs, rng), parse_prior_spec(pairs, rng)) for rng in rngs]
+    )
+    if not all(report["hellinger_sq"] > 0.0 for report in reports):
         raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
     rows = [
         {
@@ -585,7 +578,7 @@ def main(argv=None):
     try:
         config = _load_config(args.config, parser)
         report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))
-    except (InvalidParameter, UnknownExperiment, ValueError) as exc:
+    except (InvalidParameter, UnknownExperiment, ValueError, OSError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 2
     except (

@@ -53,10 +53,11 @@ _FAMILY_SPEC = IntegrationSpec(abs_tol=0.0, truncation_radius=16.0)
 
 
 def _contaminate(tau, rule):
-    """(1 - tau) delta_0 + tau * rule, merging a zero node if present."""
-    atoms = np.concatenate(([0.0], rule.nodes))
-    weights = np.concatenate(([1.0 - tau], tau * rule.weights))
-    zero = 1 + np.flatnonzero(rule.nodes == 0.0)
+    """(1 - tau) delta_0 + tau * rule, merging a zero node if present; rule = (nodes, weights)."""
+    nodes, weights = rule
+    atoms = np.concatenate(([0.0], nodes))
+    weights = np.concatenate(([1.0 - tau], tau * weights))
+    zero = 1 + np.flatnonzero(nodes == 0.0)
     weights[0] += weights[zero].sum()
     return DiscretePrior(np.delete(atoms, zero), np.delete(weights, zero))
 

@@ -7,16 +7,18 @@ g = (f_G - f_H) / phi has the entire expansion
 
     g(y) = sum_j c_j H_j(y),   c_j = (m_j(G) - m_j(H)) / j!,
 
-where m_j is the j-th prior moment.  The L2(phi) truncation errors of g
-and g' are therefore explicit moment-gap tail sums, which this module
-evaluates in log space so factorials past ~170 do not overflow.
+where m_j is the j-th prior moment.  ``expansion_coefficients`` returns
+c_0..c_k as an array.  The L2(phi) truncation errors of g and g' are
+explicit moment-gap tail sums, which ``truncation_error`` evaluates in
+log space so factorials past ~170 do not overflow.
 
 The same machinery specialises to the arcsine law nu versus its m-point
 Gauss rule nu_m: their moment gaps are exact binomial expressions (see
 ``moment_gap_table``), which keeps the leading gap 2^(1-2m) accurate to
 the last bit instead of being drowned by floating-point cancellation.
-Every series is summed in degree order from 0, one addition per nonzero
-coefficient, exactly as a per-degree loop adds it (``_hermite_sums``).
+One recurrence, ``_hermite_sums``, evaluates every Hermite series of the
+package.  It sums each series in degree order from 0, one addition per
+nonzero coefficient, exactly as a per-degree loop adds it.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import numpy as np
 
 __all__ = [
     "MAX_HERMITE_DEGREE",
-    "hermite_eval",
-    "prior_moment",
-    "HermiteSeries",
     "expansion_coefficients",
     "truncation_error",
     "MomentGapTable",
@@ -93,35 +92,6 @@ def _hermite_sums(coefficients, y, factorial=False):
     return tuple(part.T.reshape(y.shape + coefficients.shape[1:]) for part in sums)
 
 
-def _scalar_or_array(y, value):
-    return float(value) if np.ndim(y) == 0 else value
-
-
-def hermite_eval(j, y):
-    """H_j(y) for the probabilists' Hermite polynomial, j <= 400.
-
-    Plain three-term recurrence; values grow roughly like sqrt(j!) so
-    degrees beyond a few hundred can overflow double precision at large
-    arguments.
-    """
-    j = int(j)
-    if j < 0 or j > MAX_HERMITE_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_HERMITE_DEGREE}]")
-    unit = np.zeros(j + 1)
-    unit[j] = 1.0
-    return _scalar_or_array(y, _hermite_sums(unit, y)[0])
-
-
-def prior_moment(prior, j):
-    """j-th raw moment of a discrete prior."""
-    j = int(j)
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
-    atoms = np.asarray(prior.atoms, dtype=float)
-    weights = np.asarray(prior.weights, dtype=float)
-    return float(np.dot(weights, atoms**j))
-
-
 def _scaled_moment_gap(prior_g, prior_h, j, scale):
     """(m_j(G) - m_j(H)) / scale^j, bounded by 2 when scale covers both supports."""
     ag = np.asarray(prior_g.atoms, dtype=float) / scale
@@ -139,27 +109,8 @@ def _common_scale(prior_g, prior_h):
     )
 
 
-@dataclass
-class HermiteSeries:
-    """Finite Hermite expansion sum_j coefficients[j] * H_j."""
-
-    coefficients: np.ndarray
-    degree: int
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.ndim != 1 or self.coefficients.size != self.degree + 1:
-            raise ValueError("need one coefficient per degree 0..degree")
-
-    def evaluate(self, y, start=0):
-        """Evaluate sum_{j=start}^{degree} c_j H_j(y) by upward recurrence."""
-        coeffs = self.coefficients.copy()
-        coeffs[:start] = 0.0
-        return _scalar_or_array(y, _hermite_sums(coeffs, y)[0])
-
-
 def expansion_coefficients(prior_g, prior_h, k):
-    """Hermite coefficients of (f_G - f_H) / phi through degree k.
+    """Hermite coefficients c_0..c_k of (f_G - f_H) / phi, as an array.
 
     c_j = (m_j(G) - m_j(H)) / j!, evaluated as scaled gaps times
     exp(j log M - lgamma(j + 1)) so large supports and degrees do not
@@ -171,7 +122,7 @@ def expansion_coefficients(prior_g, prior_h, k):
     scale = _common_scale(prior_g, prior_h)
     coeffs = np.zeros(k + 1)
     if scale == 0.0:
-        return HermiteSeries(coefficients=coeffs, degree=k)
+        return coeffs
     log_scale = math.log(scale)
     for j in range(1, k + 1):
         gap = _scaled_moment_gap(prior_g, prior_h, j, scale)
@@ -179,7 +130,7 @@ def expansion_coefficients(prior_g, prior_h, k):
             coeffs[j] = math.copysign(
                 math.exp(j * log_scale + math.log(abs(gap)) - math.lgamma(j + 1.0)), gap
             )
-    return HermiteSeries(coefficients=coeffs, degree=k)
+    return coeffs
 
 
 def truncation_error(prior_g, prior_h, k):

@@ -89,6 +89,9 @@ class DiscretePrior:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
+        for key in ("atoms", "weights"):
+            if not isinstance(data, dict) or key not in data:
+                raise ValueError(f"prior JSON has no {key!r} key")
         return cls(data["atoms"], data["weights"])
 
     @classmethod

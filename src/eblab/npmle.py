@@ -172,22 +172,24 @@ def solve_npmle(problem):
     log-likelihood nondecreasing, and the only stopping rule is the
     exact full-grid certificate max_u D(u) <= 1 + tol.  Raises
     ``NotConverged`` (with the partial solution attached) if the budget
-    of ``max_iters`` iterations runs out first.
+    of ``max_iters`` iterations runs out first, and ``ValueError`` if the
+    certificate's 1/f overflows at some observation even when the start
+    spreads over every grid point.
     """
-    y = problem.observations
     grid = problem.grid
-    right = np.clip(np.searchsorted(grid, y), 1, grid.size - 1)  # neighbours right - 1, right
-    nearest = np.minimum(np.abs(grid[right - 1] - y), np.abs(grid[right] - y))
-    if np.any(_kernel(nearest, np.zeros(1)) == 0.0):  # phi(nearest) in the kernel's own arithmetic
-        raise ValueError("an observation is too far from every grid point")
-    kernel = _kernel(y, grid)
+    kernel = _kernel(problem.observations, grid)
     count = max(_START_ATOMS, math.ceil((grid[-1] - grid[0]) / _START_SPACING) + 1)
-    w = np.zeros(grid.size)
-    w[np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)] = 1.0
-    if np.any(_density(kernel, w) == 0.0):
-        w[:] = 1.0  # some observation sits far from every start atom
-    w /= w.sum()
-    fvals = _density(kernel, w)
+    start = np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)
+    for atoms in (start, slice(None)):  # all grid atoms if an observation is far from the start's
+        w = np.zeros(grid.size)
+        w[atoms] = 1.0
+        w /= w.sum()
+        fvals = _density(kernel, w)
+        with np.errstate(divide="ignore", over="ignore"):
+            if np.isfinite(1.0 / fvals).all():  # the certificate's 1/f
+                break
+    else:
+        raise ValueError("an observation is too far from every grid point")
     trace = [_loglik(fvals)]
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}

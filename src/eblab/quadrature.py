@@ -1,6 +1,6 @@
 """One-dimensional quadrature backends.
 
-Four rules cover every integral in this package; the first three live
+Three rules cover every integral in this package; the first two live
 here:
 
 * ``chebyshev_rule``: the m-point Gauss rule for the arcsine density
@@ -8,9 +8,6 @@ here:
   cos((2j-1)pi/(2m)), every weight equals 1/m, and the rule reproduces
   arcsine moments exactly through degree 2m-1.  Its nodes and weights
   are the discretized arcsine priors of the ``families`` lower bound.
-* ``hermite_rule``: Gauss-Hermite nodes rescaled to the standard normal
-  measure, so sum(w * h(x)) approximates E[h(Z)] for Z ~ N(0, 1).  Only
-  the tests use it, as an oracle for Gaussian expectations.
 * ``integrate_line``: globally adaptive Gauss-Kronrod (G7, K15) panels on
   a finite window [-R, R] for a scalar or vector-valued integrand.  Each
   component c has its own summed |K15 - G7| error estimate E_c and
@@ -49,18 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
     "IntegrationSpec",
     "ToleranceNotMet",
     "chebyshev_rule",
-    "hermite_rule",
     "arcsine_moment",
     "integrate_line",
     "integrate_lines",
     "gaussian_tail_radius",
 ]
-
-_RULE_KINDS = ("gauss_hermite", "gauss_chebyshev")
 
 
 class ToleranceNotMet(RuntimeError):
@@ -76,44 +69,6 @@ class ToleranceNotMet(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights of a fixed quadrature rule.
-
-    Nodes are strictly increasing and weights strictly positive; `kind`
-    records which family produced the rule.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if self.kind not in _RULE_KINDS:
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-        if nodes.ndim != 1 or weights.ndim != 1 or nodes.size != weights.size:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size == 0:
-            raise ValueError("empty quadrature rule")
-        if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-            raise ValueError("non-finite quadrature data")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be strictly positive")
-
-    def __len__(self):
-        return self.nodes.size
-
-    def integrate(self, f):
-        """Apply the rule to a vectorized integrand."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 @dataclass(frozen=True)
@@ -137,11 +92,11 @@ class IntegrationSpec:
 
 
 def chebyshev_rule(m):
-    """m-point Gauss rule for the arcsine measure on [-1, 1].
+    """m-point Gauss rule for the arcsine measure on [-1, 1]: (nodes, weights).
 
-    The nodes are built from the upper half circle and mirrored so the
-    rule is exactly symmetric in floating point (for odd m the middle
-    node is exactly 0.0).
+    The nodes increase.  They are built from the upper half circle and
+    mirrored so the rule is exactly symmetric in floating point (for odd
+    m the middle node is exactly 0.0).
     """
     if m < 1:
         raise ValueError("need at least one node")
@@ -154,23 +109,7 @@ def chebyshev_rule(m):
     if m % 2 == 1:
         x[m // 2] = 0.0
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=np.full(m, 1.0 / m), kind="gauss_chebyshev")
-
-
-def hermite_rule(n):
-    """n-point Gauss-Hermite rule in standard normal convention.
-
-    sum(weights) == 1 and sum(w * h(x)) ~= integral of h against the
-    N(0, 1) density.
-    """
-    if n < 1:
-        raise ValueError("need at least one node")
-    x, w = np.polynomial.hermite.hermgauss(int(n))
-    return QuadratureRule(
-        nodes=x * math.sqrt(2.0),
-        weights=w / math.sqrt(math.pi),
-        kind="gauss_hermite",
-    )
+    return x[order], np.full(m, 1.0 / m)
 
 
 def arcsine_moment(j):

@@ -125,6 +125,26 @@ def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["npmle", "--data", "MISSING/y.txt"], "MISSING/y.txt"),
+        (["--config", "MISSING/c.json", "npmle", "--data", "MISSING/y.txt"], "MISSING/c.json"),
+        (["metrics", "--prior-g", "@MISSING/g.json", "--prior-h", "point:u=0"], "MISSING/g.json"),
+        (["bernstein", "--prior", "point:u=0", "--k-max", "3", "--dump-matrices", "MISSING/x.npz"],
+         "MISSING/x.npz"),
+        (["metrics", "--prior-g", '{"atoms":[0]}', "--prior-h", "point:u=1"], "'weights'"),
+    ],
+    ids=["npmle-data", "config", "metrics-prior-file", "bernstein-dump", "prior-json-no-weights"],
+)
+def test_unreadable_or_incomplete_inputs_exit_2(tmp_path, capsys, argv, named):
+    missing = str(tmp_path / "missing")  # a directory that does not exist
+    assert main([arg.replace("MISSING", missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: ") and named.replace("MISSING", missing) in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
     out = tmp_path / "missing" / "x"
     assert main(["--out", str(out), "hermite"]) == 2
@@ -293,10 +313,19 @@ def test_regratio_sweep_shares_its_integrand_calls(tmp_path, monkeypatch):
     assert len(sizes) <= 20 and max(sizes) <= 15 * 2 * 128
 
 
-def test_regratio_pairs_that_stay_identical_exit_2(capsys):
+def test_regratio_pairs_that_stay_identical_exit_2(capsys, monkeypatch):
+    sweeps = []
+    sweep = metrics.compute_metric_reports
+
+    def counted(pairs):
+        sweeps.append(len(pairs))
+        return sweep(pairs)
+
+    monkeypatch.setattr(metrics, "compute_metric_reports", counted)
     assert main(["regratio", "--pairs", "point:u=0", "--count", "3"]) == 2
     err = capsys.readouterr().err
     assert err == "eblab: generator 'point:u=0' keeps returning identical pairs\n"
+    assert sweeps == [3]  # each pair drawn once, in one pass
 
 
 def test_consecutive_runs_echo_only_their_own_params(tmp_path):

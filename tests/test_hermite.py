@@ -10,20 +10,16 @@ from numpy.polynomial import hermite_e
 
 from eblab import hermite
 from eblab.hermite import (
-    MAX_HERMITE_DEGREE,
-    HermiteSeries,
     _hermite_sums,
     _moment_gap_tables,
     alpha_bounds_hold,
     expansion_coefficients,
-    hermite_eval,
     moment_gap_table,
-    prior_moment,
     truncation_error,
 )
 from eblab.families import build_lowerbound_instance
 from eblab.mixtures import DiscretePrior
-from eblab.quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, hermite_rule, integrate_line
+from eblab.quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, integrate_line
 
 
 def _random_prior(rng, bound, max_atoms=5):
@@ -35,18 +31,14 @@ def _random_prior(rng, bound, max_atoms=5):
     return DiscretePrior(atoms, weights)
 
 
-def test_hermite_eval_low_degrees():
+def test_hermite_sums_low_degrees():
     ys = np.linspace(-3.0, 3.0, 11)
-    assert np.allclose(hermite_eval(0, ys), 1.0)
-    assert np.allclose(hermite_eval(1, ys), ys)
-    assert np.allclose(hermite_eval(2, ys), ys**2 - 1.0)
-    assert np.allclose(hermite_eval(3, ys), ys**3 - 3.0 * ys)
-    assert np.allclose(hermite_eval(4, ys), ys**4 - 6.0 * ys**2 + 3.0)
-    assert isinstance(hermite_eval(3, 0.5), float)
-    with pytest.raises(ValueError):
-        hermite_eval(-1, 0.0)
-    with pytest.raises(ValueError):
-        hermite_eval(MAX_HERMITE_DEGREE + 1, 0.0)
+    h = _hermite_sums(np.eye(5), ys)[0].T  # series j has the one coefficient a_j = 1: row j is H_j
+    assert np.allclose(h[0], 1.0)
+    assert np.allclose(h[1], ys)
+    assert np.allclose(h[2], ys**2 - 1.0)
+    assert np.allclose(h[3], ys**3 - 3.0 * ys)
+    assert np.allclose(h[4], ys**4 - 6.0 * ys**2 + 3.0)
 
 
 def _loop_hermite_sums(coefficients, y, factorial=False):
@@ -95,14 +87,12 @@ def test_hermite_kernel_range_matches_clenshaw():
     # independent route: numpy's Clenshaw evaluation of HermiteE series,
     # out to degrees and arguments where H_j is near the top of double range
     for j, y in ((80, 25.0), (200, 1.0), (200, 16.0), (300, 3.0)):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        assert _relative_gap(hermite_eval(j, y), hermite_e.hermeval(y, unit)) <= 1e-12
+        unit = np.eye(j + 1)[j]
+        assert _relative_gap(_hermite_sums(unit, y)[0], hermite_e.hermeval(y, unit)) <= 1e-12
     rng = np.random.default_rng(120)
     coeffs = rng.normal(size=121)
     ys = np.linspace(-5.0, 5.0, 21)
-    series = HermiteSeries(coefficients=coeffs, degree=120)
-    assert _relative_gap(series.evaluate(ys), hermite_e.hermeval(ys, coeffs)) <= 1e-12
+    assert _relative_gap(_hermite_sums(coeffs, ys)[0], hermite_e.hermeval(ys, coeffs)) <= 1e-12
 
 
 def test_factorial_scaled_kernel_matches_clenshaw():
@@ -182,43 +172,32 @@ def test_hermite_sums_equal_the_per_degree_loop_bit_for_bit(coeffs, one_series, 
 
 def test_hermite_orthogonality_under_gaussian_rule():
     # int H_i H_j phi = j! 1{i == j}, checked with a 60-point Gauss rule
-    rule = hermite_rule(60)
-    vals = np.array([hermite_eval(j, rule.nodes) for j in range(16)])
-    gram = (vals * rule.weights) @ vals.T
+    nodes, weights = hermite_e.hermegauss(60)
+    vals = _hermite_sums(np.eye(16), nodes)[0].T
+    gram = (vals * weights / math.sqrt(2.0 * math.pi)) @ vals.T
     expected = np.diag([math.factorial(j) for j in range(16)])
     assert np.max(np.abs(gram - expected) / np.maximum(expected.diagonal()[:, None], 1.0)) <= 1e-9
-
-
-def test_prior_moment_direct():
-    prior = DiscretePrior([-1.0, 2.0], [0.75, 0.25])
-    assert prior_moment(prior, 0) == 1.0
-    assert abs(prior_moment(prior, 1) - (-0.75 + 0.5)) <= 1e-15
-    assert abs(prior_moment(prior, 3) - (0.75 * (-1.0) + 0.25 * 8.0)) <= 1e-15
-    with pytest.raises(ValueError):
-        prior_moment(prior, -2)
 
 
 def test_expansion_coefficients_match_moment_gaps():
     g = DiscretePrior([-1.0, 1.2], [0.4, 0.6])
     h = DiscretePrior([0.3], [1.0])
-    series = expansion_coefficients(g, h, 12)
-    assert series.degree == 12
-    assert series.coefficients[0] == 0.0  # both priors have unit mass
+    coeffs = expansion_coefficients(g, h, 12)
+    assert coeffs.shape == (13,)
+    assert coeffs[0] == 0.0  # both priors have unit mass
     for j in range(1, 13):
-        direct = (prior_moment(g, j) - prior_moment(h, j)) / math.factorial(j)
-        assert abs(series.coefficients[j] - direct) <= 1e-14 * max(1.0, abs(direct))
-    with pytest.raises(ValueError):
-        HermiteSeries(coefficients=np.zeros(3), degree=5)
+        direct = (g.weights @ g.atoms**j - h.weights @ h.atoms**j) / math.factorial(j)
+        assert abs(coeffs[j] - direct) <= 1e-14 * max(1.0, abs(direct))
 
 
 def test_series_evaluate_start_drops_leading_terms():
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=7)
-    series = HermiteSeries(coefficients=coeffs, degree=6)
     ys = np.linspace(-2.0, 2.0, 9)
-    head = sum(coeffs[j] * hermite_eval(j, ys) for j in range(3))
-    assert np.allclose(series.evaluate(ys, start=3), series.evaluate(ys) - head, atol=1e-12)
-    assert isinstance(series.evaluate(0.7), float)
+    head = np.where(np.arange(7) < 3, coeffs, 0.0)
+    tail = np.where(np.arange(7) >= 3, coeffs, 0.0)
+    full = _hermite_sums(coeffs, ys)[0]
+    assert np.allclose(_hermite_sums(tail, ys)[0], full - _hermite_sums(head, ys)[0], atol=1e-12)
 
 
 def test_truncation_error_matches_parseval_integral():
@@ -229,21 +208,19 @@ def test_truncation_error_matches_parseval_integral():
         g = _random_prior(rng, 1.5)
         h = _random_prior(rng, 1.5)
         err_g, err_gp = truncation_error(g, h, k)
-        series = expansion_coefficients(g, h, full_degree)
-        deriv = np.zeros(full_degree)
-        js = np.arange(1, full_degree + 1)
-        deriv[js - 1] = js * series.coefficients[1:]
-        deriv[: k] = 0.0  # keep only degrees > k of the original series
-        dseries = HermiteSeries(coefficients=deriv, degree=full_degree - 1)
+        tail = expansion_coefficients(g, h, full_degree)
+        tail[: k + 1] = 0.0  # keep only degrees > k
+        # the tail's derivative sum_{j > k} j c_j H_{j-1}
+        deriv = np.arange(1, full_degree + 1) * tail[1:]
         radius = 1.5 + math.sqrt(4.0 * (full_degree + 2) + 2.0) + 6.0
         spec = IntegrationSpec(abs_tol=0.0, rel_tol=1e-10, truncation_radius=radius)
 
         def tail_sq(y):
-            t = series.evaluate(y, start=k + 1)
+            t = _hermite_sums(tail, y)[0]
             return t * t * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
         def tail_deriv_sq(y):
-            t = dseries.evaluate(y, start=k)
+            t = _hermite_sums(deriv, y)[0]
             return t * t * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
         assert abs(integrate_line(tail_sq, spec) - err_g) <= 1e-8 * err_g + 1e-18
@@ -272,10 +249,10 @@ def test_truncation_error_survives_a_subnormal_tail_sum():
 
 def test_arcsine_rule_gap_structure():
     m = 3
-    rule = chebyshev_rule(m)
+    nodes, weights = chebyshev_rule(m)
     for j in range(0, 21):
         exact = _arcsine_rule_gap_exact(m, j)
-        numeric = arcsine_moment(j) - float(np.dot(rule.weights, rule.nodes**j))
+        numeric = arcsine_moment(j) - weights @ nodes**j
         assert abs(exact - numeric) <= 1e-14
         if j % 2 == 1 or j < 2 * m:
             assert exact == 0.0

@@ -226,20 +226,9 @@ def test_fit_with_the_cold_qp_is_the_same_fit(problem):
     assert fit.diagnostics == cold.diagnostics
 
 
-def _raises_too_far(problem):
-    try:
-        with np.errstate(all="ignore"):  # only the coverage check is under test here
-            solve_npmle(problem)
-    except ValueError as exc:
-        assert "an observation is too far from every grid point" in str(exc)
-        return True
-    except NotConverged:
-        pass
-    return False
-
-
 _OFFSETS = st.one_of(
     st.floats(0.0, 60.0),
+    st.floats(37.0, 39.0),  # phi subnormal: 1/f overflows from about 37.6
     st.floats(_UNDERFLOW - 1e-9, _UNDERFLOW + 1e-9),
     st.sampled_from([float(np.nextafter(_UNDERFLOW, 0.0)), _UNDERFLOW]),
     st.floats(60.0, 1e6),
@@ -258,11 +247,34 @@ _OFFSETS = st.one_of(
 @example(grid=np.array([-50.0, 50.0]), picks=[(0, 1.0, 50.0)])  # midway between two far points
 @example(grid=np.array([0.0, 2.0 * _UNDERFLOW]), picks=[(0, 1.0, _UNDERFLOW)])
 @example(grid=np.array([0.0, 1.0]), picks=[(0, -1.0, _UNDERFLOW), (1, 1.0, 1.0)])
-def test_nearest_grid_point_check_agrees_with_the_full_kernel_pass(grid, picks):
-    # observations beyond both grid ends and between grid points, on both sides of phi's underflow
+def test_far_observations_are_refused_or_certified_without_overflow(grid, picks):
+    # observations beyond both grid ends and between grid points, on both sides of phi's underflow;
+    # a RuntimeWarning fails the test, so a start that is not refused has a finite 1/f
     y = np.array([grid[min(i, grid.size - 1)] + side * offset for i, side, offset in picks])
     problem = NpmleProblem(observations=y, grid=grid, max_iters=1)
-    assert _raises_too_far(problem) == _stranded_by_full_pass(y, grid)
+    try:
+        solution = solve_npmle(problem)
+    except NotConverged as exc:
+        solution = exc.solution
+    except ValueError as exc:
+        assert "an observation is too far from every grid point" in str(exc)
+        # refused only near overflow: the all-grid start's f, at least max phi / m, is below 1/max
+        assert np.any(npmle._kernel(y, grid).max(axis=0) < 2.0 * grid.size / np.finfo(float).max)
+        return
+    assert not _stranded_by_full_pass(y, grid)
+    assert np.isfinite(solution.gradient_cert)
+
+
+@pytest.mark.parametrize("distance, refused", [(37.5, False), (37.8, True)])
+def test_an_observation_whose_1_over_f_overflows_is_refused(distance, refused):
+    # phi(37.8) is subnormal but not 0, and 1/phi(37.8) overflows: the certificate cannot be formed
+    problem = NpmleProblem(observations=np.array([0.0, 0.0, 0.0, 1.0 + distance]),
+                           grid=np.linspace(-1.0, 1.0, 50))
+    if refused:
+        with pytest.raises(ValueError, match="an observation is too far from every grid point"):
+            solve_npmle(problem)
+    else:
+        assert solve_npmle(problem).gradient_cert <= 1.0 + problem.tol
 
 
 # strictly increasing grids on [-10, 10]: a density there is at least 1e-12 phi(20), far from subnormal

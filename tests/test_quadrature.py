@@ -4,19 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 
 from eblab import quadrature
 from eblab.quadrature import (
     IntegrationSpec,
-    QuadratureRule,
     ToleranceNotMet,
     arcsine_moment,
     chebyshev_rule,
     gaussian_tail_radius,
-    hermite_rule,
     integrate_line,
     integrate_lines,
 )
+
+
+def _gauss_hermite(n):
+    """n-point Gauss-Hermite rule for the N(0, 1) measure: (nodes, weights)."""
+    nodes, weights = hermite_e.hermegauss(n)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
+
+
+# the oracle of the polynomial-times-gaussian tests
+_GH_NODES, _GH_WEIGHTS = _gauss_hermite(200)
 
 
 def test_arcsine_moment_closed_form():
@@ -32,43 +41,36 @@ def test_arcsine_moment_closed_form():
 
 
 def test_chebyshev_rule_nodes_and_weights():
-    rule = chebyshev_rule(3)
+    nodes, weights = chebyshev_rule(3)
     # cos(pi/6), cos(pi/2), cos(5 pi/6)
-    assert np.allclose(np.sort(rule.nodes), [-math.sqrt(3) / 2, 0.0, math.sqrt(3) / 2], atol=1e-15)
-    assert np.allclose(rule.weights, 1.0 / 3.0, atol=1e-16)
-    assert rule.kind == "gauss_chebyshev"
+    assert np.allclose(np.sort(nodes), [-math.sqrt(3) / 2, 0.0, math.sqrt(3) / 2], atol=1e-15)
+    assert np.allclose(weights, 1.0 / 3.0, atol=1e-16)
+    for m in range(1, 21):
+        nodes, weights = chebyshev_rule(m)
+        assert np.all(np.diff(nodes) > 0.0) and np.all(nodes == -nodes[::-1])
 
 
 def test_chebyshev_rule_exact_below_degree_2m():
     for m in range(1, 21):
-        rule = chebyshev_rule(m)
+        nodes, weights = chebyshev_rule(m)
         for j in range(2 * m):
-            approx = rule.integrate(lambda x: x**j)
+            approx = weights @ nodes**j
             assert abs(approx - arcsine_moment(j)) <= 1e-12
 
 
 def test_chebyshev_rule_first_failure_at_degree_2m():
     # the rule undershoots the arcsine moment at degree 2m by 2^(1-2m)
     for m in range(1, 9):
-        rule = chebyshev_rule(m)
-        gap = arcsine_moment(2 * m) - rule.integrate(lambda x: x ** (2 * m))
+        nodes, weights = chebyshev_rule(m)
+        gap = arcsine_moment(2 * m) - weights @ nodes ** (2 * m)
         assert abs(gap - 2.0 ** (1 - 2 * m)) <= 1e-13
 
 
-def test_hermite_rule_gaussian_moments():
-    rule = hermite_rule(40)
-    assert abs(rule.weights.sum() - 1.0) <= 1e-13
+def test_gauss_hermite_oracle_gaussian_moments():
+    nodes, weights = _gauss_hermite(40)
+    assert abs(weights.sum() - 1.0) <= 1e-13
     for j, expected in [(2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)]:
-        assert abs(rule.integrate(lambda x: x**j) - expected) <= 1e-10 * expected
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=[0.0, 0.0], weights=[0.5, 0.5], kind="chebyshev")
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=[0.0, 1.0], weights=[0.5, -0.5], kind="chebyshev")
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=[0.0], weights=[1.0], kind="made-up")
+        assert abs(weights @ nodes**j - expected) <= 1e-10 * expected
 
 
 def test_integrate_line_gaussian_mass():
@@ -77,10 +79,9 @@ def test_integrate_line_gaussian_mass():
     assert abs(val - 1.0) <= 1e-12
 
 
-def test_adaptive_line_matches_dense_hermite_rule():
+def test_adaptive_line_matches_dense_gauss_hermite():
     # polynomial-times-gaussian integrands of degree <= 20 against a
     # 200-node Gauss-Hermite oracle
-    oracle = hermite_rule(200)
     rng = np.random.default_rng(20)
     for _ in range(10):
         poly = np.polynomial.Polynomial(rng.normal(size=21))
@@ -88,13 +89,12 @@ def test_adaptive_line_matches_dense_hermite_rule():
         def integrand(y):
             return poly(y) * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
-        exact = oracle.integrate(poly)
+        exact = _GH_WEIGHTS @ poly(_GH_NODES)
         adaptive = integrate_line(integrand, IntegrationSpec())
         assert abs(adaptive - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 def test_halving_abs_tol_never_increases_error():
-    oracle = hermite_rule(200)
     rng = np.random.default_rng(40)
     for _ in range(5):
         poly = np.polynomial.Polynomial(rng.normal(size=21))
@@ -102,7 +102,7 @@ def test_halving_abs_tol_never_increases_error():
         def integrand(y):
             return poly(y) * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
-        exact = oracle.integrate(poly)
+        exact = _GH_WEIGHTS @ poly(_GH_NODES)
         errors = []
         tol = abs(exact)
         for _ in range(24):
@@ -173,7 +173,7 @@ def _two_scale(y):
             IntegrationSpec(abs_tol=1e-13, rel_tol=1e-12, truncation_radius=10.0),
             1.0,
         ),
-        (_poly_gauss, IntegrationSpec(), hermite_rule(200).integrate(_POLY)),
+        (_poly_gauss, IntegrationSpec(), _GH_WEIGHTS @ _POLY(_GH_NODES)),
         (
             _two_scale,
             IntegrationSpec(abs_tol=0.0, rel_tol=1e-11, truncation_radius=30.0),
