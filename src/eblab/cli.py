@@ -593,12 +593,12 @@ def main(argv=None):
     out = args.out if args.out is not None else config.get("out")
     if out:
         try:
-            report.write(out)
-        except OSError as exc:
+            written = report.write(out)
+        except (OSError, ValueError) as exc:  # ValueError: a path with no name, such as "."
             print(f"eblab: cannot write --out {out!r}: {exc}", file=sys.stderr)
             return 2
-        print(f"wrote {pathlib.Path(out).with_suffix('.csv')}")
-        print(f"wrote {pathlib.Path(out).with_suffix('.json')}")
+        for path in written:
+            print(f"wrote {path}")
     else:
         sys.stdout.write(report.csv_text())
         print(json.dumps(report.summary, sort_keys=True, default=float), file=sys.stderr)

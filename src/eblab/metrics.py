@@ -17,8 +17,9 @@ functional as one column of a single vector-valued ``integrate_line``
 pass, to its own tolerance, on a window whose discarded tail is below
 1e-14; ``compute_metric_report`` is its pass over the four report
 functionals.  ``compute_metric_reports`` reports on a sweep of pairs
-with ``integrate_lines``: it stacks the pairs' atoms and gives each node
-the atoms of its own pair, so each pair's dict equals its
+with ``integrate_lines``: each class of pairs with equal atom counts
+stacks its atoms, weights and log-weights once, and each call gathers
+for each node the row of its own pair, so each pair's dict equals its
 ``compute_metric_report`` bit for bit while 100 pairs share about 15
 integrand calls; ``families`` scores its spike sweep the same way.  This
 rests on one summation order: every sum over atoms runs along one
@@ -284,39 +285,32 @@ def compute_metric_report(model_g, model_h, rhos=(), spec=None):
     return pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec)
 
 
-def _node_model(models, which):
-    """The MarginalModel whose row j holds the atoms and weights of models[which[j]].
-
-    ``MarginalModel.evaluate`` and the formulas broadcast over these rows,
-    so node j gets the values that its own model alone would give it.
-    """
-    atoms = np.stack([m.atoms for m in models])[which]
-    weights = np.stack([m.weights for m in models])[which]
-    return MarginalModel(types.SimpleNamespace(atoms=atoms, weights=weights))
-
-
 def _sweep_integrals(pairs, names):
     """``pair_integrals(g, h, names)`` of each (g, h) in ``pairs``, integrated in lock step.
 
     Every pair keeps its own window, targets, budget and Delta
     cross-check, and its values equal its own ``pair_integrals`` bit for
     bit; the pairs share each integrand call (``quadrature.integrate_lines``),
-    one pass per class of pairs with the same atom counts.
+    one pass per class of pairs with the same atom counts.  A class stacks
+    its priors once, a row per pair, and takes the log of the weights
+    then; each call only gathers the rows that ``which`` names.
     """
     formulas = _pair_formulas(names, [])
     models = [_as_models(g, h) for g, h in pairs]
     specs = [integration_window(*pair) for pair in models]
-    # a pass stacks its pairs' atoms, so it takes pairs of one shape
+    # a pass stacks its pairs' priors, so it takes pairs of one shape
     classes = {}
     for i, (g, h) in enumerate(models):
         classes.setdefault((g.atoms.size, h.atoms.size), []).append(i)
     values = [None] * len(models)
     for members in classes.values():
-        side_g, side_h = ([models[i][side] for i in members] for side in (0, 1))
+        # row r of each side holds the prior of pair members[r]; which picks a node's row
+        stacks = [MarginalModel(types.SimpleNamespace(
+            atoms=np.stack([models[i][side].atoms for i in members]),
+            weights=np.stack([models[i][side].weights for i in members]))) for side in (0, 1)]
 
-        def integrand(y, which, side_g=side_g, side_h=side_h):
-            state = _PairState(_node_model(side_g, which), _node_model(side_h, which), y)
-            return _columns(formulas, state)
+        def integrand(y, which, stacks=stacks):
+            return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))
 
         passes = integrate_lines(integrand, [specs[i] for i in members])
         for i, integrals in zip(members, passes):

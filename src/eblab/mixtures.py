@@ -13,6 +13,7 @@ usable far into the tails, where a naive sum underflows.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -131,6 +132,18 @@ class MarginalModel:
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
         self.support_bound = float(np.max(np.abs(self.atoms)))
+
+    def _rows(self, which):
+        """For a model of equal-size priors stacked one per row: the model whose row j is row which[j].
+
+        Atoms, weights and log-weights are gathered, not taken again, so
+        ``evaluate`` gives node j what the prior of row which[j] alone
+        would give it.
+        """
+        rows = copy.copy(self)
+        rows.atoms, rows.weights, rows._log_weights = (
+            a[which] for a in (self.atoms, self.weights, self._log_weights))
+        return rows
 
     def _log_terms(self, y):
         y = np.asarray(y, dtype=float)

@@ -19,10 +19,13 @@ here:
   integral of ``metrics`` and ``families`` is one such pass.
   ``integrate_lines`` runs many such integrals in lock step, each with
   its own spec, so that they share every integrand call; each result
-  equals its own ``integrate_line`` bit for bit.  The rule is written
-  once, as a generator (``_refinement``) that yields the panels it needs
-  and is sent their estimates; ``integrate_lines`` feeds one per integral,
-  and ``integrate_line`` is its one-integral case.
+  equals its own ``integrate_line`` bit for bit.  This driver runs each
+  integral's first pass itself, one panel per request, as
+  ``integrate_line`` documents it.  The split rounds are written once,
+  as a generator (``_refinement``) that starts from a complete first
+  pass, yields the children each round needs and is sent their
+  estimates: one per integral, resumed once when its first pass ends and
+  once per round.  ``integrate_line`` is the one-integral case.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -203,27 +206,27 @@ def _panel_estimates(fx, ends):
     return kron, err, shape
 
 
-def _refinement(spec):
-    """The adaptive rule of ``integrate_line`` for one integral, with the integrand left out.
-
-    A generator: it yields the ends (panels, 2) of the panels it needs next
-    and is sent back their K15 values, error estimates and integral shape,
-    as ``_panel_estimates`` gives them.  It returns the integral once every
-    component meets its target and raises ``ToleranceNotMet`` when the
-    panel budget runs out first.
-    """
+def _first_pass(spec):
+    """The ends (n_init, 2) of the first-pass panels: [-R, R] cut into 8 to 64 equal panels."""
     radius = spec.truncation_radius
     n_init = int(min(64.0, max(8.0, math.ceil(radius))))
     edges = np.linspace(-radius, radius, n_init + 1)
+    return np.stack([edges[:-1], edges[1:]], axis=1)
 
-    # The live panels in creation order: a split panel is dropped and its children appended.
-    ends = np.stack([edges[:-1], edges[1:]], axis=1)
-    first = []
-    for i in range(n_init):  # the first pass: one panel at a time
-        first.append((yield ends[i : i + 1]))
-    shape = first[0][2]  # () for a scalar integrand, (k,) for k components
-    values = np.concatenate([v for v, _, _ in first])
-    errors = np.concatenate([e for _, e, _ in first])
+
+def _refinement(spec, ends, values, errors, shape):
+    """The split rounds of ``integrate_line``'s rule for one integral, with the integrand left out.
+
+    Starts from the complete first pass: the panel ends (n_init, 2), their
+    K15 values and error estimates, and the integral's shape, as
+    ``_panel_estimates`` gives them.  ``ends``, ``values`` and ``errors``
+    then hold the live panels in creation order: a split panel is dropped
+    and its children appended.  A generator: each round it yields the
+    ends of the children it needs and is sent back their values, errors
+    and shape.  It returns the integral once every component meets its
+    target and raises ``ToleranceNotMet`` when the panel budget runs out
+    first.
+    """
     total = values.sum(axis=0)
     err = errors.sum(axis=0)
 
@@ -267,36 +270,51 @@ def integrate_lines(f, specs):
 
     Integral i is exactly ``integrate_line`` of y -> f(y, i) with
     ``specs[i]``: its own window, first pass, per-component targets,
-    refinement batches and panel budget (one ``_refinement`` each).  Each
-    step evaluates the waiting panel requests together in one call
-    ``f(y, which)``, where ``which[j]`` is the index of the integral that
-    node y[j] belongs to: the requests in order, as many whole ones as fit
-    in 2 * 128 panels and at least one, so a single integral makes exactly
-    the calls it would make alone.  Rows of ``f`` must not depend on which
+    refinement batches and panel budget.  Each step evaluates the waiting
+    panel requests together in one call ``f(y, which)``, where
+    ``which[j]`` is the index of the integral that node y[j] belongs to:
+    the requests in order, as many whole ones as fit in 2 * 128 panels
+    and at least one, so a single integral makes exactly the calls it
+    would make alone.  The driver runs each first pass itself, one panel
+    per request, into that integral's own arrays; once the pass is
+    complete, the integral's ``_refinement`` takes over and requests one
+    batch of children per round.  Rows of ``f`` must not depend on which
     other nodes share the call; then every result equals its
-    ``integrate_line`` bit for bit.  Returns a list with one float or array
-    per spec.  The first integral to fail raises its ``ToleranceNotMet``.
+    ``integrate_line`` bit for bit.  Returns a list with one float or
+    array per spec.  The first integral to fail raises its
+    ``ToleranceNotMet``.
     """
-    runs = [_refinement(spec) for spec in specs]
-    results = [None] * len(runs)
-    waiting = [(i, next(run)) for i, run in enumerate(runs)]  # (integral, ends of its panels)
+    firsts = [_first_pass(spec) for spec in specs]
+    passes = [None] * len(specs)  # each integral's first-pass K15 values and errors, row t for panel t
+    runs, results = [None] * len(specs), [None] * len(specs)
+    # (integral, ends of its panels, t): first-pass panel t, or a refinement round when t is None
+    waiting = [(i, ends[:1], 0) for i, ends in enumerate(firsts)]
     while waiting:
         take, panels = 1, len(waiting[0][1])
         while take < len(waiting) and panels + len(waiting[take][1]) <= _CALL_PANELS:
             panels += len(waiting[take][1])
             take += 1
         step, waiting = waiting[:take], waiting[take:]
-        ends = np.concatenate([request for _, request in step])
-        which = np.repeat([i for i, _ in step], [15 * len(request) for _, request in step])
+        ends = np.concatenate([request for _, request, _ in step])
+        which = np.repeat([i for i, _, _ in step], [15 * len(request) for _, request, _ in step])
         values, errors, shape = _panel_estimates(f(_nodes(ends), which), ends)
-        start = 0
-        for i, request in step:
-            stop = start + len(request)
+        stop = 0
+        for i, request, t in step:
+            start, stop = stop, stop + len(request)
+            if t is None:
+                reply = values[start:stop], errors[start:stop], shape
+            else:  # first-pass panel t of integral i
+                if t == 0:
+                    passes[i] = [np.empty((len(firsts[i]),) + values.shape[1:]) for _ in range(2)]
+                passes[i][0][t], passes[i][1][t] = values[start], errors[start]
+                if t + 1 < len(firsts[i]):
+                    waiting.append((i, firsts[i][t + 1 : t + 2], t + 1))
+                    continue
+                runs[i], reply = _refinement(specs[i], firsts[i], *passes[i], shape), None
             try:
-                waiting.append((i, runs[i].send((values[start:stop], errors[start:stop], shape))))
+                waiting.append((i, runs[i].send(reply), None))
             except StopIteration as done:
                 results[i] = done.value
-            start = stop
     return results
 
 

@@ -9,6 +9,7 @@ as %.17g (round-trip exact for doubles) and lines end with LF.
 from __future__ import annotations
 
 import json
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,17 +77,19 @@ class ExperimentReport:
             "summary": self.summary,
         }
 
-    def write(self, out_path) -> None:
-        """Write <out>.csv and <out>.json (suffix replaced if present)."""
-        import pathlib
+    def write(self, out_path) -> tuple:
+        """Write <out>.csv and <out>.json and return their paths.
 
+        A trailing .csv or .json of ``out_path`` is dropped first; any other
+        suffix stays part of the stem, so ``run.v2`` writes ``run.v2.csv``.
+        """
         out = pathlib.Path(out_path)
-        if out.suffix == ".csv":
+        if out.suffix in (".csv", ".json"):
             out = out.with_suffix("")
-        csv_path = out.with_suffix(".csv")
-        json_path = out.with_suffix(".json")
+        csv_path, json_path = (out.with_name(out.name + suffix) for suffix in (".csv", ".json"))
         with open(csv_path, "w", newline="") as fh:
             fh.write(self.csv_text())
         with open(json_path, "w", newline="") as fh:
             json.dump(self.json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return csv_path, json_path

@@ -8,6 +8,7 @@ import pytest
 import eblab.cli as cli
 import eblab.metrics as metrics
 import eblab.npmle as npmle
+import eblab.quadrature as quadrature
 from eblab.cli import generate_prior, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
@@ -151,6 +152,16 @@ def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"eblab: cannot write --out {str(out)!r}: ")
     assert "Traceback" not in err
+
+
+def test_out_prints_the_paths_it_writes(tmp_path, capsys):
+    out = tmp_path / "run.v2"
+    assert main(["--out", str(out), "hermite"]) == 0
+    assert capsys.readouterr().out == f"wrote {out}.csv\nwrote {out}.json\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.csv", "run.v2.json"]
+    # a path with no file name is bad input, not a traceback
+    assert main(["--out", ".", "hermite"]) == 2
+    assert capsys.readouterr().err.startswith("eblab: cannot write --out '.': ")
 
 
 def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
@@ -311,6 +322,48 @@ def test_regratio_sweep_shares_its_integrand_calls(tmp_path, monkeypatch):
     assert main(argv) == 0
     # about 13 first-pass calls of one panel per pair, then the refinement rounds
     assert len(sizes) <= 20 and max(sizes) <= 15 * 2 * 128
+
+
+class _CountedRule:
+    """A ``_refinement`` that counts its resumptions and checks that each request is a split round."""
+
+    def __init__(self, rule):
+        self.rule, self.resumed, self.rounds = rule, 0, 0
+
+    def send(self, reply):
+        self.resumed += 1
+        children = self.rule.send(reply)
+        self.rounds += 1
+        # left and right children of each split panel share its midpoint
+        assert len(children) % 2 == 0 and np.array_equal(children[0::2, 1], children[1::2, 0])
+        return children
+
+
+def test_regratio_sweep_resumes_each_rule_once_per_round(tmp_path, monkeypatch):
+    sizes, rules = [], []
+    integrate, refinement = metrics.integrate_lines, quadrature._refinement
+
+    def counting(f, specs):
+        def counted(y, which):
+            sizes.append(y.size)
+            return f(y, which)
+
+        return integrate(counted, specs)
+
+    def counted_rule(*first_pass):
+        rules.append(_CountedRule(refinement(*first_pass)))
+        return rules[-1]
+
+    monkeypatch.setattr(metrics, "integrate_lines", counting)
+    monkeypatch.setattr(quadrature, "_refinement", counted_rule)
+    argv = ["--seed", "0", "--out", str(tmp_path / "sweep"), "regratio", "--pairs", "k_atom:k=5,m=1",
+            "--count", "100"]
+    assert main(argv) == 0
+    assert len(sizes) == 15  # the integrand calls of the one-panel-per-request first pass
+    # the driver runs every first pass: a rule starts once it is complete, then resumes once per round
+    assert len(rules) == 100
+    assert all(rule.resumed == 1 + rule.rounds for rule in rules)
+    assert sum(rule.resumed for rule in rules) == 176  # 100 first passes and 76 rounds
 
 
 def test_regratio_pairs_that_stay_identical_exit_2(capsys, monkeypatch):

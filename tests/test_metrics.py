@@ -274,6 +274,17 @@ def test_report_sweep_is_each_pair_reported_alone(pairs):
     assert compute_metric_reports(pairs) == [compute_metric_report(g, h) for g, h in pairs]
 
 
+def test_report_sweep_with_zero_weight_atoms_is_each_pair_reported_alone():
+    # a class stacks log 0 = -inf weights once; no RuntimeWarning, and each pair's bits alone
+    pairs = [
+        (DiscretePrior([-1.0, 0.0, 1.5], [0.5, 0.0, 0.5]), DiscretePrior([-0.5, 2.0], [1.0, 0.0])),
+        (DiscretePrior([-1.0, 0.5, 1.0], [0.0, 0.25, 0.75]), DiscretePrior([0.0, 1.0], [0.6, 0.4])),
+        (DiscretePrior([0.2, 0.4, 1.9], [0.3, 0.7, 0.0]), DiscretePrior([-2.0, 0.0], [0.0, 1.0])),
+        (DiscretePrior([-0.3, 0.8], [0.0, 1.0]), DiscretePrior.point(0.8)),
+    ]
+    assert compute_metric_reports(pairs) == [compute_metric_report(g, h) for g, h in pairs]
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(
     g=_PRIORS,

@@ -322,3 +322,140 @@ def test_gaussian_tail_radius_monotone_and_valid():
         r = gaussian_tail_radius(4.0, target)
         tail = math.erfc((r - 2.0) / math.sqrt(2.0))  # N(2,1) two-sided bound
         assert tail <= target
+
+
+def _generator_refinement(spec):
+    """Reference for the driver's first pass plus ``_refinement``: the whole rule as one generator.
+
+    It yields its first-pass panels one request at a time, then the
+    children of each round, and is sent their ``_panel_estimates``.
+    """
+    radius = spec.truncation_radius
+    n_init = int(min(64.0, max(8.0, math.ceil(radius))))
+    edges = np.linspace(-radius, radius, n_init + 1)
+    ends = np.stack([edges[:-1], edges[1:]], axis=1)
+    first = []
+    for i in range(n_init):
+        first.append((yield ends[i : i + 1]))
+    shape = first[0][2]
+    values = np.concatenate([v for v, _, _ in first])
+    errors = np.concatenate([e for _, e, _ in first])
+    total = values.sum(axis=0)
+    err = errors.sum(axis=0)
+
+    def result(x):
+        return float(x[0]) if shape == () else x.copy()
+
+    while True:
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        over = err > target
+        if not over.any():
+            return result(total)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = int(np.argmax(np.where(over, err / target, 0.0)))
+        if len(ends) >= spec.max_panels:
+            raise ToleranceNotMet(
+                f"error bound {err[c]:.3e} against target {target[c]:.3e} "
+                f"in component {c} after {len(ends)} panels "
+                f"(target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
+                estimate=result(total),
+                error_bound=result(err),
+            )
+        order = np.argsort(-errors[:, c], kind="stable")
+        reach = np.searchsorted(np.cumsum(errors[order, c]), err[c] - target[c] / 8.0, "right")
+        batch = order[: min(reach + 1, quadrature._BATCH_PANELS, spec.max_panels - len(ends))]
+        total -= values[batch].sum(axis=0)
+        err -= errors[batch].sum(axis=0)
+        a, b = ends[batch].T
+        mid = 0.5 * (a + b)
+        children = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
+        child_values, child_errors, _ = yield children
+        total += child_values.sum(axis=0)
+        err += child_errors.sum(axis=0)
+        live = np.ones(len(ends), dtype=bool)
+        live[batch] = False
+        ends, values, errors = (np.concatenate((old[live], new)) for old, new in
+                                ((ends, children), (values, child_values), (errors, child_errors)))
+
+
+def _generator_lines(f, specs):
+    """Reference for ``integrate_lines``: one ``_generator_refinement`` per integral, sent every panel."""
+    runs = [_generator_refinement(spec) for spec in specs]
+    results = [None] * len(runs)
+    waiting = [(i, next(run)) for i, run in enumerate(runs)]
+    while waiting:
+        take, panels = 1, len(waiting[0][1])
+        while take < len(waiting) and panels + len(waiting[take][1]) <= quadrature._CALL_PANELS:
+            panels += len(waiting[take][1])
+            take += 1
+        step, waiting = waiting[:take], waiting[take:]
+        ends = np.concatenate([request for _, request in step])
+        which = np.repeat([i for i, _ in step], [15 * len(request) for _, request in step])
+        values, errors, shape = quadrature._panel_estimates(f(quadrature._nodes(ends), which), ends)
+        start = 0
+        for i, request in step:
+            stop = start + len(request)
+            try:
+                waiting.append((i, runs[i].send((values[start:stop], errors[start:stop], shape))))
+            except StopIteration as done:
+                results[i] = done.value
+            start = stop
+    return results
+
+
+def _schedule(driver, f, specs):
+    """Every call ``driver`` makes of ``f`` (node and ``which`` bytes) and its outcome, as bytes."""
+    calls = []
+
+    def recorded(y, which):
+        calls.append((y.tobytes(), which.dtype.str, which.tobytes()))
+        return f(y, which)
+
+    try:
+        with np.errstate(invalid="ignore"):
+            outcome = [(type(r), np.asarray(r).tobytes()) for r in driver(recorded, specs)]
+    except ToleranceNotMet as exc:
+        outcome = (str(exc), np.asarray(exc.estimate).tobytes(), np.asarray(exc.error_bound).tobytes())
+    return calls, outcome
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    count=st.one_of(st.sampled_from([1, 256, 257, 300]), st.integers(1, 300)),
+    vector=st.booleans(),
+    failure=st.sampled_from([None, "budget", "nan"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed):
+    # 1-300 integrals of 8-64 first-pass panels: past 256 the first pass fills whole calls and rolls over
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(1.0, 80.0, size=count)
+    specs = [IntegrationSpec(abs_tol=float(rng.choice([0.0, 1e-13, 1e-10])),
+                             rel_tol=float(10.0 ** rng.uniform(-12.0, -6.0)), truncation_radius=r)
+             for r in radii]
+    centers = rng.uniform(-5.0, 5.0, size=(count, 2))
+    widths = rng.choice([1e-3, 0.05, 0.3, 1.0, 3.0], size=(count, 2))
+    f = _bumps(centers, widths, vector)
+    bad = int(rng.integers(count))
+    if failure == "budget":
+        specs[bad] = IntegrationSpec(abs_tol=0.0, rel_tol=1e-12, truncation_radius=radii[bad],
+                                     max_panels=int(rng.integers(2, 80)))
+    elif failure == "nan":
+        cut = rng.uniform(-radii[bad], radii[bad])
+        bumps = f
+
+        def f(y, which):
+            return np.where(((which == bad) & (y > cut))[:, None] if vector else (which == bad) & (y > cut),
+                            np.nan, bumps(y, which))
+
+    lock_step = _schedule(integrate_lines, f, specs)
+    assert lock_step == _schedule(_generator_lines, f, specs)
+    if failure is None:
+        assert len(lock_step[1]) == count
+
+
+def test_lock_step_pass_of_no_integrals_calls_nothing():
+    def f(y, which):
+        raise AssertionError("called")
+
+    assert integrate_lines(f, []) == []

@@ -52,3 +52,11 @@ def test_write_outputs_both_files(tmp_path):
     assert parsed["spec"]["name"] == "demo"
     # keys are emitted sorted so reruns are byte-comparable
     assert json_bytes == json.dumps(parsed, indent=2, sort_keys=True).encode() + b"\n"
+
+
+def test_write_keeps_any_other_suffix_in_the_stem(tmp_path):
+    report = _tiny_report()
+    written = report.write(tmp_path / "run.v2")
+    assert written == (tmp_path / "run.v2.csv", tmp_path / "run.v2.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.csv", "run.v2.json"]
+    assert report.write(tmp_path / "run.json") == (tmp_path / "run.csv", tmp_path / "run.json")
