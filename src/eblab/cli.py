@@ -42,51 +42,105 @@ def _distinct_atoms(draw):
     """Call ``draw`` until it returns distinct atoms, at most 101 times."""
     for _ in range(101):
         atoms = draw()
-        if np.unique(atoms).size == atoms.size:
+        # a set merges equal atoms, 0.0 and -0.0 included, as np.unique does
+        if len(set(atoms.tolist())) == atoms.size:
             return atoms
     raise InvalidParameter("prior generator keeps drawing repeated atoms")
+
+
+def _point(rng, u):
+    return DiscretePrior.point(u)
+
+
+def _two_point(rng, m):
+    atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=2))
+    split = rng.uniform(0.05, 0.95)
+    return DiscretePrior(atoms, [split, 1.0 - split])
+
+
+def _k_atom(rng, k, m):
+    atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=k))
+    weights = rng.dirichlet(np.ones(k))
+    return DiscretePrior(atoms, weights)
+
+
+def _g_alpha(rng, alpha, sigma, k):
+    atoms = _distinct_atoms(lambda: sigma * rng.standard_normal(k))
+    weights = rng.dirichlet(np.ones(k))
+    for _ in range(200):
+        prior = DiscretePrior(atoms, weights)
+        if check_class_membership(prior, alpha, sigma):
+            return prior
+        atoms = 0.8 * atoms
+    raise InvalidParameter("could not shrink g_alpha draw into the class")
+
+
+# each generator's draw and the defaults of the parameters it reads
+_GENERATORS = {
+    "point": (_point, {"u": 0.0}),
+    "two_point": (_two_point, {"m": 1.0}),
+    "k_atom": (_k_atom, {"k": 5, "m": 2.0}),
+    "g_alpha": (_g_alpha, {"alpha": 1.0, "sigma": 1.0, "k": 8}),
+}
+_POSITIVE_AND_FINITE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+# what each parameter must be, as (test, description)
+_PARAMETER_CHECKS = {
+    "u": (math.isfinite, "finite"),
+    "m": _POSITIVE_AND_FINITE,
+    "sigma": _POSITIVE_AND_FINITE,
+    "alpha": (lambda v: v > 0.0, "> 0"),
+    "k": (lambda v: float(v).is_integer() and v >= 1, "a whole number >= 1"),
+}
+
+
+def _generator(name, params):
+    """The draw rng -> prior of generator ``name``, its parameters checked once."""
+    if name not in _GENERATORS:
+        raise InvalidParameter(f"unknown prior generator {name!r}")
+    draw, defaults = _GENERATORS[name]
+    for key, value in params.items():
+        if key not in defaults:
+            raise InvalidParameter(f"generator {name!r} has no parameter {key!r}")
+        test, description = _PARAMETER_CHECKS[key]
+        if not test(value):
+            raise InvalidParameter(f"generator parameter {key!r} must be {description}, not {value!r}")
+    params = {key: float(value) for key, value in {**defaults, **params}.items()}
+    if "k" in params:
+        params["k"] = int(params["k"])
+    return functools.partial(draw, **params)
 
 
 def generate_prior(name, params, rng):
     """Draw a random prior from a named generator.
 
+    ``point``: the point mass at u.
     ``two_point``: two distinct atoms uniform in [-m, m], random split.
     ``k_atom``: k atoms uniform in [-m, m] with Dirichlet weights.
     ``g_alpha``: k Gaussian-scale atoms shrunk until the exponential
     moment E exp((|u|/sigma)^alpha) is at most two.
+    A parameter the generator does not read, or one out of its range,
+    raises ``InvalidParameter`` naming it.
     """
-    if name == "point":
-        return DiscretePrior.point(params.get("u", 0.0))
-    if name == "two_point":
-        m = float(params.get("m", 1.0))
-        if not m > 0.0:
-            raise InvalidParameter("two_point needs m > 0")
-        atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=2))
-        split = rng.uniform(0.05, 0.95)
-        return DiscretePrior(atoms, [split, 1.0 - split])
-    if name == "k_atom":
-        k = int(params.get("k", 5))
-        m = float(params.get("m", 2.0))
-        if k < 1 or not m > 0.0:
-            raise InvalidParameter("k_atom needs k >= 1 and m > 0")
-        atoms = _distinct_atoms(lambda: rng.uniform(-m, m, size=k))
-        weights = rng.dirichlet(np.ones(k))
-        return DiscretePrior(atoms, weights)
-    if name == "g_alpha":
-        alpha = float(params.get("alpha", 1.0))
-        sigma = float(params.get("sigma", 1.0))
-        k = int(params.get("k", 8))
-        if not (alpha > 0.0 and sigma > 0.0 and k >= 1):
-            raise InvalidParameter("g_alpha needs alpha, sigma > 0 and k >= 1")
-        atoms = _distinct_atoms(lambda: sigma * rng.standard_normal(k))
-        weights = rng.dirichlet(np.ones(k))
-        for _ in range(200):
-            prior = DiscretePrior(atoms, weights)
-            if check_class_membership(prior, alpha, sigma):
-                return prior
-            atoms = 0.8 * atoms
-        raise InvalidParameter("could not shrink g_alpha draw into the class")
-    raise InvalidParameter(f"unknown prior generator {name!r}")
+    return _generator(name, params)(rng)
+
+
+def _parse_generator(text):
+    """The checked draw of a ``name:key=val,...`` spec; each key may be given once."""
+    name, _, rest = text.partition(":")
+    params = {}
+    if rest:
+        for part in rest.split(","):
+            key, sep, val = part.partition("=")
+            if not sep:
+                raise InvalidParameter(f"bad generator parameter {part!r}")
+            key = key.strip()
+            if key in params:
+                raise InvalidParameter(f"generator parameter {key!r} is given twice")
+            try:
+                params[key] = float(val)
+            except ValueError as exc:
+                raise InvalidParameter(f"bad generator value {part!r}") from exc
+    return _generator(name.strip(), params)
 
 
 def parse_prior_spec(text, rng):
@@ -96,18 +150,7 @@ def parse_prior_spec(text, rng):
         return DiscretePrior.from_json(pathlib.Path(text[1:]).read_text())
     if text.startswith("{"):
         return DiscretePrior.from_json(text)
-    name, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for part in rest.split(","):
-            key, sep, val = part.partition("=")
-            if not sep:
-                raise InvalidParameter(f"bad generator parameter {part!r}")
-            try:
-                params[key.strip()] = float(val)
-            except ValueError as exc:
-                raise InvalidParameter(f"bad generator value {part!r}") from exc
-    return generate_prior(name.strip(), params, rng)
+    return _parse_generator(text)(rng)
 
 
 def _parse_floats(text):
@@ -293,12 +336,11 @@ def _run_regratio(spec):
     if count < 1:
         raise InvalidParameter("count must be >= 1")
 
+    draw = _parse_generator(pairs)
     # every cell draws its pair from its own stream; an identical pair (eps^2 = 0
     # carries no separation signal) comes only from a generator without randomness
     rngs = [npmle.cell_rng(spec.seed, idx) for idx in range(count)]
-    reports = metrics.compute_metric_reports(
-        [(parse_prior_spec(pairs, rng), parse_prior_spec(pairs, rng)) for rng in rngs]
-    )
+    reports = metrics.compute_metric_reports([(draw(rng), draw(rng)) for rng in rngs])
     if not all(report["hellinger_sq"] > 0.0 for report in reports):
         raise InvalidParameter(f"generator {pairs!r} keeps returning identical pairs")
     rows = [

@@ -19,11 +19,12 @@ pass, to its own tolerance, on a window whose discarded tail is below
 functionals.  ``compute_metric_reports`` reports on a sweep of pairs
 with ``integrate_lines``: each class of pairs with equal atom counts
 stacks its atoms, weights and log-weights once, and each call gathers
-for each node the row of its own pair, so each pair's dict equals its
+for each node the column of its own pair, so each pair's dict equals its
 ``compute_metric_report`` bit for bit while 100 pairs share about 15
 integrand calls; ``families`` scores its spike sweep the same way.  This
-rests on one summation order: every sum over atoms runs along one
-node's own row, so a node's value does not depend on who shares its call.
+rests on one summation order: every sum over atoms adds the nodes'
+(atoms, nodes) terms atom by atom, so a node's value does not depend on
+who shares its call.
 Each pass checks itself, pair by pair: Delta's two independently coded
 forms must agree to 1e-7 relative (``FormMismatch``), and eps^2 must
 reach its two-cell floor (``ToleranceNotMet``).  ``regret_score_form``
@@ -40,7 +41,7 @@ import types
 
 import numpy as np
 
-from .mixtures import MarginalModel, log_phi
+from .mixtures import MarginalModel, _per_atom, log_phi
 from .quadrature import (IntegrationSpec, ToleranceNotMet, gaussian_tail_radius, integrate_line,
                          integrate_lines)
 
@@ -87,18 +88,28 @@ class _PairState:
     """log f, f and posterior mean of both marginals at one batch of nodes.
 
     Each model is evaluated once per batch (``MarginalModel.evaluate``).
-    Sums over atoms here and in the integrands are ``np.vecdot``, one dot
-    per node, so a node's value does not depend on the batch it is in; a
-    matrix product may round a row differently with the number of rows.
+    Sums over atoms here and in the integrands are ``_atom_sum``: the
+    (atoms, nodes) terms are added atom by atom, so a node's value does
+    not depend on the batch it is in, for batches of two or more nodes.
+    A single node's terms form one contiguous run, which numpy sums
+    pairwise from 8 atoms on and may round differently; the integrators
+    call with at least 15 nodes.
     """
 
     def __init__(self, model_g, model_h, y):
         self.model_g, self.model_h, self.y = model_g, model_h, y
         (self.lg, pg), (self.lh, ph) = model_g.evaluate(y), model_h.evaluate(y)
         self.fg, self.fh = np.exp(self.lg), np.exp(self.lh)
-        self.mg, self.mh = np.vecdot(pg, model_g.atoms), np.vecdot(ph, model_h.atoms)
+        # each model's atom-last weights, viewed atom-major again
+        self.mg, self.mh = (_atom_sum(p.transpose((p.ndim - 1, *range(p.ndim - 1))), model.atoms)
+                            for p, model in ((pg, model_g), (ph, model_h)))
         # (f_G - f_H) / (f_G + f_H) from the logs: finite where both densities underflow
         self.imbalance = np.tanh(0.5 * (self.lg - self.lh))
+
+
+def _atom_sum(terms, per_atom):
+    """sum_i terms_i * per_atom_i over the leading axis of the (atoms, *shape) array ``terms``."""
+    return (terms * _per_atom(per_atom, terms.ndim - 1)).sum(axis=0)
 
 
 def _flux_gprime(s):
@@ -106,8 +117,8 @@ def _flux_gprime(s):
     half_log_fbar = 0.5 * (np.logaddexp(s.lg, s.lh) - math.log(2.0))
 
     def scaled_flux(model):
-        terms = np.exp(log_phi(s.y[..., None] - model.atoms) - half_log_fbar[..., None])
-        return np.vecdot(terms, model.weights * model.atoms)
+        terms = np.exp(log_phi(s.y - _per_atom(model.atoms, s.y.ndim)) - half_log_fbar)
+        return _atom_sum(terms, model.weights * model.atoms)
 
     diff = scaled_flux(s.model_g) - scaled_flux(s.model_h)
     return diff * diff
@@ -121,12 +132,12 @@ def _linear_density_and_score(model, y):
     stays finite where f itself underflows.
     """
     live = model.weights > 0.0
-    weights, diff = model.weights[live], model.atoms[live] - y[..., None]
+    weights, diff = model.weights[live], _per_atom(model.atoms[live], y.ndim) - y
     log_kernel = log_phi(diff)
-    top = log_kernel.max(axis=-1, keepdims=True)
+    top = log_kernel.max(axis=0)
     kernel = np.exp(log_kernel - top)
-    scaled_f = np.vecdot(kernel, weights)
-    return np.exp(top[..., 0]) * scaled_f, np.vecdot(kernel * diff, weights) / scaled_f
+    scaled_f = _atom_sum(kernel, weights)
+    return np.exp(top) * scaled_f, _atom_sum(kernel * diff, weights) / scaled_f
 
 
 def _regret_score(s):
@@ -285,6 +296,12 @@ def compute_metric_report(model_g, model_h, rhos=(), spec=None):
     return pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec)
 
 
+def _stacked(models):
+    """One model of equal-size priors: column r holds the atoms and weights of ``models[r]``."""
+    return MarginalModel(types.SimpleNamespace(atoms=np.stack([m.atoms for m in models], axis=1),
+                                               weights=np.stack([m.weights for m in models], axis=1)))
+
+
 def _sweep_integrals(pairs, names):
     """``pair_integrals(g, h, names)`` of each (g, h) in ``pairs``, integrated in lock step.
 
@@ -292,8 +309,8 @@ def _sweep_integrals(pairs, names):
     cross-check, and its values equal its own ``pair_integrals`` bit for
     bit; the pairs share each integrand call (``quadrature.integrate_lines``),
     one pass per class of pairs with the same atom counts.  A class stacks
-    its priors once, a row per pair, and takes the log of the weights
-    then; each call only gathers the rows that ``which`` names.
+    its priors once, a column per pair, and takes the log of the weights
+    then; each call only gathers the columns that ``which`` names.
     """
     formulas = _pair_formulas(names, [])
     models = [_as_models(g, h) for g, h in pairs]
@@ -304,10 +321,8 @@ def _sweep_integrals(pairs, names):
         classes.setdefault((g.atoms.size, h.atoms.size), []).append(i)
     values = [None] * len(models)
     for members in classes.values():
-        # row r of each side holds the prior of pair members[r]; which picks a node's row
-        stacks = [MarginalModel(types.SimpleNamespace(
-            atoms=np.stack([models[i][side].atoms for i in members]),
-            weights=np.stack([models[i][side].weights for i in members]))) for side in (0, 1)]
+        # column r of each side holds the prior of pair members[r]; which picks a node's column
+        stacks = [_stacked([models[i][side] for i in members]) for side in (0, 1)]
 
         def integrand(y, which, stacks=stacks):
             return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))

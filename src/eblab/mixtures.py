@@ -4,11 +4,14 @@ A prior is a probability measure on the location parameter; observing
 Y = U + Z with Z ~ N(0, 1) independent of U ~ prior gives the marginal
 density f(y) = sum_i w_i phi(y - u_i).  Everything downstream (posterior
 mean, score, regularized rules, divergence functionals) reads one
-evaluation of that sum: the (points, atoms) matrix of
-log w_i + log phi(y - u_i) is built once, each row is shifted by its
-maximum and exponentiated once, and the row sums give log f while the
-normalized rows give the posterior weights.  Densities therefore stay
-usable far into the tails, where a naive sum underflows.
+evaluation of that sum: the (atoms, *y.shape) array of
+log w_i + log phi(y - u_i) is built once, each point's terms are shifted
+by their maximum and exponentiated once, and their sum gives log f while
+the normalized terms give the posterior weights.  Densities therefore
+stay usable far into the tails, where a naive sum underflows.  The atom
+axis leads, so that every sum over atoms is one reduction of the leading
+axis: numpy adds whole arrays of points atom by atom instead of reducing
+each point's short row on its own.
 """
 
 from __future__ import annotations
@@ -45,23 +48,24 @@ def log_phi(x):
 
 
 def _validate_measure(atoms, weights):
-    atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
-    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    # array methods: on a few atoms the np.all / np.any / np.diff wrappers cost more than the checks
+    atoms = np.array(atoms, dtype=float, copy=None, ndmin=1)
+    weights = np.array(weights, dtype=float, copy=None, ndmin=1)
     if atoms.ndim != 1 or weights.ndim != 1 or atoms.size != weights.size:
         raise ValueError("atoms and weights must be 1-d arrays of equal length")
     if atoms.size == 0:
         raise ValueError("prior needs at least one atom")
-    if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
+    if not np.isfinite(atoms).all() or not np.isfinite(weights).all():
         raise ValueError("non-finite prior data")
-    if np.any(weights < 0.0):
+    if (weights < 0.0).any():
         raise ValueError("weights must be nonnegative")
     total = float(weights.sum())
     if abs(total - 1.0) > _WEIGHT_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
-    order = np.argsort(atoms)
+    order = atoms.argsort()
     atoms = atoms[order]
     weights = weights[order]
-    if atoms.size > 1 and np.any(np.diff(atoms) <= 0.0):
+    if (atoms[1:] <= atoms[:-1]).any():
         raise ValueError("atoms must be distinct")
     return atoms, weights
 
@@ -104,25 +108,34 @@ class DiscretePrior:
 
 
 def _log_sum_exp(log_terms):
-    """(log sum_i exp(t_i), exp(t_i) / sum_i exp(t_i)) along the last axis.
+    """(log sum_i exp(t_i), exp(t_i) / sum_i exp(t_i)) along the leading (atom) axis.
 
-    The module's one log-sum-exp: each row is shifted by its maximum and
-    exponentiated once, and both results are read off that one array.
+    The module's one log-sum-exp: each point's terms are shifted by their
+    maximum and exponentiated once, and both results are read off that
+    one array.  Each reduction adds whole arrays of points atom by atom.
     """
-    shift = np.max(log_terms, axis=-1, keepdims=True)
+    shift = log_terms.max(axis=0)
     shifted = np.exp(log_terms - shift)
-    total = np.sum(shifted, axis=-1, keepdims=True)
-    return (shift + np.log(total))[..., 0], shifted / total
+    total = shifted.sum(axis=0)
+    return shift + np.log(total), shifted / total
+
+
+def _per_atom(values, ndim):
+    """``values`` of shape (atoms,) or (atoms, *shape), made to broadcast against (atoms, *shape).
+
+    ``ndim`` is len(shape), the number of point axes.
+    """
+    return values.reshape(values.shape + (1,) * (ndim + 1 - values.ndim))
 
 
 class MarginalModel:
     """Evaluator bundle for the marginal density of prior * N(0, 1).
 
     All evaluators accept scalars or arrays and vectorize elementwise.
-    Each is a read of one ``evaluate`` call, which builds the (points,
-    atoms) matrix of log w_i + log phi(y - u_i) once and reduces it once,
-    so the relative accuracy of density, posterior mean, and score does
-    not degrade in the tails.
+    Each is a read of one ``evaluate`` call, which builds the (atoms,
+    *y.shape) array of log w_i + log phi(y - u_i) once and reduces it
+    once, so the relative accuracy of density, posterior mean, and score
+    does not degrade in the tails.
     """
 
     def __init__(self, prior):
@@ -134,21 +147,22 @@ class MarginalModel:
         self.support_bound = float(np.max(np.abs(self.atoms)))
 
     def _rows(self, which):
-        """For a model of equal-size priors stacked one per row: the model whose row j is row which[j].
+        """For a model of equal-size priors stacked one per column: the model whose column j is which[j].
 
         Atoms, weights and log-weights are gathered, not taken again, so
-        ``evaluate`` gives node j what the prior of row which[j] alone
-        would give it.
+        ``evaluate`` at nodes y with y.shape == which.shape gives node j
+        what the prior of column which[j] alone would give it.
         """
         rows = copy.copy(self)
         rows.atoms, rows.weights, rows._log_weights = (
-            a[which] for a in (self.atoms, self.weights, self._log_weights))
+            a.take(which, axis=1) for a in (self.atoms, self.weights, self._log_weights))
         return rows
 
     def _log_terms(self, y):
+        """The (atoms, *y.shape) array of log w_i + log phi(y - u_i)."""
         y = np.asarray(y, dtype=float)
-        diff = y[..., None] - self.atoms
-        return self._log_weights - 0.5 * diff * diff - LOG_SQRT_2PI
+        diff = y - _per_atom(self.atoms, y.ndim)
+        return _per_atom(self._log_weights, y.ndim) - 0.5 * diff * diff - LOG_SQRT_2PI
 
     @staticmethod
     def _maybe_scalar(value, y):
@@ -159,10 +173,14 @@ class MarginalModel:
     def evaluate(self, y):
         """(log f(y), posterior weights P(U = u_i | Y = y)) from one build of the log terms.
 
-        log f has the shape of y; the weights add an atom axis, are
-        nonnegative and sum to one along it.
+        log f has the shape of y; the weights add a last, atom axis, are
+        nonnegative and sum to one along it.  They are a view of the
+        atom-major array that ``_log_sum_exp`` reduces, so moving the atom
+        axis back to the front copies nothing.
         """
-        return _log_sum_exp(self._log_terms(y))
+        log_f, weights = _log_sum_exp(self._log_terms(y))
+        # ndarray.transpose, not np.moveaxis: a pair state calls this per node batch
+        return log_f, weights.transpose((*range(1, weights.ndim), 0))
 
     def log_density(self, y):
         return self._maybe_scalar(self.evaluate(y)[0], y)

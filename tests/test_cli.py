@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eblab.cli as cli
 import eblab.metrics as metrics
@@ -123,6 +125,27 @@ def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("eblab: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "generator, key",
+    [
+        ("two_point:m=1,k=3", "k"),
+        ("point:u=1,m=2", "m"),
+        ("k_atom:k=5,m=1,k=6", "k"),
+        ("k_atom:k=5.5", "k"),
+        ("k_atom:k=inf", "k"),
+        ("k_atom:m=inf", "m"),
+        ("g_alpha:sigma=inf", "sigma"),
+    ],
+    ids=["key-not-read", "point-key-not-read", "key-twice", "fractional-k", "infinite-k",
+         "infinite-m", "infinite-sigma"],
+)
+def test_bad_generator_specs_exit_2_naming_the_key(capsys, generator, key):
+    assert main(["regratio", "--pairs", generator, "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: ") and repr(key) in err
     assert "Traceback" not in err
 
 
@@ -652,6 +675,20 @@ def test_generators_redraw_repeated_atoms(name, params, draws):
     prior = generate_prior(name, params, rng)
     assert rng.used == 2
     assert np.array_equal(prior.atoms, np.sort(draws[1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(atoms=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.sampled_from([0.0, -0.0, 1.5, -1.5])), min_size=1, max_size=8))
+def test_distinct_atoms_redraws_exactly_when_np_unique_finds_repeats(atoms):
+    draw = np.array(atoms)
+    repeated = np.unique(draw).size < draw.size
+    try:
+        assert cli._distinct_atoms(lambda: draw) is draw
+        redrew = False
+    except InvalidParameter:
+        redrew = True
+    assert redrew == repeated
 
 
 def test_generator_that_keeps_repeating_exits_2(monkeypatch, capsys):

@@ -361,6 +361,42 @@ def test_pair_integrand_rows_do_not_depend_on_node_batching(g, h, rhos, ys, data
     _assert_batch_invariant(f, ys, data.draw(st.integers(1, ys.size - 1)))
 
 
+_STATE_FIELDS = ("lg", "lh", "fg", "fh", "mg", "mh", "imbalance")
+
+
+def _node_values(state, formulas):
+    """Each pair-state field and formula column, one array over the nodes each."""
+    return [getattr(state, name) for name in _STATE_FIELDS] + list(metrics._columns(formulas, state).T)
+
+
+@pytest.mark.parametrize("atoms", range(1, 41))
+def test_a_nodes_pair_state_is_bit_identical_in_every_batch(atoms):
+    # numpy sums 8 or more atoms of a single node pairwise, so batches start at 2 nodes;
+    # the integrators call with 15 or more
+    rng = np.random.default_rng(atoms)
+
+    def prior(size):
+        return DiscretePrior(rng.uniform(-3.0, 3.0, size), rng.dirichlet(np.ones(size)))
+
+    pairs = [(MarginalModel(prior(atoms)), MarginalModel(prior(41 - atoms))) for _ in range(3)]
+    stacks = [metrics._stacked([pair[side] for pair in pairs]) for side in (0, 1)]
+    formulas = metrics._pair_formulas(metrics._REPORT_NAMES, [0.05])
+    y, which = rng.uniform(-8.0, 8.0, 3840), rng.integers(0, len(pairs), 3840)
+
+    def stacked_values(n):
+        state = metrics._PairState(*(stack._rows(which[:n]) for stack in stacks), y[:n])
+        return _node_values(state, formulas)
+
+    whole = stacked_values(y.size)
+    for n in (2, 15):
+        for part, full in zip(stacked_values(n), whole):
+            assert part.tobytes() == full[:n].tobytes()
+    for r, pair in enumerate(pairs):  # each pair's own models on the whole batch
+        alone = _node_values(metrics._PairState(*pair, y), formulas)
+        for own, full in zip(alone, whole):
+            assert own[which == r].tobytes() == full[which == r].tobytes()
+
+
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(ms=st.sets(st.integers(2, 12), min_size=1).map(sorted), ys=_NODES, data=st.data())
 def test_lowerbound_integrand_rows_do_not_depend_on_node_batching(ms, ys, data):

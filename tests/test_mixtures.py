@@ -8,8 +8,10 @@ from scipy.special import logsumexp
 
 from eblab import metrics
 from eblab.mixtures import (
+    _WEIGHT_TOL,
     DiscretePrior,
     MarginalModel,
+    _validate_measure,
     check_class_membership,
     class_exp_moment,
     phi,
@@ -34,6 +36,77 @@ def test_prior_validation():
         DiscretePrior([0.0, 1.0], [1.2, -0.2])
     with pytest.raises(ValueError):
         DiscretePrior([], [])
+
+
+def _reference_validate_measure(atoms, weights):
+    """The wrapper-based validator that ``_validate_measure`` replaced, kept as its oracle."""
+    atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
+    weights = np.atleast_1d(np.asarray(weights, dtype=float))
+    if atoms.ndim != 1 or weights.ndim != 1 or atoms.size != weights.size:
+        raise ValueError("atoms and weights must be 1-d arrays of equal length")
+    if atoms.size == 0:
+        raise ValueError("prior needs at least one atom")
+    if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
+        raise ValueError("non-finite prior data")
+    if np.any(weights < 0.0):
+        raise ValueError("weights must be nonnegative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1")
+    order = np.argsort(atoms)
+    atoms = atoms[order]
+    weights = weights[order]
+    if atoms.size > 1 and np.any(np.diff(atoms) <= 0.0):
+        raise ValueError("atoms must be distinct")
+    return atoms, weights
+
+
+# atoms from a small pool repeat often; 0.0 and -0.0 are equal atoms
+_ATOM = st.one_of(st.floats(width=64), st.sampled_from([0.0, -0.0, 0.5, -0.5, math.nan, math.inf]))
+_WEIGHT = st.one_of(st.floats(0.0, 1.0), st.floats(width=64))
+
+
+@st.composite
+def _measures(draw):
+    """(atoms, weights), well-formed or not: bad values, bad sums, repeats, bad shapes."""
+    atoms = draw(st.lists(_ATOM, max_size=6))
+    kind = draw(st.sampled_from(["simplex", "near-one", "raw", "2-d", "unequal", "scalar"]))
+    if kind in ("simplex", "near-one", "2-d"):
+        raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=len(atoms), max_size=len(atoms))))
+        weights = raw / raw.sum() if raw.size else raw
+        if kind == "near-one" and weights.size:
+            weights[0] += draw(st.sampled_from([2e-12, -2e-12, 5e-13, -5e-13]))
+        if kind == "2-d":
+            return np.reshape(atoms, (1, -1)), weights.reshape(1, -1)
+        return atoms, weights
+    if kind == "unequal":
+        return atoms, draw(st.lists(_WEIGHT, max_size=6).filter(lambda w: len(w) != len(atoms)))
+    if kind == "scalar":
+        return draw(_ATOM), draw(_WEIGHT)
+    return atoms, draw(st.lists(_WEIGHT, min_size=len(atoms), max_size=len(atoms)))
+
+
+def _outcome(validate, atoms, weights):
+    try:
+        return validate(atoms, weights)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(measure=_measures())
+def test_validate_measure_matches_the_wrapper_based_oracle(measure):
+    atoms, weights = measure
+    # np.diff overflows on far-apart finite atoms; the comparison that replaced it does not
+    with np.errstate(over="ignore"):
+        expected = _outcome(_reference_validate_measure, atoms, weights)
+    got = _outcome(_validate_measure, atoms, weights)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_prior_sorting_and_moments():
@@ -293,7 +366,7 @@ def test_evaluate_is_one_normalized_log_sum_exp(g, h, ys, data):
     model = MarginalModel(g)
     y = np.asarray(ys)
     log_f, weights = model.evaluate(y)
-    oracle = logsumexp(model._log_terms(y), axis=-1)
+    oracle = logsumexp(model._log_terms(y), axis=0)
     assert np.all(np.abs(log_f - oracle) <= 1e-14 * np.abs(oracle))
     assert np.all(weights >= 0.0)
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-14)
