@@ -14,7 +14,6 @@ thread; ``--threads`` is accepted for compatibility and changes nothing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -31,7 +30,7 @@ from .mixtures import DiscretePrior, check_class_membership
 from .quadrature import ToleranceNotMet
 from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment
 
-__all__ = ["main", "run", "generate_prior", "parse_prior_spec"]
+__all__ = ["main", "run", "parse_prior_spec"]
 
 
 # ---------------------------------------------------------------------------
@@ -82,50 +81,29 @@ _GENERATORS = {
     "k_atom": (_k_atom, {"k": 5, "m": 2.0}),
     "g_alpha": (_g_alpha, {"alpha": 1.0, "sigma": 1.0, "k": 8}),
 }
-_POSITIVE_AND_FINITE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 # what each parameter must be, as (test, description)
 _PARAMETER_CHECKS = {
     "u": (math.isfinite, "finite"),
-    "m": _POSITIVE_AND_FINITE,
-    "sigma": _POSITIVE_AND_FINITE,
+    # atoms are drawn uniform on [-m, m], whose width 2m must be finite too
+    "m": (lambda v: 0.0 < v and 2.0 * v < math.inf, "> 0 with 2m finite"),
+    "sigma": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
     "alpha": (lambda v: v > 0.0, "> 0"),
     "k": (lambda v: float(v).is_integer() and v >= 1, "a whole number >= 1"),
 }
 
 
-def _generator(name, params):
-    """The draw rng -> prior of generator ``name``, its parameters checked once."""
-    if name not in _GENERATORS:
-        raise InvalidParameter(f"unknown prior generator {name!r}")
-    draw, defaults = _GENERATORS[name]
-    for key, value in params.items():
-        if key not in defaults:
-            raise InvalidParameter(f"generator {name!r} has no parameter {key!r}")
-        test, description = _PARAMETER_CHECKS[key]
-        if not test(value):
-            raise InvalidParameter(f"generator parameter {key!r} must be {description}, not {value!r}")
-    params = {key: float(value) for key, value in {**defaults, **params}.items()}
-    if "k" in params:
-        params["k"] = int(params["k"])
-    return functools.partial(draw, **params)
-
-
-def generate_prior(name, params, rng):
-    """Draw a random prior from a named generator.
+def _parse_generator(text):
+    """The draw rng -> prior of a ``name:key=val,...`` spec, its parameters checked once.
 
     ``point``: the point mass at u.
     ``two_point``: two distinct atoms uniform in [-m, m], random split.
     ``k_atom``: k atoms uniform in [-m, m] with Dirichlet weights.
     ``g_alpha``: k Gaussian-scale atoms shrunk until the exponential
     moment E exp((|u|/sigma)^alpha) is at most two.
-    A parameter the generator does not read, or one out of its range,
-    raises ``InvalidParameter`` naming it.
+    An unknown generator, a key given twice, a parameter the generator
+    does not read, or one out of its range raises ``InvalidParameter``
+    naming it.
     """
-    return _generator(name, params)(rng)
-
-
-def _parse_generator(text):
-    """The checked draw of a ``name:key=val,...`` spec; each key may be given once."""
     name, _, rest = text.partition(":")
     params = {}
     if rest:
@@ -140,7 +118,20 @@ def _parse_generator(text):
                 params[key] = float(val)
             except ValueError as exc:
                 raise InvalidParameter(f"bad generator value {part!r}") from exc
-    return _generator(name.strip(), params)
+    name = name.strip()
+    if name not in _GENERATORS:
+        raise InvalidParameter(f"unknown prior generator {name!r}")
+    draw, defaults = _GENERATORS[name]
+    for key, value in params.items():
+        if key not in defaults:
+            raise InvalidParameter(f"generator {name!r} has no parameter {key!r}")
+        test, description = _PARAMETER_CHECKS[key]
+        if not test(value):
+            raise InvalidParameter(f"generator parameter {key!r} must be {description}, not {value!r}")
+    params = {key: float(value) for key, value in {**defaults, **params}.items()}
+    if "k" in params:
+        params["k"] = int(params["k"])
+    return functools.partial(draw, **params)
 
 
 def parse_prior_spec(text, rng):
@@ -377,12 +368,20 @@ def _load_observations(path):
     return np.asarray(values)
 
 
+def _constrained_bounds(p):
+    """(-M, M) for ``--constrained --mprime M``, else None: the fit grids the sample range."""
+    if not p.get("constrained"):
+        return None
+    mprime = p.get("mprime")
+    if mprime is None or not mprime > 0.0:
+        raise InvalidParameter(f"--constrained needs a positive --mprime, not {mprime!r}")
+    return -mprime, mprime
+
+
 def _run_npmle(spec):
     p = spec.params
     fit = _given(p, grid_size=int, tol=float, max_iters=int)
-    constrained = bool(p.get("constrained", False))
-    mprime = p.get("mprime")
-    if not constrained:
+    if not p.get("constrained"):
         _reject(p, ("mprime",), "without --constrained")
 
     if p.get("data"):
@@ -391,16 +390,11 @@ def _run_npmle(spec):
         lo, hi = p.get("grid_min"), p.get("grid_max")
         if lo is not None and hi is not None:
             _reject(p, ("constrained", "mprime"), "with --grid-min/--grid-max, which fix the grid")
-            # the sample-range problem with its grid moved onto the given bounds
-            problem = npmle.NpmleProblem.from_observations(y, **fit)
-            grid = np.linspace(float(lo), float(hi), problem.grid.size)
-            problem = dataclasses.replace(problem, grid=grid)
+            bounds = lo, hi
         else:
             _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
-            problem = npmle.NpmleProblem.from_observations(
-                y, constrained=constrained, mprime=mprime, **fit
-            )
-        solution = npmle.solve_npmle(problem)
+            bounds = _constrained_bounds(p)
+        solution = npmle.solve_npmle(npmle.NpmleProblem.from_observations(y, bounds=bounds, **fit))
         row = {
             "n": y.size,
             "loglik": solution.loglik,
@@ -428,10 +422,9 @@ def _run_npmle(spec):
         for s in np.random.SeedSequence(spec.seed).spawn(n_seeds)
     ]
 
+    bounds = _constrained_bounds(p)
     fits = [
-        npmle.empirical_regret_experiment(
-            true_prior, n, seed, constrained=constrained, mprime=mprime, **fit
-        )
+        npmle.empirical_regret_experiment(true_prior, n, seed, bounds=bounds, **fit)
         for n in n_values
         for seed in seeds
     ]

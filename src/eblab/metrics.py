@@ -17,14 +17,15 @@ functional as one column of a single vector-valued ``integrate_line``
 pass, to its own tolerance, on a window whose discarded tail is below
 1e-14; ``compute_metric_report`` is its pass over the four report
 functionals.  ``compute_metric_reports`` reports on a sweep of pairs
-with ``integrate_lines``: each class of pairs with equal atom counts
-stacks its atoms, weights and log-weights once, and each call gathers
-for each node the column of its own pair, so each pair's dict equals its
+in one ``integrate_lines`` pass: each side's priors are stacked once,
+one column per pair (``MarginalModel._stack``, which pads a prior with
+fewer atoms by weight-0 atoms), and each call gathers for each node the
+column of its own pair, so each pair's dict equals its
 ``compute_metric_report`` bit for bit while 100 pairs share about 15
 integrand calls; ``families`` scores its spike sweep the same way.  This
 rests on one summation order: every sum over atoms adds the nodes'
 (atoms, nodes) terms atom by atom, so a node's value does not depend on
-who shares its call.
+who shares its call, and a pad adds only exact zeros.
 Each pass checks itself, pair by pair: Delta's two independently coded
 forms must agree to 1e-7 relative (``FormMismatch``), and eps^2 must
 reach its two-cell floor (``ToleranceNotMet``).  ``regret_score_form``
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import types
 
 import numpy as np
 
@@ -100,9 +100,7 @@ class _PairState:
         self.model_g, self.model_h, self.y = model_g, model_h, y
         (self.lg, pg), (self.lh, ph) = model_g.evaluate(y), model_h.evaluate(y)
         self.fg, self.fh = np.exp(self.lg), np.exp(self.lh)
-        # each model's atom-last weights, viewed atom-major again
-        self.mg, self.mh = (_atom_sum(p.transpose((p.ndim - 1, *range(p.ndim - 1))), model.atoms)
-                            for p, model in ((pg, model_g), (ph, model_h)))
+        self.mg, self.mh = _atom_sum(pg, model_g.atoms), _atom_sum(ph, model_h.atoms)
         # (f_G - f_H) / (f_G + f_H) from the logs: finite where both densities underflow
         self.imbalance = np.tanh(0.5 * (self.lg - self.lh))
 
@@ -129,11 +127,11 @@ def _linear_density_and_score(model, y):
 
     The sums run over the atoms of positive weight, on the kernel divided by
     its largest term at each node: the score is unchanged by that scale and
-    stays finite where f itself underflows.
+    stays finite where f itself underflows.  A weight-0 atom's log kernel is
+    -inf, so its kernel is an exact 0.
     """
-    live = model.weights > 0.0
-    weights, diff = model.weights[live], _per_atom(model.atoms[live], y.ndim) - y
-    log_kernel = log_phi(diff)
+    weights, diff = model.weights, _per_atom(model.atoms, y.ndim) - y
+    log_kernel = np.where(_per_atom(weights, y.ndim) > 0.0, log_phi(diff), -np.inf)
     top = log_kernel.max(axis=0)
     kernel = np.exp(log_kernel - top)
     scaled_f = _atom_sum(kernel, weights)
@@ -296,41 +294,28 @@ def compute_metric_report(model_g, model_h, rhos=(), spec=None):
     return pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec)
 
 
-def _stacked(models):
-    """One model of equal-size priors: column r holds the atoms and weights of ``models[r]``."""
-    return MarginalModel(types.SimpleNamespace(atoms=np.stack([m.atoms for m in models], axis=1),
-                                               weights=np.stack([m.weights for m in models], axis=1)))
-
-
 def _sweep_integrals(pairs, names):
     """``pair_integrals(g, h, names)`` of each (g, h) in ``pairs``, integrated in lock step.
 
     Every pair keeps its own window, targets, budget and Delta
     cross-check, and its values equal its own ``pair_integrals`` bit for
-    bit; the pairs share each integrand call (``quadrature.integrate_lines``),
-    one pass per class of pairs with the same atom counts.  A class stacks
-    its priors once, a column per pair, and takes the log of the weights
-    then; each call only gathers the columns that ``which`` names.
+    bit; the pairs share each integrand call (``quadrature.integrate_lines``)
+    in one pass for the whole sweep, whatever their atom counts.  Each side
+    is stacked once (``MarginalModel._stack``), a column per pair; each call
+    only gathers the columns that ``which`` names.
     """
     formulas = _pair_formulas(names, [])
+    if not pairs:
+        return []
     models = [_as_models(g, h) for g, h in pairs]
     specs = [integration_window(*pair) for pair in models]
-    # a pass stacks its pairs' priors, so it takes pairs of one shape
-    classes = {}
-    for i, (g, h) in enumerate(models):
-        classes.setdefault((g.atoms.size, h.atoms.size), []).append(i)
-    values = [None] * len(models)
-    for members in classes.values():
-        # column r of each side holds the prior of pair members[r]; which picks a node's column
-        stacks = [_stacked([models[i][side] for i in members]) for side in (0, 1)]
+    stacks = [MarginalModel._stack([pair[side] for pair in models]) for side in (0, 1)]
 
-        def integrand(y, which, stacks=stacks):
-            return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))
+    def integrand(y, which):
+        return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))
 
-        passes = integrate_lines(integrand, [specs[i] for i in members])
-        for i, integrals in zip(members, passes):
-            values[i] = _checked_values(integrals, names, [], specs[i], models[i])
-    return values
+    return [_checked_values(integrals, names, [], spec, pair)
+            for integrals, spec, pair in zip(integrate_lines(integrand, specs), specs, models)]
 
 
 def compute_metric_reports(pairs):

@@ -84,10 +84,6 @@ class DiscretePrior:
     def support_bound(self):
         return float(np.max(np.abs(self.atoms)))
 
-    def shift(self, mu):
-        """Prior of U + mu."""
-        return DiscretePrior(self.atoms + mu, self.weights)
-
     def to_json(self):
         return json.dumps({"atoms": self.atoms.tolist(), "weights": self.weights.tolist()})
 
@@ -139,19 +135,43 @@ class MarginalModel:
     """
 
     def __init__(self, prior):
-        self.prior = prior
         self.atoms = np.asarray(prior.atoms, dtype=float)
         self.weights = np.asarray(prior.weights, dtype=float)
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
         self.support_bound = float(np.max(np.abs(self.atoms)))
 
-    def _rows(self, which):
-        """For a model of equal-size priors stacked one per column: the model whose column j is which[j].
+    @staticmethod
+    def _stack(models):
+        """One model whose column r is ``models[r]``, for ``_rows`` to gather from.
 
-        Atoms, weights and log-weights are gathered, not taken again, so
+        Each column reuses its model's atoms, weights and log weights.  A
+        prior with fewer atoms than the largest is padded with weight-0
+        copies of its own first atom, whose log weight is -inf, so a pad
+        adds only exact zeros to every sum over atoms.
+        """
+        sizes = np.array([m.atoms.size for m in models])
+        row = np.arange(sizes.max())[:, None]
+        live = row < sizes
+        # each (row, column)'s place in the models' joined arrays; a pad's is its model's first atom
+        index = sizes.cumsum() - sizes + np.where(live, row, 0)
+
+        def joined(name):
+            return np.concatenate([getattr(m, name) for m in models])[index]
+
+        stack = copy.copy(models[0])
+        stack.atoms = joined("atoms")
+        stack.weights = np.where(live, joined("weights"), 0.0)
+        stack._log_weights = np.where(live, joined("_log_weights"), -np.inf)
+        stack.support_bound = max(m.support_bound for m in models)
+        return stack
+
+    def _rows(self, which):
+        """For a ``_stack`` of models: the model whose column j is column which[j].
+
+        Atoms, weights and log weights are gathered, not taken again, so
         ``evaluate`` at nodes y with y.shape == which.shape gives node j
-        what the prior of column which[j] alone would give it.
+        what the model of column which[j] alone would give it.
         """
         rows = copy.copy(self)
         rows.atoms, rows.weights, rows._log_weights = (
@@ -173,14 +193,11 @@ class MarginalModel:
     def evaluate(self, y):
         """(log f(y), posterior weights P(U = u_i | Y = y)) from one build of the log terms.
 
-        log f has the shape of y; the weights add a last, atom axis, are
-        nonnegative and sum to one along it.  They are a view of the
-        atom-major array that ``_log_sum_exp`` reduces, so moving the atom
-        axis back to the front copies nothing.
+        log f has the shape of y.  The weights have shape (atoms,
+        *y.shape), atom axis first, as ``_log_sum_exp`` builds them; they
+        are nonnegative and sum to one along that axis.
         """
-        log_f, weights = _log_sum_exp(self._log_terms(y))
-        # ndarray.transpose, not np.moveaxis: a pair state calls this per node batch
-        return log_f, weights.transpose((*range(1, weights.ndim), 0))
+        return _log_sum_exp(self._log_terms(y))
 
     def log_density(self, y):
         return self._maybe_scalar(self.evaluate(y)[0], y)
@@ -189,25 +206,25 @@ class MarginalModel:
         return self._maybe_scalar(np.exp(self.evaluate(y)[0]), y)
 
     def posterior_mean(self, y):
-        return self._maybe_scalar(self.evaluate(y)[1] @ self.atoms, y)
+        return self._maybe_scalar(np.tensordot(self.atoms, self.evaluate(y)[1], 1), y)
 
     def posterior_second_moment(self, y):
-        return self._maybe_scalar(self.evaluate(y)[1] @ self.atoms**2, y)
+        return self._maybe_scalar(np.tensordot(self.atoms**2, self.evaluate(y)[1], 1), y)
 
     def posterior_variance(self, y):
         p = self.evaluate(y)[1]
-        m1 = p @ self.atoms
-        out = np.maximum(p @ self.atoms**2 - m1 * m1, 0.0)
+        m1 = np.tensordot(self.atoms, p, 1)
+        out = np.maximum(np.tensordot(self.atoms**2, p, 1) - m1 * m1, 0.0)
         return self._maybe_scalar(out, y)
 
     def score(self, y):
         """f'(y) / f(y), identically posterior_mean(y) - y."""
-        out = self.evaluate(y)[1] @ self.atoms - np.asarray(y, dtype=float)
+        out = np.tensordot(self.atoms, self.evaluate(y)[1], 1) - np.asarray(y, dtype=float)
         return self._maybe_scalar(out, y)
 
     def density_derivative(self, y):
         log_f, p = self.evaluate(y)
-        out = np.exp(log_f) * (p @ self.atoms - np.asarray(y, dtype=float))
+        out = np.exp(log_f) * (np.tensordot(self.atoms, p, 1) - np.asarray(y, dtype=float))
         return self._maybe_scalar(out, y)
 
     def regularized_rule(self, rho, y):
@@ -217,7 +234,7 @@ class MarginalModel:
         log_f, p = self.evaluate(y)
         y_arr = np.asarray(y, dtype=float)
         f = np.exp(log_f)
-        out = y_arr + f * (p @ self.atoms - y_arr) / np.maximum(f, rho)
+        out = y_arr + f * (np.tensordot(self.atoms, p, 1) - y_arr) / np.maximum(f, rho)
         return self._maybe_scalar(out, y)
 
 

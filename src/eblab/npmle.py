@@ -92,21 +92,17 @@ class NpmleProblem:
             raise ValueError("bad stopping policy")
 
     @classmethod
-    def from_observations(
-        cls, observations, grid_size=400, constrained=False, mprime=None, **kwargs
-    ):
-        """Uniform grid over the sample range, or [-mprime, mprime] if constrained."""
+    def from_observations(cls, observations, grid_size=400, bounds=None, **kwargs):
+        """Uniform grid of ``grid_size`` points on ``bounds`` = (lo, hi), by default the sample range."""
         observations = np.atleast_1d(np.asarray(observations, dtype=float))
         if observations.size == 0:
             raise ValueError("need at least one observation")
-        if constrained:
-            if mprime is None or not mprime > 0.0:
-                raise ValueError("constrained fit needs a positive mprime")
-            lo, hi = -float(mprime), float(mprime)
-        else:
+        if bounds is None:
             lo, hi = float(observations.min()), float(observations.max())
             if lo == hi:
                 lo, hi = lo - 1.0, hi + 1.0
+        else:
+            lo, hi = map(float, bounds)
         grid = np.linspace(lo, hi, int(grid_size))
         return cls(observations=observations, grid=grid, **kwargs)
 
@@ -345,7 +341,7 @@ def sample_observations(prior, n, rng):
 def empirical_regret_experiment(true_prior, n, seed, **fit_options):
     """Fit the grid NPMLE on one synthetic sample and score it.
 
-    ``fit_options`` (grid_size, constrained, mprime, max_iters, tol) go
+    ``fit_options`` (grid_size, bounds, max_iters, tol) go
     to ``NpmleProblem.from_observations``.  Returns ``(record, solution)``:
     a flat record with the squared Hellinger distance and regret of the
     fitted prior against the truth, the fit's loglik and certificate, and

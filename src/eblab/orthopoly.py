@@ -277,9 +277,9 @@ def jacobi_norm_bound_check(nu, k, c1, c2, **grid_options):
     table = recurrence_for_weight(nu, k, **grid_options)
     model = MarginalModel(nu)
     posterior = model.evaluate(table.nodes)[1]
-    mean = posterior @ model.atoms
+    mean = np.tensordot(model.atoms, posterior, 1)
     vprime = table.nodes + mean
-    vsecond = 1.0 + np.maximum(posterior @ model.atoms**2 - mean * mean, 0.0)
+    vsecond = 1.0 + np.maximum(np.tensordot(model.atoms**2, posterior, 1) - mean * mean, 0.0)
 
     growth_gap = float(np.max(np.abs(vprime) - c1 * (1.0 + np.abs(table.nodes))))
     if growth_gap > 1e-9:

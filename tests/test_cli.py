@@ -11,7 +11,7 @@ import eblab.cli as cli
 import eblab.metrics as metrics
 import eblab.npmle as npmle
 import eblab.quadrature as quadrature
-from eblab.cli import generate_prior, main, parse_prior_spec
+from eblab.cli import _parse_generator, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
 from eblab.npmle import cell_rng
@@ -38,17 +38,17 @@ def test_parse_prior_spec_forms(tmp_path):
 
 def test_generate_prior_families():
     rng = cell_rng(1)
-    point = generate_prior("point", {"u": 0.7}, rng)
+    point = parse_prior_spec("point:u=0.7", rng)
     assert np.array_equal(point.atoms, [0.7])
-    katom = generate_prior("k_atom", {"k": 4, "m": 2.0}, rng)
+    katom = parse_prior_spec("k_atom:k=4,m=2.0", rng)
     assert katom.atoms.size == 4
     assert np.max(np.abs(katom.atoms)) <= 2.0
-    galpha = generate_prior("g_alpha", {"alpha": 1.0, "sigma": 1.0, "k": 6}, rng)
+    galpha = parse_prior_spec("g_alpha:alpha=1.0,sigma=1.0,k=6", rng)
     assert check_class_membership(galpha, 1.0, 1.0)
     with pytest.raises(InvalidParameter):
-        generate_prior("mystery", {}, rng)
+        parse_prior_spec("mystery", rng)
     with pytest.raises(InvalidParameter):
-        generate_prior("k_atom", {"k": 0}, rng)
+        parse_prior_spec("k_atom:k=0", rng)
 
 
 def test_main_exit_codes(tmp_path):
@@ -138,12 +138,19 @@ def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
         ("k_atom:k=inf", "k"),
         ("k_atom:m=inf", "m"),
         ("g_alpha:sigma=inf", "sigma"),
+        ("k_atom:m=1e308", "m"),
+        ("two_point:m=1e308", "m"),
     ],
     ids=["key-not-read", "point-key-not-read", "key-twice", "fractional-k", "infinite-k",
-         "infinite-m", "infinite-sigma"],
+         "infinite-m", "infinite-sigma", "k-atom-range-overflow", "two-point-range-overflow"],
 )
 def test_bad_generator_specs_exit_2_naming_the_key(capsys, generator, key):
     assert main(["regratio", "--pairs", generator, "--count", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eblab: ") and repr(key) in err
+    assert "Traceback" not in err
+    # a prior flag parses the same spec
+    assert main(["metrics", "--prior-g", generator, "--prior-h", "point:u=0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("eblab: ") and repr(key) in err
     assert "Traceback" not in err
@@ -466,6 +473,8 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["npmle", "--data", "{data}", "--grid-max", "3"], "--grid-max"),
         (_DATA_GRID + ["--constrained"], "--constrained"),
         (_DATA_GRID + ["--constrained", "--mprime", "2"], "--constrained"),
+        (["npmle", "--data", "{data}", "--constrained"], "--mprime"),
+        (["npmle", "--n-values", "40", "--n-seeds", "1", "--constrained"], "--mprime"),
         (["npmle", "--data", "{data}", "--prior", "two_point:m=1"], "--prior"),
         (["npmle", "--data", "{data}", "--n-values", "40"], "--n-values"),
         (["npmle", "--data", "{data}", "--n-seeds", "2"], "--n-seeds"),
@@ -486,6 +495,8 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "data-grid-max-alone",
         "data-grid-constrained",
         "data-grid-constrained-mprime",
+        "data-constrained-without-mprime",
+        "synthetic-constrained-without-mprime",
         "data-prior",
         "data-n-values",
         "data-n-seeds",
@@ -662,17 +673,17 @@ class _ScriptedRng:
 
 
 @pytest.mark.parametrize(
-    "name, params, draws",
+    "spec, draws",
     [
-        ("two_point", {"m": 1.0}, [[0.3, 0.3], [0.3, -0.2]]),
-        ("k_atom", {"k": 3, "m": 1.0}, [[0.1, -0.4, 0.1], [0.1, -0.4, 0.2]]),
-        ("g_alpha", {"alpha": 1.0, "sigma": 1.0, "k": 3}, [[0.2, 0.2, -0.1], [0.2, 0.3, -0.1]]),
+        ("two_point:m=1.0", [[0.3, 0.3], [0.3, -0.2]]),
+        ("k_atom:k=3,m=1.0", [[0.1, -0.4, 0.1], [0.1, -0.4, 0.2]]),
+        ("g_alpha:alpha=1.0,sigma=1.0,k=3", [[0.2, 0.2, -0.1], [0.2, 0.3, -0.1]]),
     ],
     ids=["two_point", "k_atom", "g_alpha"],
 )
-def test_generators_redraw_repeated_atoms(name, params, draws):
+def test_generators_redraw_repeated_atoms(spec, draws):
     rng = _ScriptedRng(draws)
-    prior = generate_prior(name, params, rng)
+    prior = _parse_generator(spec)(rng)
     assert rng.used == 2
     assert np.array_equal(prior.atoms, np.sort(draws[1]))
 

@@ -144,8 +144,9 @@ def test_shift_invariance_of_regret_and_hellinger():
     base_reg = _single("regret", g, h)
     base_eps = _single("hellinger_sq", g, h)
     for mu in (0.7, -2.3):
-        assert abs(_single("regret", g.shift(mu), h.shift(mu)) - base_reg) <= 1e-8
-        assert abs(_single("hellinger_sq", g.shift(mu), h.shift(mu)) - base_eps) <= 1e-8
+        moved = [DiscretePrior(prior.atoms + mu, prior.weights) for prior in (g, h)]
+        assert abs(_single("regret", *moved) - base_reg) <= 1e-8
+        assert abs(_single("hellinger_sq", *moved) - base_eps) <= 1e-8
 
 
 def test_small_separation_ratio_stays_bounded():
@@ -270,12 +271,12 @@ def test_one_pass_report_matches_single_functionals(g, h, rhos):
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(pairs=st.lists(st.tuples(_PRIORS, _PRIORS), max_size=6))
 def test_report_sweep_is_each_pair_reported_alone(pairs):
-    # pairs of different atom counts go to different lock-step passes
+    # pairs of any atom counts share one lock-step pass
     assert compute_metric_reports(pairs) == [compute_metric_report(g, h) for g, h in pairs]
 
 
 def test_report_sweep_with_zero_weight_atoms_is_each_pair_reported_alone():
-    # a class stacks log 0 = -inf weights once; no RuntimeWarning, and each pair's bits alone
+    # a sweep stacks log 0 = -inf weights once; no RuntimeWarning, and each pair's bits alone
     pairs = [
         (DiscretePrior([-1.0, 0.0, 1.5], [0.5, 0.0, 0.5]), DiscretePrior([-0.5, 2.0], [1.0, 0.0])),
         (DiscretePrior([-1.0, 0.5, 1.0], [0.0, 0.25, 0.75]), DiscretePrior([0.0, 1.0], [0.6, 0.4])),
@@ -283,6 +284,46 @@ def test_report_sweep_with_zero_weight_atoms_is_each_pair_reported_alone():
         (DiscretePrior([-0.3, 0.8], [0.0, 1.0]), DiscretePrior.point(0.8)),
     ]
     assert compute_metric_reports(pairs) == [compute_metric_report(g, h) for g, h in pairs]
+
+
+def _sweep_pairs():
+    """Pairs of 1-8 atoms against 8-1; G (even sizes) or H (odd) has one weight-0 atom, placed in turn."""
+    rng = np.random.default_rng(20)
+    pairs = []
+    for size in range(1, 9):
+        priors = []
+        for side, k in enumerate((size, 9 - size)):
+            weights = rng.dirichlet(np.ones(k))
+            if k > 1 and side == size % 2:
+                weights[(size - 1) % k] = 0.0
+                weights /= weights.sum()
+            priors.append(DiscretePrior(np.sort(rng.uniform(-2.0, 2.0, k)), weights))
+        pairs.append(tuple(priors))
+    return pairs
+
+
+_NAMES = ["hellinger_sq", "delta", "delta_flux", "regret", "regret_score_form"]
+
+
+@pytest.mark.parametrize("names", [[name] for name in _NAMES] + [_NAMES], ids=[*_NAMES, "all"])
+def test_sweep_of_any_atom_counts_is_one_pass_and_each_pair_alone(monkeypatch, names):
+    pairs = _sweep_pairs()
+    assert {g.atoms.size for g, _ in pairs} == set(range(1, 9))
+    assert all(0.0 in g.weights for g, _ in pairs[1::2]) and all(0.0 in h.weights for _, h in pairs[::2])
+    assert any(pair[side].weights[0] == 0.0 for pair in pairs for side in (0, 1))
+    passes = []
+    integrate = metrics.integrate_lines
+
+    def counted(f, specs):
+        passes.append(len(specs))
+        return integrate(f, specs)
+
+    monkeypatch.setattr(metrics, "integrate_lines", counted)
+    sweep = metrics._sweep_integrals(pairs, names)
+    assert passes == [len(pairs)]
+    for values, (g, h) in zip(sweep, pairs):
+        alone = pair_integrals(g, h, names)
+        assert {k: v.hex() for k, v in values.items()} == {k: v.hex() for k, v in alone.items()}
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -379,7 +420,7 @@ def test_a_nodes_pair_state_is_bit_identical_in_every_batch(atoms):
         return DiscretePrior(rng.uniform(-3.0, 3.0, size), rng.dirichlet(np.ones(size)))
 
     pairs = [(MarginalModel(prior(atoms)), MarginalModel(prior(41 - atoms))) for _ in range(3)]
-    stacks = [metrics._stacked([pair[side] for pair in pairs]) for side in (0, 1)]
+    stacks = [MarginalModel._stack([pair[side] for pair in pairs]) for side in (0, 1)]
     formulas = metrics._pair_formulas(metrics._REPORT_NAMES, [0.05])
     y, which = rng.uniform(-8.0, 8.0, 3840), rng.integers(0, len(pairs), 3840)
 

@@ -158,7 +158,7 @@ def test_shift_equivariance():
         mu = float(rng.uniform(-3, 3))
         y = rng.uniform(-4, 4, size=9)
         base = MarginalModel(prior)
-        moved = MarginalModel(prior.shift(mu))
+        moved = MarginalModel(DiscretePrior(prior.atoms + mu, prior.weights))
         assert np.allclose(moved.posterior_mean(y + mu), base.posterior_mean(y) + mu, atol=1e-10)
         assert np.allclose(moved.density(y + mu), base.density(y), atol=1e-13)
 
@@ -334,6 +334,18 @@ def test_each_evaluator_builds_the_log_terms_once(monkeypatch, name):
         assert builds[0] == 1
 
 
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_evaluators_on_a_2d_array_are_the_flat_call_reshaped(name):
+    rng = np.random.default_rng(11)
+    y = rng.uniform(-6.0, 6.0, (3, 7))
+    for size in (1, 3, 8, 12):
+        model = MarginalModel(DiscretePrior(rng.uniform(-3.0, 3.0, size), rng.dirichlet(np.ones(size))))
+        grid = getattr(model, name)(*_EVALUATORS[name], y)
+        flat = getattr(model, name)(*_EVALUATORS[name], y.ravel())
+        assert grid.shape == y.shape
+        assert grid.tobytes() == flat.reshape(y.shape).tobytes()
+
+
 def test_pair_pass_builds_the_log_terms_twice_per_integrand_call(monkeypatch):
     builds = _count_builds(monkeypatch)
     per_call = []
@@ -369,7 +381,7 @@ def test_evaluate_is_one_normalized_log_sum_exp(g, h, ys, data):
     oracle = logsumexp(model._log_terms(y), axis=0)
     assert np.all(np.abs(log_f - oracle) <= 1e-14 * np.abs(oracle))
     assert np.all(weights >= 0.0)
-    assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-14)
+    assert np.all(np.abs(weights.sum(axis=0) - 1.0) <= 1e-14)
     # the pair state of a node batch is the pair states of its parts, concatenated
     cut = data.draw(st.integers(1, y.size - 1))
     whole = metrics._PairState(model, MarginalModel(h), y)

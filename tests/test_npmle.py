@@ -178,10 +178,10 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         NpmleProblem(observations=[0.0], grid=[0.0, 1.0], tol=0.0)
     with pytest.raises(ValueError):
-        NpmleProblem.from_observations([0.0, 1.0], constrained=True)
-    for constrained in (False, True):
+        NpmleProblem.from_observations([0.0, 1.0], bounds=(1.0, 1.0))
+    for bounds in (None, (-1.0, 1.0)):
         with pytest.raises(ValueError, match="need at least one observation"):
-            NpmleProblem.from_observations([], constrained=constrained, mprime=1.0)
+            NpmleProblem.from_observations([], bounds=bounds)
 
 
 def test_observation_stranded_off_grid_raises():
@@ -319,7 +319,7 @@ def test_observation_past_underflow_distance_raises(y, grid, distance, side):
 
 
 def test_constrained_grid_respects_bound():
-    problem = _small_problem(constrained=True, mprime=0.8)
+    problem = _small_problem(bounds=(-0.8, 0.8))
     assert problem.grid[0] == -0.8
     assert problem.grid[-1] == 0.8
     solution = solve_npmle(problem)
