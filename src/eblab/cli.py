@@ -368,6 +368,13 @@ def _load_observations(path):
     return np.asarray(values)
 
 
+def _grid_bounds(lo, hi, flags):
+    """(lo, hi) for the fit grid, once both ends and the width hi - lo are finite."""
+    if not math.isfinite(hi - lo):
+        raise InvalidParameter(f"{flags} must give a finite grid, not [{lo!r}, {hi!r}]")
+    return lo, hi
+
+
 def _constrained_bounds(p):
     """(-M, M) for ``--constrained --mprime M``, else None: the fit grids the sample range."""
     if not p.get("constrained"):
@@ -375,7 +382,7 @@ def _constrained_bounds(p):
     mprime = p.get("mprime")
     if mprime is None or not mprime > 0.0:
         raise InvalidParameter(f"--constrained needs a positive --mprime, not {mprime!r}")
-    return -mprime, mprime
+    return _grid_bounds(-mprime, mprime, "--mprime")
 
 
 def _run_npmle(spec):
@@ -390,7 +397,7 @@ def _run_npmle(spec):
         lo, hi = p.get("grid_min"), p.get("grid_max")
         if lo is not None and hi is not None:
             _reject(p, ("constrained", "mprime"), "with --grid-min/--grid-max, which fix the grid")
-            bounds = lo, hi
+            bounds = _grid_bounds(lo, hi, "--grid-min/--grid-max")
         else:
             _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
             bounds = _constrained_bounds(p)
@@ -423,11 +430,8 @@ def _run_npmle(spec):
     ]
 
     bounds = _constrained_bounds(p)
-    fits = [
-        npmle.empirical_regret_experiment(true_prior, n, seed, bounds=bounds, **fit)
-        for n in n_values
-        for seed in seeds
-    ]
+    fits = npmle.empirical_regret_experiment(true_prior, [(n, seed) for n in n_values for seed in seeds],
+                                           bounds=bounds, **fit)
     rows = [record for record, _ in fits]
     counts = [solution.diagnostics for _, solution in fits]
     medians = {}

@@ -179,29 +179,41 @@ def _columns(formulas, state):
     return np.stack([formula(state) for formula in formulas], axis=-1)
 
 
+# numpy has no erfc: math.erfc of each entry of an array, as an object array
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
 def _hellinger_floor(model_g, model_h):
     """(floor, t): the squared Hellinger distance of the marginals on the cells y > t and y <= t.
 
     A lower bound on eps^2 (data processing), with t halfway between the
-    priors' largest atoms of positive weight.  Each cell's chances under G
-    and H are tail sums of their own; the gap between them is one sum over
-    both priors' atoms, common atoms merged into one signed weight, so
-    nothing cancels and identical priors give a gap of exactly zero.
+    priors' largest atoms of positive weight.  For stacked models
+    (``MarginalModel._stack``) both are arrays, one entry per column.  Each
+    cell's chances under G and H are tail sums of their own; the gap
+    between them is one sum over both priors' atoms, an atom of H that G
+    also has merged into G's signed weight, so nothing cancels and
+    identical priors give a gap of exactly zero.
     """
-    g, h = (dict(zip(m.atoms.tolist(), m.weights.tolist())) for m in (model_g, model_h))
-    t = 0.5 * sum(max(u for u, w in prior.items() if w > 0.0) for prior in (g, h))
-    signed = {u: g.get(u, 0.0) - h.get(u, 0.0) for u in {**g, **h}}
+    ag, wg, ah, wh = (np.reshape(x, (len(x), -1)) for m in (model_g, model_h) for x in (m.atoms, m.weights))
+    t = 0.5 * (np.where(wg > 0.0, ag, -np.inf).max(axis=0) + np.where(wh > 0.0, ah, -np.inf).max(axis=0))
+    shared = ah[:, None] == ag  # an H atom is merged into the first G atom it equals: a pad repeats one
+    merged = shared & (shared.cumsum(axis=1) == 1)
+    signed = np.concatenate((wg - (merged * wh[:, None]).sum(axis=0), np.where(shared.any(axis=1), 0.0, -wh)))
+    z = (t - np.concatenate((ag, ah))) / math.sqrt(2.0)
+    up, down = (_ERFC(side * z).astype(float) for side in (1.0, -1.0))  # 2 P(y > t), 2 P(y <= t) per atom
+    gap = (signed * 0.5 * up).sum(axis=0)
+    roots = [np.sqrt((wg * 0.5 * cell[: len(ag)]).sum(axis=0))
+             + np.sqrt((wh * 0.5 * cell[len(ag) :]).sum(axis=0)) for cell in (up, down)]
+    floor = sum(np.divide(gap, s, out=np.zeros_like(gap), where=s > 0.0) ** 2 for s in roots)
+    return (floor, t) if model_g.atoms.ndim == 2 else (float(floor[0]), float(t[0]))
 
-    def chance(prior, side):  # P(y > t) for side 1, P(y <= t) for side -1
-        return sum(w * 0.5 * math.erfc(side * (t - u) / math.sqrt(2.0)) for u, w in prior.items())
 
-    gap = chance(signed, 1.0)
-    root_sums = [math.sqrt(chance(g, side)) + math.sqrt(chance(h, side)) for side in (1.0, -1.0)]
-    return sum((gap / s) ** 2 for s in root_sums if s > 0.0), t
+def _checked_values(values, names, rhos, spec, floor):
+    """One pass's integrals keyed by name and rho, once Delta's two forms agree and eps^2 its ``floor``.
 
-
-def _checked_values(values, names, rhos, spec, models):
-    """One pass's integrals keyed by name and rho, once Delta's two forms agree and eps^2 its floor."""
+    ``floor`` is ``_hellinger_floor``'s (floor, t), read only when the
+    pass integrates hellinger_sq.
+    """
     values = [float(v) for v in values]
     if "delta_flux" in names:
         first, second = values[names.index("delta_flux")], values.pop()
@@ -212,7 +224,7 @@ def _checked_values(values, names, rhos, spec, models):
             )
     if "hellinger_sq" in names:
         eps_sq = values[names.index("hellinger_sq")]
-        floor, t = _hellinger_floor(*models)
+        floor, t = floor
         if eps_sq < floor * (1.0 - _FLOOR_REL_TOL):
             raise ToleranceNotMet(f"eps^2 = {eps_sq!r} is below its lower bound {floor!r} from the "
                                   f"cell y > {t!r}: no panel resolved an atom",
@@ -248,7 +260,8 @@ def pair_integrals(model_g, model_h, names=(), rhos=(), spec=None):
     def integrand(y):
         return _columns(formulas, _PairState(*models, y))
 
-    return _checked_values(integrate_line(integrand, spec), names, rhos, spec, models)
+    floor = _hellinger_floor(*models) if "hellinger_sq" in names else None
+    return _checked_values(integrate_line(integrand, spec), names, rhos, spec, floor)
 
 
 def decomposition_residual(model_g, model_h, y):
@@ -314,8 +327,11 @@ def _sweep_integrals(pairs, names):
     def integrand(y, which):
         return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))
 
-    return [_checked_values(integrals, names, [], spec, pair)
-            for integrals, spec, pair in zip(integrate_lines(integrand, specs), specs, models)]
+    floors = [None] * len(specs)
+    if "hellinger_sq" in names:
+        floors = zip(*(x.tolist() for x in _hellinger_floor(*stacks)))
+    return [_checked_values(integrals, names, [], spec, floor)
+            for integrals, spec, floor in zip(integrate_lines(integrand, specs), specs, floors)]
 
 
 def compute_metric_reports(pairs):

@@ -338,28 +338,24 @@ def sample_observations(prior, n, rng):
     return atoms[idx] + rng.standard_normal(int(n))
 
 
-def empirical_regret_experiment(true_prior, n, seed, **fit_options):
-    """Fit the grid NPMLE on one synthetic sample and score it.
+def empirical_regret_experiment(true_prior, cells, **fit_options):
+    """Fit the grid NPMLE on the synthetic sample of each (n, seed) in ``cells`` and score every fit.
 
     ``fit_options`` (grid_size, bounds, max_iters, tol) go
-    to ``NpmleProblem.from_observations``.  Returns ``(record, solution)``:
-    a flat record with the squared Hellinger distance and regret of the
-    fitted prior against the truth, the fit's loglik and certificate, and
-    the seed that generated the sample, whose keys, in order, are the
-    columns of the synthetic ``npmle`` CSV; and the ``NpmleSolution``,
-    whose solver counts the CLI sums into its sidecar.  Solver errors
+    to ``NpmleProblem.from_observations``.  Returns one ``(record,
+    solution)`` per cell: a flat record with the squared Hellinger
+    distance and regret of the fitted prior against the truth, the fit's
+    loglik and certificate, and the seed that generated the sample, whose
+    keys, in order, are the columns of the synthetic ``npmle`` CSV; and
+    the ``NpmleSolution``, whose solver counts the CLI sums into its
+    sidecar.  All fits are scored in one sweep
+    (``metrics._sweep_integrals``), each bit for bit as
+    ``metrics.pair_integrals`` would score it alone.  Solver errors
     propagate.
     """
-    rng = cell_rng(seed, n)
-    y = sample_observations(true_prior, n, rng)
-    solution = solve_npmle(NpmleProblem.from_observations(y, **fit_options))
-    scores = metrics.pair_integrals(true_prior, solution.prior, ["hellinger_sq", "regret"])
-    record = {
-        "n": int(n),
-        "seed": int(seed),
-        "eps_sq": scores["hellinger_sq"],
-        "regret": scores["regret"],
-        "loglik": solution.loglik,
-        "cert": solution.gradient_cert,
-    }
-    return record, solution
+    solutions = [solve_npmle(NpmleProblem.from_observations(
+        sample_observations(true_prior, n, cell_rng(seed, n)), **fit_options)) for n, seed in cells]
+    scores = metrics._sweep_integrals([(true_prior, s.prior) for s in solutions], ["hellinger_sq", "regret"])
+    return [({"n": int(n), "seed": int(seed), "eps_sq": score["hellinger_sq"], "regret": score["regret"],
+              "loglik": solution.loglik, "cert": solution.gradient_cert}, solution)
+            for (n, seed), solution, score in zip(cells, solutions, scores)]

@@ -19,13 +19,12 @@ here:
   integral of ``metrics`` and ``families`` is one such pass.
   ``integrate_lines`` runs many such integrals in lock step, each with
   its own spec, so that they share every integrand call; each result
-  equals its own ``integrate_line`` bit for bit.  This driver runs each
-  integral's first pass itself, one panel per request, as
-  ``integrate_line`` documents it.  The split rounds are written once,
-  as a generator (``_refinement``) that starts from a complete first
-  pass, yields the children each round needs and is sent their
-  estimates: one per integral, resumed once when its first pass ends and
-  once per round.  ``integrate_line`` is the one-integral case.
+  equals its own ``integrate_line`` bit for bit.  The state of all the
+  integrals lives in arrays: one queue of panel requests, one pool of
+  live panels, and each integral's sums.  Each step evaluates the
+  requests at the front of the queue in one call and applies the rule
+  once, to every integral whose first pass or split round that call
+  completes; ``integrate_line`` is the case of one integral.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -206,63 +205,53 @@ def _panel_estimates(fx, ends):
     return kron, err, shape
 
 
-def _first_pass(spec):
-    """The ends (n_init, 2) of the first-pass panels: [-R, R] cut into 8 to 64 equal panels."""
-    radius = spec.truncation_radius
-    n_init = int(min(64.0, max(8.0, math.ceil(radius))))
-    edges = np.linspace(-radius, radius, n_init + 1)
-    return np.stack([edges[:-1], edges[1:]], axis=1)
+def _first_passes(specs):
+    """Every first pass, [-R, R] cut into 8 to 64 equal panels: the ends of all, and each pass's panels.
 
-
-def _refinement(spec, ends, values, errors, shape):
-    """The split rounds of ``integrate_line``'s rule for one integral, with the integrand left out.
-
-    Starts from the complete first pass: the panel ends (n_init, 2), their
-    K15 values and error estimates, and the integral's shape, as
-    ``_panel_estimates`` gives them.  ``ends``, ``values`` and ``errors``
-    then hold the live panels in creation order: a split panel is dropped
-    and its children appended.  A generator: each round it yields the
-    ends of the children it needs and is sent back their values, errors
-    and shape.  It returns the integral once every component meets its
-    target and raises ``ToleranceNotMet`` when the panel budget runs out
-    first.
+    Panel t of integral i is row ``last[i] + 1 - count[i] + t`` of the ends (panels + 1, 2), whose
+    last row is spare.
     """
-    total = values.sum(axis=0)
-    err = errors.sum(axis=0)
+    radius = np.array([spec.truncation_radius for spec in specs])
+    count = np.minimum(64.0, np.maximum(8.0, np.ceil(radius))).astype(np.intp)
+    last = count.cumsum() - 1
+    ends = np.empty((last[-1] + 2, 2))
+    for n in set(count.tolist()):
+        group = (count == n).nonzero()[0]
+        edges = np.linspace(-radius[group], radius[group], n + 1)  # (n + 1, integrals of the group)
+        rows = (last[group] - n + 1 + np.arange(n)[:, None]).ravel()
+        ends[rows, 0], ends[rows, 1] = edges[:-1].ravel(), edges[1:].ravel()
+    return ends, last, count
 
-    def result(x):
-        return float(x[0]) if shape == () else x.copy()
 
-    while True:
-        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        over = err > target
-        if not over.any():
-            return result(total)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = int(np.argmax(np.where(over, err / target, 0.0)))
-        if len(ends) >= spec.max_panels:
-            raise ToleranceNotMet(
-                f"error bound {err[c]:.3e} against target {target[c]:.3e} "
-                f"in component {c} after {len(ends)} panels "
-                f"(target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
-                estimate=result(total),
-                error_bound=result(err),
-            )
-        order = np.argsort(-errors[:, c], kind="stable")
-        reach = np.searchsorted(np.cumsum(errors[order, c]), err[c] - target[c] / 8.0, "right")
-        batch = order[: min(reach + 1, _BATCH_PANELS, spec.max_panels - len(ends))]
-        total -= values[batch].sum(axis=0)
-        err -= errors[batch].sum(axis=0)
-        a, b = ends[batch].T
-        mid = 0.5 * (a + b)
-        children = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)  # left, right child
-        child_values, child_errors, _ = yield children
-        total += child_values.sum(axis=0)
-        err += child_errors.sum(axis=0)
-        live = np.ones(len(ends), dtype=bool)
-        live[batch] = False
-        ends, values, errors = (np.concatenate((old[live], new)) for old, new in
-                                ((ends, children), (values, child_values), (errors, child_errors)))
+def _runs(starts, lengths):
+    """The indices of the runs starts[j], ..., starts[j] + lengths[j] - 1, one after another."""
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return shift + np.arange(len(shift))
+
+
+def _row_sums(rows, lengths, k):
+    """The sum of each run of ``rows``, bit for bit as numpy sums each run's own (panels, k) arrays.
+
+    ``rows`` holds the values and errors of k components side by side, and
+    the runs follow one another with the given lengths, each at least 1.
+    numpy adds the rows of a (panels, k) array one after another when
+    k >= 2, so one (runs, panels, 2k) buffer padded with -0.0, which adds
+    nothing, sums every run in one call.  A single column numpy sums
+    pairwise, so then each run's column is summed on its own.
+    """
+    if k == 1:
+        bounds = np.cumsum(lengths).tolist()
+        return np.array([[rows[a:b, 0].sum(), rows[a:b, 1].sum()] for a, b in zip([0] + bounds, bounds)])
+    if len(lengths) == 1:
+        return rows.sum(axis=0, keepdims=True)
+    padded = np.full((len(lengths), int(lengths.max()), 2 * k), -0.0)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    padded[run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]] = rows
+    return padded.sum(axis=1)
+
+
+# added to a first-pass request (integral, row, panels): the request of the panel after it
+_NEXT_PANEL = np.array([0, 1, 0])
 
 
 def integrate_lines(f, specs):
@@ -270,51 +259,138 @@ def integrate_lines(f, specs):
 
     Integral i is exactly ``integrate_line`` of y -> f(y, i) with
     ``specs[i]``: its own window, first pass, per-component targets,
-    refinement batches and panel budget.  Each step evaluates the waiting
-    panel requests together in one call ``f(y, which)``, where
+    refinement batches and panel budget.  Each integral has one request
+    waiting at a time in one queue: its next first-pass panel, or the
+    children of its split round.  Each step evaluates requests from the
+    front of the queue together in one call ``f(y, which)``, where
     ``which[j]`` is the index of the integral that node y[j] belongs to:
-    the requests in order, as many whole ones as fit in 2 * 128 panels
-    and at least one, so a single integral makes exactly the calls it
-    would make alone.  The driver runs each first pass itself, one panel
-    per request, into that integral's own arrays; once the pass is
-    complete, the integral's ``_refinement`` takes over and requests one
-    batch of children per round.  Rows of ``f`` must not depend on which
-    other nodes share the call; then every result equals its
-    ``integrate_line`` bit for bit.  Returns a list with one float or
+    as many whole requests as fit in 2 * 128 panels and at least one, so
+    a single integral makes exactly the calls it would make alone.  Each
+    integral's sums and error sums are a row of one array, and its live
+    panels, in creation order, rows of one pool.  A step scatters the K15
+    values and errors it gets into these, applies the rule once to all
+    the integrals whose first pass or round it completes, and queues
+    their next requests in the order of the step.  Rows of ``f`` must not
+    depend on which other nodes share the call; then every result equals
+    its ``integrate_line`` bit for bit.  Returns a list with one float or
     array per spec.  The first integral to fail raises its
     ``ToleranceNotMet``.
     """
-    firsts = [_first_pass(spec) for spec in specs]
-    passes = [None] * len(specs)  # each integral's first-pass K15 values and errors, row t for panel t
-    runs, results = [None] * len(specs), [None] * len(specs)
-    # (integral, ends of its panels, t): first-pass panel t, or a refinement round when t is None
-    waiting = [(i, ends[:1], 0) for i, ends in enumerate(firsts)]
-    while waiting:
-        take, panels = 1, len(waiting[0][1])
-        while take < len(waiting) and panels + len(waiting[take][1]) <= _CALL_PANELS:
-            panels += len(waiting[take][1])
-            take += 1
-        step, waiting = waiting[:take], waiting[take:]
-        ends = np.concatenate([request for _, request, _ in step])
-        which = np.repeat([i for i, _, _ in step], [15 * len(request) for _, request, _ in step])
-        values, errors, shape = _panel_estimates(f(_nodes(ends), which), ends)
-        stop = 0
-        for i, request, t in step:
-            start, stop = stop, stop + len(request)
-            if t is None:
-                reply = values[start:stop], errors[start:stop], shape
-            else:  # first-pass panel t of integral i
-                if t == 0:
-                    passes[i] = [np.empty((len(firsts[i]),) + values.shape[1:]) for _ in range(2)]
-                passes[i][0][t], passes[i][1][t] = values[start], errors[start]
-                if t + 1 < len(firsts[i]):
-                    waiting.append((i, firsts[i][t + 1 : t + 2], t + 1))
-                    continue
-                runs[i], reply = _refinement(specs[i], firsts[i], *passes[i], shape), None
-            try:
-                waiting.append((i, runs[i].send(reply), None))
-            except StopIteration as done:
-                results[i] = done.value
+    results = [None] * len(specs)
+    if not specs:
+        return results
+    first, last, live = _first_passes(specs)  # live: each integral's panels, once its first pass is complete
+    abs_tol, rel_tol = (np.array([[getattr(s, name)] for s in specs]) for name in ("abs_tol", "rel_tol"))
+    max_panels = np.array([spec.max_panels for spec in specs])
+    ended = np.zeros(len(first), dtype=bool)  # a request for this first-pass row (-1: a round) is due
+    ended[last], ended[-1] = True, True
+    # the queue: each request's integral, first-pass row (-1 for a round) and panels, and all their ends
+    queue = np.ones((len(specs), 3), dtype=np.intp)
+    queue[:, 0], queue[:, 1] = np.arange(len(specs)), last + 1 - live
+    waiting = first[queue[:, 1]]
+    firsts = None  # K15 values and errors side by side, row for row of ``first``
+
+    def result(x):
+        return float(x[0]) if shape == () else x.copy()
+
+    while len(queue):
+        reach = queue[:, 2].cumsum()
+        take = max(1, int(reach.searchsorted(_CALL_PANELS, "right")))
+        panels = int(reach[take - 1])
+        step, ends, queue, waiting = queue[:take], waiting[:panels], queue[take:], waiting[panels:]
+        values, errors, shape = _panel_estimates(f(_nodes(ends), step[:, 0].repeat(15 * step[:, 2])), ends)
+        k = values.shape[1]
+        estimates = np.concatenate((values, errors), axis=1)
+        if firsts is None:
+            firsts, sums = np.empty((len(first), 2 * k)), np.full((len(specs), 2 * k), -0.0)
+            pool = first[:0], estimates[:0], step[:0, 0]  # the ends, estimates and integral of live panels
+        rows = step[:, 1]
+        if not ended[rows].any():  # first-pass panels only, one row each, none the last of its pass
+            firsts[rows] = estimates
+            queue = np.concatenate((queue, step + _NEXT_PANEL))
+            waiting = np.concatenate((waiting, first[rows + 1]))
+            continue
+        start = reach[:take] - step[:, 2]  # each request's first row in this step
+        firsts[rows] = estimates[start]  # a round's row -1 is the spare last row
+        going = ~ended[rows]  # first passes with panels to go
+        due = (~going).nonzero()[0]
+        integrals, lengths, begun = step[due, 0], step[due, 2], rows[due] >= 0  # begun: first pass complete
+        if len(due) < take or begun.any():  # each due integral's new panels, one run each, in step order
+            lengths = np.where(begun, live[integrals], lengths)
+            new = _runs(np.where(begun, rows[due] + 1 - lengths, len(first) + start[due]), lengths)
+            ends, estimates = np.concatenate((first, ends))[new], np.concatenate((firsts, estimates))[new]
+        state = sums[integrals] + _row_sums(estimates, lengths, k)  # -0.0 + x is x: a first sum
+        sums[integrals] = state
+        target = np.maximum(abs_tol[integrals], rel_tol[integrals] * abs(state[:, :k]))
+        over = state[:, k:] > target
+        split = over.any(axis=1)
+        keep, requests, waiting_next = None, step[:0], ends[:0]  # pool rows kept; the next requests
+        if not split.all():
+            for d in (~split).nonzero()[0].tolist():
+                results[integrals[d]] = result(state[d, :k])
+            if not (split | begun).all():  # integrals that finish with panels in the pool leave it
+                done = np.zeros(len(specs), dtype=bool)
+                done[integrals[~split & ~begun]] = True
+                keep = ~done[pool[2]]
+        if len(due) < take:  # first passes still going: their next panels
+            requests = step[going] + _NEXT_PANEL
+            waiting_next = first[requests[:, 1]]
+        if split.any():
+            splitting = integrals[split]
+            if not split.all():
+                grow = split.repeat(lengths)
+                ends, estimates, lengths = ends[grow], estimates[grow], lengths[split]
+                state, over, target = state[split], over[split], target[split]
+            err = state[:, k:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                component = np.where(over, err / target, 0.0).argmax(axis=1)
+            full = (live[splitting] >= max_panels[splitting]).nonzero()[0]
+            if len(full):
+                d, c = full[0], component[full[0]]
+                spec = specs[splitting[d]]
+                raise ToleranceNotMet(
+                    f"error bound {err[d, c]:.3e} against target {target[d, c]:.3e} in component {c} after "
+                    f"{live[splitting[d]]} panels (target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
+                    estimate=result(state[d, :k]), error_bound=result(err[d]))
+            pool = [np.concatenate(pair) for pair in zip(pool, (ends, estimates, splitting.repeat(lengths)))]
+            keep = np.ones(len(pool[2]), dtype=bool) if keep is None else np.concatenate(
+                (keep, np.ones(len(ends), dtype=bool)))
+            # each one's live panels, worst c-error first and oldest first among equals, as one run
+            rank = np.full(len(specs), -1)
+            rank[splitting] = np.arange(len(splitting))
+            mine = rank[pool[2]]
+            held = (mine >= 0).nonzero()[0]
+            key = pool[1][held, k + component[mine[held]]]
+            order = np.lexsort((-key, mine[held]))
+            held, key = held[order], key[order]
+            # the shortest prefix whose errors sum past E_c - target_c / 8, at most 128 panels, splits
+            count = live[splitting]
+            head = count.cumsum() - count
+            # (past its own panels a row reads others' errors, all >= 0: its cumsum only grows there)
+            width = np.arange(min(_BATCH_PANELS, int(count.max())))
+            prefix = key[np.minimum(head[:, None] + width, len(key) - 1)].cumsum(axis=1)
+            pick = np.arange(len(splitting)), component
+            reach = (prefix <= (err[pick] - target[pick] / 8.0)[:, None]).sum(axis=1)
+            room = np.minimum(_BATCH_PANELS, max_panels[splitting] - count)
+            count = np.minimum(np.minimum(reach + 1, count), room)
+            batch = held[_runs(head, count)]
+            sums[splitting] = state - _row_sums(pool[1][batch], count, k)
+            children = pool[0][batch].repeat(2, axis=0)  # left, right child of each
+            children[0::2, 1] = children[1::2, 0] = 0.5 * (children[0::2, 0] + children[0::2, 1])
+            live[splitting] += count
+            keep[batch] = False
+            rounds = np.empty((len(splitting), 3), dtype=np.intp)
+            rounds[:, 0], rounds[:, 1], rounds[:, 2] = splitting, -1, 2 * count
+            if len(requests):  # merged with the first passes still going, in the order of the step
+                entry = np.concatenate((going.nonzero()[0], due[split]))
+                place = entry.repeat(np.concatenate((requests[:, 2], rounds[:, 2]))).argsort(kind="stable")
+                requests = np.concatenate((requests, rounds))[entry.argsort()]
+                waiting_next = np.concatenate((waiting_next, children))[place]
+            else:
+                requests, waiting_next = rounds, children
+        if keep is not None:
+            pool = [column[keep] for column in pool]
+        queue, waiting = np.concatenate((queue, requests)), np.concatenate((waiting, waiting_next))
     return results
 
 

@@ -180,7 +180,7 @@ def test_10_npmle_sweep_matches_frozen_fixture():
     for n in (200, 800, 3200):
         regrets = []
         for seed in seeds:
-            record, _ = empirical_regret_experiment(true_prior, n, seed)
+            [(record, _)] = empirical_regret_experiment(true_prior, [(n, seed)])
             assert record["cert"] <= 1.0 + 1e-6
             regrets.append(record["regret"])
         regrets.sort()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import eblab.cli as cli
 import eblab.metrics as metrics
 import eblab.npmle as npmle
-import eblab.quadrature as quadrature
 from eblab.cli import _parse_generator, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
@@ -354,24 +353,9 @@ def test_regratio_sweep_shares_its_integrand_calls(tmp_path, monkeypatch):
     assert len(sizes) <= 20 and max(sizes) <= 15 * 2 * 128
 
 
-class _CountedRule:
-    """A ``_refinement`` that counts its resumptions and checks that each request is a split round."""
-
-    def __init__(self, rule):
-        self.rule, self.resumed, self.rounds = rule, 0, 0
-
-    def send(self, reply):
-        self.resumed += 1
-        children = self.rule.send(reply)
-        self.rounds += 1
-        # left and right children of each split panel share its midpoint
-        assert len(children) % 2 == 0 and np.array_equal(children[0::2, 1], children[1::2, 0])
-        return children
-
-
-def test_regratio_sweep_resumes_each_rule_once_per_round(tmp_path, monkeypatch):
-    sizes, rules = [], []
-    integrate, refinement = metrics.integrate_lines, quadrature._refinement
+def test_regratio_sweep_makes_15_calls_over_1706_panels(tmp_path, monkeypatch):
+    sizes = []
+    integrate = metrics.integrate_lines
 
     def counting(f, specs):
         def counted(y, which):
@@ -380,20 +364,13 @@ def test_regratio_sweep_resumes_each_rule_once_per_round(tmp_path, monkeypatch):
 
         return integrate(counted, specs)
 
-    def counted_rule(*first_pass):
-        rules.append(_CountedRule(refinement(*first_pass)))
-        return rules[-1]
-
     monkeypatch.setattr(metrics, "integrate_lines", counting)
-    monkeypatch.setattr(quadrature, "_refinement", counted_rule)
     argv = ["--seed", "0", "--out", str(tmp_path / "sweep"), "regratio", "--pairs", "k_atom:k=5,m=1",
             "--count", "100"]
     assert main(argv) == 0
     assert len(sizes) == 15  # the integrand calls of the one-panel-per-request first pass
-    # the driver runs every first pass: a rule starts once it is complete, then resumes once per round
-    assert len(rules) == 100
-    assert all(rule.resumed == 1 + rule.rounds for rule in rules)
-    assert sum(rule.resumed for rule in rules) == 176  # 100 first passes and 76 rounds
+    # 100 first passes and 76 split rounds evaluate 1,706 panels of 15 nodes
+    assert sum(sizes) == 25_590
 
 
 def test_regratio_pairs_that_stay_identical_exit_2(capsys, monkeypatch):
@@ -481,6 +458,9 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["npmle", "--n-values", "40", "--n-seeds", "1", "--mprime", "2"], "--mprime"),
         (["npmle", "--n-values", "0", "--n-seeds", "1"], "--n-values"),
         (["npmle", "--data", "{data}", "--mprime", "2"], "--mprime"),
+        (["npmle", "--data", "{data}", "--constrained", "--mprime", "inf"], "--mprime"),
+        (["npmle", "--data", "{data}", "--constrained", "--mprime", "1e308"], "--mprime"),
+        (["npmle", "--data", "{data}", "--grid-min=-inf", "--grid-max", "3"], "--grid-min"),
         (["regratio", "--p", "2", "--b", "8", "--count", "3"], "--count"),
         (["lowerbound", "--m-min", "5", "--m-max", "4"], "m_min"),
         (["lowerbound", "--m-min", "1", "--m-max", "3"], "m_min"),
@@ -503,6 +483,9 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "synthetic-mprime-unconstrained",
         "synthetic-n-values-zero",
         "data-mprime-unconstrained",
+        "data-mprime-infinite",
+        "data-mprime-width-overflows",
+        "data-grid-min-infinite",
         "demo-count",
         "lowerbound-empty-range",
         "lowerbound-m-below-2",

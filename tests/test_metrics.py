@@ -95,6 +95,40 @@ def test_hellinger_floor_refuses_missed_far_atoms():
             run(*far)
 
 
+def _dict_floor(model_g, model_h):
+    """Reference for ``metrics._hellinger_floor`` of one pair: its dict and ``math.erfc`` loops."""
+    g, h = (dict(zip(m.atoms.tolist(), m.weights.tolist())) for m in (model_g, model_h))
+    t = 0.5 * sum(max(u for u, w in prior.items() if w > 0.0) for prior in (g, h))
+    signed = {u: g.get(u, 0.0) - h.get(u, 0.0) for u in {**g, **h}}
+
+    def chance(prior, side):  # P(y > t) for side 1, P(y <= t) for side -1
+        return sum(w * 0.5 * math.erfc(side * (t - u) / math.sqrt(2.0)) for u, w in prior.items())
+
+    gap = chance(signed, 1.0)
+    root_sums = [math.sqrt(chance(g, side)) + math.sqrt(chance(h, side)) for side in (1.0, -1.0)]
+    return sum((gap / s) ** 2 for s in root_sums if s > 0.0), t
+
+
+# priors over a few shared atoms, some of weight 0, of 1 to 6 atoms: stacks pad the shorter ones
+_POOL_PRIORS = st.lists(st.tuples(st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.25, 1.0, 2.5, 40.0]),
+                                  st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0])),
+                        min_size=1, max_size=6, unique_by=lambda pair: pair[0]).filter(
+    lambda pairs: sum(w for _, w in pairs) > 0.0).map(_prior_from_pairs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(pairs=st.lists(st.tuples(_POOL_PRIORS, _POOL_PRIORS), min_size=1, max_size=8))
+def test_hellinger_floor_of_a_sweep_is_each_pairs_dict_floor(pairs):
+    models = [metrics._as_models(g, h) for g, h in pairs]
+    stacks = [MarginalModel._stack([pair[side] for pair in models]) for side in (0, 1)]
+    floors, ts = metrics._hellinger_floor(*stacks)
+    for pair, floor, t in zip(models, floors, ts):
+        expected, expected_t = _dict_floor(*pair)
+        for got, got_t in ((floor, t), metrics._hellinger_floor(*pair)):
+            assert got_t == expected_t
+            assert abs(got - expected) <= 1e-14 * expected
+
+
 def test_integration_window_refuses_supports_it_cannot_cover():
     with pytest.raises(ValueError, match="support bound 1e\\+160 is past 1e\\+147"):
         integration_window(MarginalModel(DiscretePrior.point(1e160)))

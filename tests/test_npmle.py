@@ -350,8 +350,8 @@ def test_sample_observations_shape_and_determinism():
 
 
 def test_empirical_regret_record_is_deterministic():
-    first, solution = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
-    second, _ = empirical_regret_experiment(TRUE_PRIOR, 120, seed=7, grid_size=100)
+    [(first, solution)] = empirical_regret_experiment(TRUE_PRIOR, [(120, 7)], grid_size=100)
+    [(second, _)] = empirical_regret_experiment(TRUE_PRIOR, [(120, 7)], grid_size=100)
     assert first == second
     assert (first["loglik"], first["cert"]) == (solution.loglik, solution.gradient_cert)
     assert set(first) == {"n", "eps_sq", "regret", "loglik", "cert", "seed"}
@@ -359,5 +359,5 @@ def test_empirical_regret_record_is_deterministic():
     assert first["regret"] >= 0.0
     assert first["eps_sq"] >= 0.0
     assert first["cert"] <= 1.0 + 1e-6
-    third, _ = empirical_regret_experiment(TRUE_PRIOR, 120, seed=8, grid_size=100)
+    [(third, _)] = empirical_regret_experiment(TRUE_PRIOR, [(120, 8)], grid_size=100)
     assert third["regret"] != first["regret"]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
@@ -425,11 +425,22 @@ def _schedule(driver, f, specs):
     vector=st.booleans(),
     failure=st.sampled_from([None, "budget", "nan"]),
     seed=st.integers(0, 2**32 - 1),
+    zero=st.just(None),
+    close=st.just(False),
 )
-def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed):
-    # 1-300 integrals of 8-64 first-pass panels: past 256 the first pass fills whole calls and rolls over
+@example(count=300, vector=False, failure=None, seed=0, zero=None, close=False)
+@example(count=300, vector=True, failure=None, seed=0, zero=-0.0, close=True)
+@example(count=300, vector=False, failure="budget", seed=1, zero=0.0, close=True)
+@example(count=300, vector=False, failure=None, seed=2, zero=None, close=True)
+@example(count=257, vector=True, failure="nan", seed=3, zero=None, close=True)
+@example(count=120, vector=False, failure=None, seed=4, zero=-0.0, close=False)
+@example(count=40, vector=True, failure="budget", seed=5, zero=0.0, close=False)
+def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed, zero, close):
+    # 1-300 integrals of 8-64 first-pass panels: past 256 the first pass fills whole calls and rolls over.
+    # The examples add a column that is ``zero`` on every node, so no padding may flip its sign, and
+    # ``close`` radii in [7, 10], so first passes of 8, 9 or 10 panels end in one call
     rng = np.random.default_rng(seed)
-    radii = rng.uniform(1.0, 80.0, size=count)
+    radii = rng.uniform(7.0, 10.0, size=count) if close else rng.uniform(1.0, 80.0, size=count)
     specs = [IntegrationSpec(abs_tol=float(rng.choice([0.0, 1e-13, 1e-10])),
                              rel_tol=float(10.0 ** rng.uniform(-12.0, -6.0)), truncation_radius=r)
              for r in radii]
@@ -447,6 +458,13 @@ def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed):
         def f(y, which):
             return np.where(((which == bad) & (y > cut))[:, None] if vector else (which == bad) & (y > cut),
                             np.nan, bumps(y, which))
+
+    if zero is not None:
+        inner = f
+
+        def f(y, which):
+            out = inner(y, which)
+            return np.concatenate([out.reshape(len(y), -1), np.full((len(y), 1), zero)], axis=1)
 
     lock_step = _schedule(integrate_lines, f, specs)
     assert lock_step == _schedule(_generator_lines, f, specs)
