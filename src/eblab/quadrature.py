@@ -19,12 +19,10 @@ here:
   integral of ``metrics`` and ``families`` is one such pass.
   ``integrate_lines`` runs many such integrals in lock step, each with
   its own spec, so that they share every integrand call; each result
-  equals its own ``integrate_line`` bit for bit.  The state of all the
-  integrals lives in arrays: one queue of panel requests, one pool of
-  live panels, and each integral's sums.  Each step evaluates the
-  requests at the front of the queue in one call and applies the rule
-  once, to every integral whose first pass or split round that call
-  completes; ``integrate_line`` is the case of one integral.
+  equals its own ``integrate_line`` bit for bit, and ``integrate_line``
+  is the case of one integral.  Its first passes are one schedule laid
+  out once, a panel is one row of ends, K15 values, errors and integral,
+  and each step applies the rule once to all the integrals its call ends.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -195,7 +193,7 @@ def _panel_estimates(fx, ends):
     half = 0.5 * (ends[:, 1:] - ends[:, :1])
     kron = half * (_KRONROD_W @ fx)
     err = abs(kron - half * (_GAUSS_W @ fx))
-    if not np.isfinite(err).all():
+    if not np.maximum.reduce(err, axis=None) < math.inf:  # a NaN compares false too
         a, b = ends[np.argmin(np.isfinite(err).all(axis=1))]
         raise ToleranceNotMet(
             f"integrand produced non-finite values on [{a:.6g}, {b:.6g}]",
@@ -206,25 +204,30 @@ def _panel_estimates(fx, ends):
 
 
 def _first_passes(specs):
-    """Every first pass, [-R, R] cut into 8 to 64 equal panels: the ends of all, and each pass's panels.
+    """Every first pass, [-R, R] cut into 8 to 64 equal panels, panel t of each before panel t + 1 of any.
 
-    Panel t of integral i is row ``last[i] + 1 - count[i] + t`` of the ends (panels + 1, 2), whose
-    last row is spare.
+    Returns the panels' ends and integrals, ``finals``, a row per pass in the order they end (the position
+    of its last panel, its integral, its panel count twice), and ``rows``, their panels in that order.
     """
     radius = np.array([spec.truncation_radius for spec in specs])
     count = np.minimum(64.0, np.maximum(8.0, np.ceil(radius))).astype(np.intp)
-    last = count.cumsum() - 1
-    ends = np.empty((last[-1] + 2, 2))
+    grid = count > np.arange(count.max())[:, None]  # (t, integral): the integral has a panel t
+    position = grid.ravel().cumsum().reshape(grid.shape) - 1
+    ends = np.empty((int(count.sum()), 2))
     for n in set(count.tolist()):
         group = (count == n).nonzero()[0]
         edges = np.linspace(-radius[group], radius[group], n + 1)  # (n + 1, integrals of the group)
-        rows = (last[group] - n + 1 + np.arange(n)[:, None]).ravel()
-        ends[rows, 0], ends[rows, 1] = edges[:-1].ravel(), edges[1:].ravel()
-    return ends, last, count
+        ends[position[:n, group], 0], ends[position[:n, group], 1] = edges[:-1], edges[1:]
+    last = position[count - 1, np.arange(len(specs))]
+    done = last.argsort()
+    finals = np.stack((last[done], done, count[done], count[done]), axis=1)
+    return ends, grid.nonzero()[1], finals, position[:, done].T[grid[:, done].T]
 
 
 def _runs(starts, lengths):
     """The indices of the runs starts[j], ..., starts[j] + lengths[j] - 1, one after another."""
+    if len(lengths) == 1:
+        return np.arange(starts[0], starts[0] + lengths[0])
     shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
     return shift + np.arange(len(shift))
 
@@ -232,26 +235,21 @@ def _runs(starts, lengths):
 def _row_sums(rows, lengths, k):
     """The sum of each run of ``rows``, bit for bit as numpy sums each run's own (panels, k) arrays.
 
-    ``rows`` holds the values and errors of k components side by side, and
-    the runs follow one another with the given lengths, each at least 1.
-    numpy adds the rows of a (panels, k) array one after another when
-    k >= 2, so one (runs, panels, 2k) buffer padded with -0.0, which adds
-    nothing, sums every run in one call.  A single column numpy sums
-    pairwise, so then each run's column is summed on its own.
+    ``rows`` holds the values and errors of k components side by side, and the runs of the given
+    lengths, each at least 1, follow one another.  numpy adds the rows of a (panels, k) array in order
+    when k >= 2, so one (runs, panels, 2k) buffer padded with zeros sums every run in one call.  numpy
+    starts every sum at +0.0, so no sum is -0.0, even of K15 values of -0.0, and a pad of either zero
+    adds nothing.  A single column numpy sums pairwise, so each run's column is summed on its own.
     """
     if k == 1:
         bounds = np.cumsum(lengths).tolist()
         return np.array([[rows[a:b, 0].sum(), rows[a:b, 1].sum()] for a, b in zip([0] + bounds, bounds)])
     if len(lengths) == 1:
-        return rows.sum(axis=0, keepdims=True)
-    padded = np.full((len(lengths), int(lengths.max()), 2 * k), -0.0)
+        return np.add.reduce(rows, axis=0, keepdims=True)
+    padded = np.zeros((len(lengths), int(lengths.max()), 2 * k))
     run = np.repeat(np.arange(len(lengths)), lengths)
     padded[run, np.arange(len(run)) - (np.cumsum(lengths) - lengths)[run]] = rows
     return padded.sum(axis=1)
-
-
-# added to a first-pass request (integral, row, panels): the request of the panel after it
-_NEXT_PANEL = np.array([0, 1, 0])
 
 
 def integrate_lines(f, specs):
@@ -265,132 +263,130 @@ def integrate_lines(f, specs):
     front of the queue together in one call ``f(y, which)``, where
     ``which[j]`` is the index of the integral that node y[j] belongs to:
     as many whole requests as fit in 2 * 128 panels and at least one, so
-    a single integral makes exactly the calls it would make alone.  Each
-    integral's sums and error sums are a row of one array, and its live
-    panels, in creation order, rows of one pool.  A step scatters the K15
-    values and errors it gets into these, applies the rule once to all
-    the integrals whose first pass or round it completes, and queues
-    their next requests in the order of the step.  Rows of ``f`` must not
-    depend on which other nodes share the call; then every result equals
-    its ``integrate_line`` bit for bit.  Returns a list with one float or
-    array per spec.  The first integral to fail raises its
+    a single integral makes exactly the calls it would make alone.
+
+    The first passes take turns round robin, so the queued first-pass
+    panels are always the next ones of one schedule, laid out once with
+    its nodes; a queued round keeps the schedule position it waits at, and
+    a step of first-pass panels alone is a slice.  A panel is one row of
+    ends, K15 values, errors and integral; the live panels past the first
+    passes are one pool, and each integral's sums and tolerances one row.
+    A step applies the rule once to all the integrals whose pass or round
+    it completes.  If rows of ``f`` do not depend on which nodes share the
+    call and ``f`` does not write to ``y``, every result equals its
+    ``integrate_line`` bit for bit.  Returns a list with one float or
+    array per spec; the first integral to fail raises its
     ``ToleranceNotMet``.
     """
     results = [None] * len(specs)
     if not specs:
         return results
-    first, last, live = _first_passes(specs)  # live: each integral's panels, once its first pass is complete
-    abs_tol, rel_tol = (np.array([[getattr(s, name)] for s in specs]) for name in ("abs_tol", "rel_tol"))
+    ends, owner, finals, rows = _first_passes(specs)
+    nodes, last, table = _nodes(ends), finals[:, 0].copy(), ends
+    bounds = [0] + finals[:, 2].cumsum().tolist()  # pass i's panels are rows[bounds[i]:bounds[i + 1]]
     max_panels = np.array([spec.max_panels for spec in specs])
-    ended = np.zeros(len(first), dtype=bool)  # a request for this first-pass row (-1: a round) is due
-    ended[last], ended[-1] = True, True
-    # the queue: each request's integral, first-pass row (-1 for a round) and panels, and all their ends
-    queue = np.ones((len(specs), 3), dtype=np.intp)
-    queue[:, 0], queue[:, 1] = np.arange(len(specs)), last + 1 - live
-    waiting = first[queue[:, 1]]
-    firsts = None  # K15 values and errors side by side, row for row of ``first``
+    rounds = finals[:0]  # queued rounds: the schedule position each waits at, integral, new and live panels
+    p = c = waiting = 0  # the next first-pass panel, the passes complete, the new panels of the rounds
 
     def result(x):
         return float(x[0]) if shape == () else x.copy()
 
-    while len(queue):
-        reach = queue[:, 2].cumsum()
-        take = max(1, int(reach.searchsorted(_CALL_PANELS, "right")))
-        panels = int(reach[take - 1])
-        step, ends, queue, waiting = queue[:take], waiting[:panels], queue[take:], waiting[panels:]
-        values, errors, shape = _panel_estimates(f(_nodes(ends), step[:, 0].repeat(15 * step[:, 2])), ends)
-        k = values.shape[1]
-        estimates = np.concatenate((values, errors), axis=1)
-        if firsts is None:
-            firsts, sums = np.empty((len(first), 2 * k)), np.full((len(specs), 2 * k), -0.0)
-            pool = first[:0], estimates[:0], step[:0, 0]  # the ends, estimates and integral of live panels
-        rows = step[:, 1]
-        if not ended[rows].any():  # first-pass panels only, one row each, none the last of its pass
-            firsts[rows] = estimates
-            queue = np.concatenate((queue, step + _NEXT_PANEL))
-            waiting = np.concatenate((waiting, first[rows + 1]))
+    while p < len(ends) or len(rounds):
+        queued = p + len(specs) - c  # first-pass panels p, ..., queued - 1 are in the queue
+        j, s, nf = len(rounds), waiting, queued - p  # rounds in the step, their panels, first-pass panels
+        if nf + s > _CALL_PANELS:  # not the whole queue: as many whole requests from its front as fit
+            size = rounds[:, 2].cumsum()
+            j = int((rounds[:, 0] - p + size).searchsorted(_CALL_PANELS, "right"))
+            s = int(size[j - 1]) if j else 0
+            nf = min((int(rounds[j, 0]) if j < len(rounds) else queued) - p, _CALL_PANELS - s)
+        if not j:  # first-pass panels only: a slice of the schedule
+            step, y, which = table[p:p + nf], nodes[15 * p:15 * (p + nf)], owner[p:p + nf].repeat(15)
+        else:
+            step = kids[:s]
+            if nf:  # first-pass panels and rounds, in the order of the queue
+                order = 2 * np.concatenate((np.arange(p, p + nf), rounds[:j, 0].repeat(rounds[:j, 2])))
+                order[:nf] += 1  # a round goes before the first-pass panel at its position
+                order = order.argsort(kind="stable")
+                step = np.concatenate((table[p:p + nf], step))[order]
+            y, which = _nodes(step[:, :2]), step[:, -1].astype(np.intp).repeat(15)
+        values, errors, shape = _panel_estimates(f(y, which), step[:, :2])
+        if not p:  # the first call: now the rows have their width; a row of sums ends in the tolerances
+            k = values.shape[1]
+            table = np.concatenate((ends, np.empty((len(ends), 2 * k)), owner[:, None]), axis=1)
+            step, pool, kids = table[:nf], table[:0], table[:0]
+            sums = np.hstack((np.zeros((len(specs), 2 * k)), [[s.abs_tol, s.rel_tol] for s in specs]))
+        step[:, 2:2 + k], step[:, 2 + k:-1] = values, errors
+        if j and nf:
+            scheduled = order < nf
+            table[p:p + nf], step = step[scheduled], step[~scheduled]
+        p, start, c0, c = p + nf, p, c, (int(last.searchsorted(p + nf)) if nf else c)
+        if c == c0 and not j:
             continue
-        start = reach[:take] - step[:, 2]  # each request's first row in this step
-        firsts[rows] = estimates[start]  # a round's row -1 is the spare last row
-        going = ~ended[rows]  # first passes with panels to go
-        due = (~going).nonzero()[0]
-        integrals, lengths, begun = step[due, 0], step[due, 2], rows[due] >= 0  # begun: first pass complete
-        if len(due) < take or begun.any():  # each due integral's new panels, one run each, in step order
-            lengths = np.where(begun, live[integrals], lengths)
-            new = _runs(np.where(begun, rows[due] + 1 - lengths, len(first) + start[due]), lengths)
-            ends, estimates = np.concatenate((first, ends))[new], np.concatenate((firsts, estimates))[new]
-        state = sums[integrals] + _row_sums(estimates, lengths, k)  # -0.0 + x is x: a first sum
-        sums[integrals] = state
-        target = np.maximum(abs_tol[integrals], rel_tol[integrals] * abs(state[:, :k]))
-        over = state[:, k:] > target
-        split = over.any(axis=1)
-        keep, requests, waiting_next = None, step[:0], ends[:0]  # pool rows kept; the next requests
-        if not split.all():
+        due, new = rounds[:j], step if j else kids[:0]  # the integrals due and their new rows, in step order
+        rounds, kids, waiting = rounds[j:], kids[s:], waiting - s
+        at = queued - start  # added to a schedule position in the step: the position queued after it
+        if c > c0:
+            due = np.concatenate((finals[c0:c], due))
+            new = np.concatenate((table[rows[bounds[c0]:bounds[c]]], new))
+            completes = np.arange(len(due)) < c - c0
+            if j:
+                order = (2 * due[:, 0] + completes).argsort(kind="stable")  # a round goes before its position
+                new = new[_runs((due[:, 2].cumsum() - due[:, 2])[order], due[order, 2])]
+                due, completes = due[order], completes[order]
+            at = at - (completes.cumsum() - completes)  # the passes that end there queue no panel
+            if c == len(specs):  # every first pass is done: free the schedule
+                nodes = table = None
+        at = due[:, 0] + at  # each one's round goes after the first-pass panels the step queues before it
+        integrals, lengths, panels = due[:, 1], due[:, 2], due[:, 3]
+        state = sums[integrals]
+        state[:, :-2] += _row_sums(new[:, 2:-1], lengths, k)
+        target = np.maximum(state[:, -2:-1], state[:, -1:] * abs(state[:, :k]))
+        over = state[:, k:-2] > target
+        split = np.logical_or.reduce(over, axis=1)
+        if not np.logical_and.reduce(split):
             for d in (~split).nonzero()[0].tolist():
                 results[integrals[d]] = result(state[d, :k])
-            if not (split | begun).all():  # integrals that finish with panels in the pool leave it
-                done = np.zeros(len(specs), dtype=bool)
-                done[integrals[~split & ~begun]] = True
-                keep = ~done[pool[2]]
-        if len(due) < take:  # first passes still going: their next panels
-            requests = step[going] + _NEXT_PANEL
-            waiting_next = first[requests[:, 1]]
-        if split.any():
-            splitting = integrals[split]
-            if not split.all():
-                grow = split.repeat(lengths)
-                ends, estimates, lengths = ends[grow], estimates[grow], lengths[split]
-                state, over, target = state[split], over[split], target[split]
-            err = state[:, k:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                component = np.where(over, err / target, 0.0).argmax(axis=1)
-            full = (live[splitting] >= max_panels[splitting]).nonzero()[0]
-            if len(full):
-                d, c = full[0], component[full[0]]
-                spec = specs[splitting[d]]
-                raise ToleranceNotMet(
-                    f"error bound {err[d, c]:.3e} against target {target[d, c]:.3e} in component {c} after "
-                    f"{live[splitting[d]]} panels (target abs {spec.abs_tol:.1e} / rel {spec.rel_tol:.1e})",
-                    estimate=result(state[d, :k]), error_bound=result(err[d]))
-            pool = [np.concatenate(pair) for pair in zip(pool, (ends, estimates, splitting.repeat(lengths)))]
-            keep = np.ones(len(pool[2]), dtype=bool) if keep is None else np.concatenate(
-                (keep, np.ones(len(ends), dtype=bool)))
-            # each one's live panels, worst c-error first and oldest first among equals, as one run
-            rank = np.full(len(specs), -1)
-            rank[splitting] = np.arange(len(splitting))
-            mine = rank[pool[2]]
-            held = (mine >= 0).nonzero()[0]
-            key = pool[1][held, k + component[mine[held]]]
-            order = np.lexsort((-key, mine[held]))
-            held, key = held[order], key[order]
-            # the shortest prefix whose errors sum past E_c - target_c / 8, at most 128 panels, splits
-            count = live[splitting]
-            head = count.cumsum() - count
-            # (past its own panels a row reads others' errors, all >= 0: its cumsum only grows there)
-            width = np.arange(min(_BATCH_PANELS, int(count.max())))
-            prefix = key[np.minimum(head[:, None] + width, len(key) - 1)].cumsum(axis=1)
-            pick = np.arange(len(splitting)), component
-            reach = (prefix <= (err[pick] - target[pick] / 8.0)[:, None]).sum(axis=1)
-            room = np.minimum(_BATCH_PANELS, max_panels[splitting] - count)
-            count = np.minimum(np.minimum(reach + 1, count), room)
-            batch = held[_runs(head, count)]
-            sums[splitting] = state - _row_sums(pool[1][batch], count, k)
-            children = pool[0][batch].repeat(2, axis=0)  # left, right child of each
-            children[0::2, 1] = children[1::2, 0] = 0.5 * (children[0::2, 0] + children[0::2, 1])
-            live[splitting] += count
-            keep[batch] = False
-            rounds = np.empty((len(splitting), 3), dtype=np.intp)
-            rounds[:, 0], rounds[:, 1], rounds[:, 2] = splitting, -1, 2 * count
-            if len(requests):  # merged with the first passes still going, in the order of the step
-                entry = np.concatenate((going.nonzero()[0], due[split]))
-                place = entry.repeat(np.concatenate((requests[:, 2], rounds[:, 2]))).argsort(kind="stable")
-                requests = np.concatenate((requests, rounds))[entry.argsort()]
-                waiting_next = np.concatenate((waiting_next, children))[place]
-            else:
-                requests, waiting_next = rounds, children
-        if keep is not None:
-            pool = [column[keep] for column in pool]
-        queue, waiting = np.concatenate((queue, requests)), np.concatenate((waiting, waiting_next))
+            pool = pool[(pool[:, -1:] != integrals[~split]).all(axis=1)]  # finished rounds leave it
+            new = new[split.repeat(lengths)]
+            integrals, lengths, panels, state, over, target, at = (
+                x[split] for x in (integrals, lengths, panels, state, over, target, at))
+            if not len(integrals):
+                continue
+        err = state[:, k:-2]  # the component furthest over its target; a target of 0 puts its component first
+        component = np.divide(err, target, out=np.where(over, np.inf, 0.0), where=over & (target > 0))
+        component = component.argmax(axis=1)
+        room = max_panels[integrals] - panels
+        full = (room <= 0).nonzero()[0]
+        if len(full):
+            d, col = full[0], component[full[0]]
+            raise ToleranceNotMet(
+                f"error bound {err[d, col]:.3e} against target {target[d, col]:.3e} in component {col} after "
+                f"{panels[d]} panels (target abs {state[d, -2]:.1e} / rel {state[d, -1]:.1e})",
+                estimate=result(state[d, :k]), error_bound=result(err[d]))
+        pool = np.concatenate((pool, new))
+        # each one's live panels, worst c-error first and oldest first among equals, as one run
+        rank, ids = np.full(len(specs), -1), np.arange(len(integrals))
+        rank[integrals] = ids
+        mine = rank[pool[:, -1].astype(np.intp)]
+        key = pool[np.arange(len(pool)), 2 + k + component[mine]]  # others' rows read some column
+        order = np.lexsort((-key, mine))[len(pool) - int(np.add.reduce(panels)):]
+        # the shortest prefix whose errors sum past E_c - target_c / 8, at most 128 panels, splits; past its
+        # own panels a row reads others' errors, all >= 0: its cumsum only grows there
+        head, width = panels.cumsum() - panels, np.arange(min(_BATCH_PANELS - 1, int(panels.max())))
+        prefix = key[order[np.minimum(head[:, None] + width, len(order) - 1)]].cumsum(axis=1)
+        reach = np.add.reduce(prefix <= (err - target / 8.0)[ids, component][:, None], axis=1)
+        taken = np.minimum(reach + 1, np.minimum(panels, room))  # at most 128
+        picked = order[_runs(head, taken)]
+        batch = pool[picked]
+        state[:, :-2] -= _row_sums(batch[:, 2:-1], taken, k)
+        sums[integrals] = state
+        keep = np.ones(len(pool), dtype=bool)
+        keep[picked] = False
+        pool = pool[keep]
+        kid = batch.repeat(2, axis=0)  # left, right child of each
+        kid[0::2, 1] = kid[1::2, 0] = 0.5 * (kid[0::2, 0] + kid[0::2, 1])
+        rounds = np.concatenate((rounds, np.array((at, integrals, 2 * taken, panels + taken)).T))
+        kids, waiting = np.concatenate((kids, kid)), waiting + len(kid)
     return results
 
 

@@ -82,10 +82,13 @@ class ExperimentReport:
 
         A trailing .csv or .json of ``out_path`` is dropped first; any other
         suffix stays part of the stem, so ``run.v2`` writes ``run.v2.csv``.
+        A stem that names a device or FIFO, such as /dev/null, is refused.
         """
         out = pathlib.Path(out_path)
         if out.suffix in (".csv", ".json"):
             out = out.with_suffix("")
+        if out.is_char_device() or out.is_block_device() or out.is_fifo():
+            raise ValueError(f"{str(out)!r} is a device or FIFO, not a file stem")
         csv_path, json_path = (out.with_name(out.name + suffix) for suffix in (".csv", ".json"))
         with open(csv_path, "w", newline="") as fh:
             fh.write(self.csv_text())

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import eblab.cli as cli
 import eblab.metrics as metrics
 import eblab.npmle as npmle
+import eblab.quadrature as quadrature
 from eblab.cli import _parse_generator, main, parse_prior_spec
 from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
@@ -191,6 +193,18 @@ def test_out_prints_the_paths_it_writes(tmp_path, capsys):
     # a path with no file name is bad input, not a traceback
     assert main(["--out", ".", "hermite"]) == 2
     assert capsys.readouterr().err.startswith("eblab: cannot write --out '.': ")
+
+
+def test_out_naming_a_device_or_fifo_exits_2_and_writes_nothing(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    devices = set(os.listdir("/dev"))
+    for out in (str(fifo), f"{fifo}.csv", os.devnull):
+        assert main(["--out", out, "hermite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"eblab: cannot write --out {out!r}: ") and "device or FIFO" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+    assert not {"null.csv", "null.json"} & (set(os.listdir("/dev")) - devices)
 
 
 def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
@@ -702,3 +716,29 @@ def test_one_value_moment_sweep_writes_strict_json(tmp_path):
     sidecar = json.loads((tmp_path / "m.json").read_text(), parse_constant=reject)
     assert sidecar["summary"]["fitted_exponent"] is None
 
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["lowerbound", "--m-min", "2", "--m-max", "12"], 18),
+        (["moment", "--p", "3", "--b-values", "4,8,16,32"], 45),
+        (["regratio", "--p", "2", "--b", "8", "--rhos", "0.01,0.05,0.2"], 84),
+    ],
+    ids=["lowerbound", "moment", "clipped"],
+)
+def test_construction_sweeps_make_their_integrand_calls(tmp_path, monkeypatch, argv, calls):
+    # every integral of the call, lock-step sweeps and single ``integrate_line`` passes alike
+    made = []
+    integrate = quadrature.integrate_lines
+
+    def counting(f, specs):
+        def counted(y, which):
+            made.append(y.size)
+            return f(y, which)
+
+        return integrate(counted, specs)
+
+    monkeypatch.setattr(quadrature, "integrate_lines", counting)
+    monkeypatch.setattr(metrics, "integrate_lines", counting)
+    assert main(["--out", str(tmp_path / "run")] + argv) == 0
+    assert len(made) == calls

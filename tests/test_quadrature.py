@@ -472,6 +472,29 @@ def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed, ze
         assert len(lock_step[1]) == count
 
 
+def test_runs_of_negative_zero_sum_to_positive_zero():
+    # numpy starts every sum at +0.0, so no run of K15 values sums to -0.0 and the pad of ``_row_sums``
+    # adds nothing whatever its sign.  A column of -0.0 has K15 values of +0.0; one of -1e-300 on a
+    # window of radius 1e-30 has K15 values that underflow to -0.0
+    tiny = IntegrationSpec(abs_tol=0.0, rel_tol=1e-9, truncation_radius=1e-30)
+    ends = np.array([[-1e-30, -7.5e-31]])
+    values, _, _ = quadrature._panel_estimates(np.full((15, 2), [-0.0, -1e-300]), ends)
+    assert np.signbit(values).tolist() == [[False, True]]
+
+    def f(y, which):
+        return np.stack([np.full(len(y), -0.0), np.full(len(y), -1e-300), np.exp(-0.5 * (y / 0.3) ** 2)],
+                        axis=1)
+
+    alone = integrate_line(lambda y: f(y, None), tiny)
+    assert not np.signbit(alone[:2]).any()
+    # 150 bumps whose rounds share steps with the first passes of 150 tiny windows: runs of different lengths
+    specs = [IntegrationSpec(truncation_radius=8.0)] * 150 + [tiny] * 150
+    assert _schedule(integrate_lines, f, specs) == _schedule(_generator_lines, f, specs)
+    for got in integrate_lines(f, specs)[150:]:
+        assert not np.signbit(got[:2]).any()
+        np.testing.assert_array_equal(got, alone)
+
+
 def test_lock_step_pass_of_no_integrals_calls_nothing():
     def f(y, which):
         raise AssertionError("called")
