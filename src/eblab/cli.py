@@ -28,7 +28,7 @@ from .hermite import (_moment_gap_tables, alpha_bounds, alpha_bounds_hold,  # no
                       moment_gap_table)
 from .mixtures import DiscretePrior, check_class_membership
 from .quadrature import ToleranceNotMet
-from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment
+from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment, output_paths
 
 __all__ = ["main", "run", "parse_prior_spec"]
 
@@ -166,8 +166,7 @@ def _parse_ints(text):
 def _reject(params, keys, reason):
     """Refuse the first of ``keys`` that is set: the mode would echo it but not apply it."""
     for key in keys:
-        value = params.get(key)
-        if value is not None and value is not False:
+        if params.get(key) is not None:
             flag = "--" + key.replace("_", "-")
             raise InvalidParameter(f"{flag} is not applied {reason}")
 
@@ -368,40 +367,28 @@ def _load_observations(path):
     return np.asarray(values)
 
 
-def _grid_bounds(lo, hi, flags):
-    """(lo, hi) for the fit grid, once both ends and the width hi - lo are finite."""
-    if not math.isfinite(hi - lo):
-        raise InvalidParameter(f"{flags} must give a finite grid, not [{lo!r}, {hi!r}]")
-    return lo, hi
-
-
-def _constrained_bounds(p):
-    """(-M, M) for ``--constrained --mprime M``, else None: the fit grids the sample range."""
-    if not p.get("constrained"):
+def _grid_bounds(p):
+    """(lo, hi) of ``--grid-min/--grid-max``, else None: the fit grids the sample range."""
+    lo, hi = p.get("grid_min"), p.get("grid_max")
+    if lo is None or hi is None:
+        _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
         return None
-    mprime = p.get("mprime")
-    if mprime is None or not mprime > 0.0:
-        raise InvalidParameter(f"--constrained needs a positive --mprime, not {mprime!r}")
-    return _grid_bounds(-mprime, mprime, "--mprime")
+    if not math.isfinite(hi - lo):
+        raise InvalidParameter(f"--grid-min/--grid-max must give a finite grid, not [{lo!r}, {hi!r}]")
+    if not lo < hi:
+        raise InvalidParameter(f"--grid-min must be below --grid-max, not [{lo!r}, {hi!r}]")
+    return lo, hi
 
 
 def _run_npmle(spec):
     p = spec.params
     fit = _given(p, grid_size=int, tol=float, max_iters=int)
-    if not p.get("constrained"):
-        _reject(p, ("mprime",), "without --constrained")
+    fit["bounds"] = _grid_bounds(p)
 
     if p.get("data"):
         _reject(p, ("prior", "n_values", "n_seeds"), "with --data: it belongs to synthetic runs")
         y = _load_observations(p["data"])
-        lo, hi = p.get("grid_min"), p.get("grid_max")
-        if lo is not None and hi is not None:
-            _reject(p, ("constrained", "mprime"), "with --grid-min/--grid-max, which fix the grid")
-            bounds = _grid_bounds(lo, hi, "--grid-min/--grid-max")
-        else:
-            _reject(p, ("grid_min", "grid_max"), "alone: give both --grid-min and --grid-max")
-            bounds = _constrained_bounds(p)
-        solution = npmle.solve_npmle(npmle.NpmleProblem.from_observations(y, bounds=bounds, **fit))
+        solution = npmle.solve_npmle(npmle.NpmleProblem.from_observations(y, **fit))
         row = {
             "n": y.size,
             "loglik": solution.loglik,
@@ -415,7 +402,6 @@ def _run_npmle(spec):
         }
         return [row], summary
 
-    _reject(p, ("grid_min", "grid_max"), "without --data: synthetic runs build their own grid")
     rng = npmle.cell_rng(spec.seed, 0)
     true_prior = parse_prior_spec(p.get("prior", "two_point:m=1"), rng)
     n_values = p.get("n_values", [200, 800, 3200])
@@ -429,9 +415,7 @@ def _run_npmle(spec):
         for s in np.random.SeedSequence(spec.seed).spawn(n_seeds)
     ]
 
-    bounds = _constrained_bounds(p)
-    fits = npmle.empirical_regret_experiment(true_prior, [(n, seed) for n in n_values for seed in seeds],
-                                           bounds=bounds, **fit)
+    fits = npmle.empirical_regret_experiment(true_prior, [(n, seed) for n in n_values for seed in seeds], **fit)
     rows = [record for record, _ in fits]
     counts = [solution.diagnostics for _, solution in fits]
     medians = {}
@@ -535,8 +519,6 @@ def _build_parser():
     s.add_argument("--grid-size", type=int)
     s.add_argument("--tol", type=float)
     s.add_argument("--max-iters", type=int)
-    s.add_argument("--constrained", action="store_true", default=None)
-    s.add_argument("--mprime", type=float)
 
     return parser
 
@@ -574,11 +556,7 @@ def _flag_actions(parser, command):
 
 
 def _from_config(action, key, value):
-    """A config value through its flag's parse; a switch takes only a JSON boolean."""
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise InvalidParameter(f"config key {key!r} must be true or false, not {value!r}")
-        return value
+    """A config value through its flag's parse."""
     if action.type is None:
         return value
     if isinstance(value, list) and action.type in (_parse_floats, _parse_ints):
@@ -608,6 +586,14 @@ def _spec_from_args(args, config, actions):
     return ExperimentSpec(name=args.command, params=params, seed=0 if seed is None else seed)
 
 
+def _check_out(out):
+    """Refuse, before the run, an ``--out`` that names no file stem (a device, a FIFO, ".")."""
+    try:
+        output_paths(out)
+    except ValueError as exc:
+        raise InvalidParameter(f"cannot write --out {out!r}: {exc}") from None
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -616,6 +602,9 @@ def main(argv=None):
         return exc.code
     try:
         config = _load_config(args.config, parser)
+        out = args.out if args.out is not None else config.get("out")
+        if out:
+            _check_out(out)
         report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))
     except (InvalidParameter, UnknownExperiment, ValueError, OSError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
@@ -629,7 +618,6 @@ def main(argv=None):
     ) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 3
-    out = args.out if args.out is not None else config.get("out")
     if out:
         try:
             written = report.write(out)

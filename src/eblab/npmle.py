@@ -86,24 +86,27 @@ class NpmleProblem:
             raise ValueError("need at least one observation")
         if not np.all(np.isfinite(self.observations)):
             raise ValueError("non-finite observations")
-        if self.grid.size < 2 or np.any(np.diff(self.grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing with >= 2 points")
+        if self.grid.size < 2 or not np.all(np.isfinite(self.grid)) or np.any(np.diff(self.grid) <= 0.0):
+            raise ValueError("grid must be finite and strictly increasing with >= 2 points")
         if not (self.tol > 0.0 and self.max_iters >= 1):
             raise ValueError("bad stopping policy")
 
     @classmethod
     def from_observations(cls, observations, grid_size=400, bounds=None, **kwargs):
-        """Uniform grid of ``grid_size`` points on ``bounds`` = (lo, hi), by default the sample range."""
+        """Uniform grid of ``grid_size`` >= 2 points on ``bounds`` = (lo, hi), by default the sample range."""
         observations = np.atleast_1d(np.asarray(observations, dtype=float))
         if observations.size == 0:
             raise ValueError("need at least one observation")
+        if int(grid_size) < 2:
+            raise ValueError(f"grid_size must be >= 2, not {grid_size!r}")
         if bounds is None:
             lo, hi = float(observations.min()), float(observations.max())
             if lo == hi:
                 lo, hi = lo - 1.0, hi + 1.0
         else:
             lo, hi = map(float, bounds)
-        grid = np.linspace(lo, hi, int(grid_size))
+        with np.errstate(invalid="ignore", over="ignore"):  # a width past the float range: a non-finite grid
+            grid = np.linspace(lo, hi, int(grid_size))
         return cls(observations=observations, grid=grid, **kwargs)
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentReport",
     "format_value",
+    "output_paths",
 ]
 
 
@@ -40,6 +41,22 @@ def format_value(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
+
+
+def output_paths(out_path) -> tuple:
+    """The paths <out>.csv and <out>.json that a report written to ``out_path`` takes.
+
+    A trailing .csv or .json of ``out_path`` is dropped first; any other
+    suffix stays part of the stem, so ``run.v2`` gives ``run.v2.csv``.
+    A stem that names a device or FIFO, such as /dev/null, or that has no
+    file name, such as ".", raises ``ValueError``.
+    """
+    out = pathlib.Path(out_path)
+    if out.suffix in (".csv", ".json"):
+        out = out.with_suffix("")
+    if out.is_char_device() or out.is_block_device() or out.is_fifo():
+        raise ValueError(f"{str(out)!r} is a device or FIFO, not a file stem")
+    return tuple(out.with_name(out.name + suffix) for suffix in (".csv", ".json"))
 
 
 @dataclass
@@ -78,18 +95,8 @@ class ExperimentReport:
         }
 
     def write(self, out_path) -> tuple:
-        """Write <out>.csv and <out>.json and return their paths.
-
-        A trailing .csv or .json of ``out_path`` is dropped first; any other
-        suffix stays part of the stem, so ``run.v2`` writes ``run.v2.csv``.
-        A stem that names a device or FIFO, such as /dev/null, is refused.
-        """
-        out = pathlib.Path(out_path)
-        if out.suffix in (".csv", ".json"):
-            out = out.with_suffix("")
-        if out.is_char_device() or out.is_block_device() or out.is_fifo():
-            raise ValueError(f"{str(out)!r} is a device or FIFO, not a file stem")
-        csv_path, json_path = (out.with_name(out.name + suffix) for suffix in (".csv", ".json"))
+        """Write the two files of ``output_paths(out_path)`` and return their paths."""
+        csv_path, json_path = output_paths(out_path)
         with open(csv_path, "w", newline="") as fh:
             fh.write(self.csv_text())
         with open(json_path, "w", newline="") as fh:

@@ -17,7 +17,7 @@ from eblab.metrics import FormMismatch
 from eblab.mixtures import DiscretePrior, check_class_membership
 from eblab.npmle import cell_rng
 from eblab.orthopoly import HypothesisViolated, bernstein_constant
-from eblab.reports import ExperimentSpec, InvalidParameter
+from eblab.reports import ExperimentSpec, InvalidParameter, format_value
 
 
 def test_parse_prior_spec_forms(tmp_path):
@@ -195,7 +195,9 @@ def test_out_prints_the_paths_it_writes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("eblab: cannot write --out '.': ")
 
 
-def test_out_naming_a_device_or_fifo_exits_2_and_writes_nothing(tmp_path, capsys):
+def test_out_naming_a_device_or_fifo_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._EXPERIMENTS, "hermite", calls.append)
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     devices = set(os.listdir("/dev"))
@@ -203,6 +205,7 @@ def test_out_naming_a_device_or_fifo_exits_2_and_writes_nothing(tmp_path, capsys
         assert main(["--out", out, "hermite"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"eblab: cannot write --out {out!r}: ") and "device or FIFO" in err
+    assert calls == []  # refused before the run
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
     assert not {"null.csv", "null.json"} & (set(os.listdir("/dev")) - devices)
 
@@ -255,6 +258,41 @@ def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):
         "em_steps": sum(s.diagnostics["em_steps"] for s in solutions),
         "max_working_set": max(s.diagnostics["max_working_set"] for s in solutions),
     }
+
+
+def test_npmle_synthetic_grid_flags_fix_every_fit_grid(tmp_path, monkeypatch):
+    lo, hi = -0.5, 0.75
+    calls = []
+    experiment = npmle.empirical_regret_experiment
+
+    def recorded(true_prior, cells, **fit_options):
+        calls.append((true_prior, cells))
+        return experiment(true_prior, cells, **fit_options)
+
+    monkeypatch.setattr(npmle, "empirical_regret_experiment", recorded)
+    args = ["npmle", "--prior", "two_point:m=2", "--n-values", "60,90", "--n-seeds", "2",
+            "--grid-size", "50", "--grid-min", str(lo), "--grid-max", str(hi)]
+    assert main(["--seed", "3", "--out", str(tmp_path / "g")] + args) == 0
+    [(true_prior, cells)] = calls
+    fits = experiment(true_prior, cells, grid_size=50, bounds=(lo, hi))
+    atoms = np.concatenate([solution.prior.atoms for _, solution in fits])
+    assert lo <= atoms.min() and atoms.max() <= hi
+    assert lo in atoms or hi in atoms  # the grid binds: some fit leans on an end
+    rows = [",".join(format_value(v) for v in record.values()) for record, _ in fits]
+    assert (tmp_path / "g.csv").read_text().splitlines() == [",".join(fits[0][0])] + rows
+
+
+def test_npmle_constrained_and_mprime_are_gone(tmp_path, capsys):
+    assert main(["npmle", "-h"]) == 0
+    help_text = capsys.readouterr().out
+    assert "--grid-min" in help_text and "--constrained" not in help_text and "--mprime" not in help_text
+    config = tmp_path / "run.json"
+    for key in ("constrained", "mprime"):
+        config.write_text(json.dumps({key: 2}))
+        assert main(["--config", str(config), "npmle", "--n-values", "40", "--n-seeds", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"eblab: config key {key!r} is not a flag of eblab or of any subcommand\n"
+        )
 
 
 def test_main_success_writes_reports(tmp_path):
@@ -452,29 +490,34 @@ def test_lowerbound_rows_and_positive_ratio(tmp_path):
     assert all(float(line.split(",")[ratio_col]) > 0.0 for line in lines[1:])
 
 
+_SYNTHETIC = ["npmle", "--n-values", "40", "--n-seeds", "1"]
 _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"]
 
 
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["npmle", "--n-values", "40", "--n-seeds", "1", "--grid-min", "-3"], "--grid-min"),
-        (["npmle", "--n-values", "40", "--n-seeds", "1", "--grid-max", "3"], "--grid-max"),
+        (_SYNTHETIC + ["--grid-min", "-3"], "--grid-min"),
+        (_SYNTHETIC + ["--grid-max", "3"], "--grid-max"),
         (["npmle", "--data", "{data}", "--grid-min", "-3"], "--grid-min"),
         (["npmle", "--data", "{data}", "--grid-max", "3"], "--grid-max"),
-        (_DATA_GRID + ["--constrained"], "--constrained"),
-        (_DATA_GRID + ["--constrained", "--mprime", "2"], "--constrained"),
-        (["npmle", "--data", "{data}", "--constrained"], "--mprime"),
-        (["npmle", "--n-values", "40", "--n-seeds", "1", "--constrained"], "--mprime"),
+        (_DATA_GRID + ["--constrained"], "unrecognized arguments: --constrained"),
+        (_DATA_GRID + ["--constrained", "--mprime", "2"], "unrecognized arguments: --constrained --mprime 2"),
+        (["npmle", "--data", "{data}", "--constrained"], "unrecognized arguments: --constrained"),
+        (_SYNTHETIC + ["--constrained"], "unrecognized arguments: --constrained"),
         (["npmle", "--data", "{data}", "--prior", "two_point:m=1"], "--prior"),
         (["npmle", "--data", "{data}", "--n-values", "40"], "--n-values"),
         (["npmle", "--data", "{data}", "--n-seeds", "2"], "--n-seeds"),
-        (["npmle", "--n-values", "40", "--n-seeds", "1", "--mprime", "2"], "--mprime"),
+        (_SYNTHETIC + ["--mprime", "2"], "unrecognized arguments: --mprime 2"),
         (["npmle", "--n-values", "0", "--n-seeds", "1"], "--n-values"),
-        (["npmle", "--data", "{data}", "--mprime", "2"], "--mprime"),
-        (["npmle", "--data", "{data}", "--constrained", "--mprime", "inf"], "--mprime"),
-        (["npmle", "--data", "{data}", "--constrained", "--mprime", "1e308"], "--mprime"),
+        (["npmle", "--data", "{data}", "--mprime", "2"], "unrecognized arguments: --mprime 2"),
+        (_SYNTHETIC + ["--grid-min", "-3", "--grid-max", "inf"], "--grid-max"),
+        (["npmle", "--data", "{data}", "--grid-min=-1e308", "--grid-max", "1e308"], "--grid-min/--grid-max"),
         (["npmle", "--data", "{data}", "--grid-min=-inf", "--grid-max", "3"], "--grid-min"),
+        (["npmle", "--data", "{data}", "--grid-min", "3", "--grid-max", "-3"], "--grid-min"),
+        (["npmle", "--data", "{data}", "--grid-size", "1"], "grid_size"),
+        (["npmle", "--data", "{data}", "--grid-size", "0"], "grid_size"),
+        (_SYNTHETIC + ["--grid-size", "-5"], "grid_size"),
         (["regratio", "--p", "2", "--b", "8", "--count", "3"], "--count"),
         (["lowerbound", "--m-min", "5", "--m-max", "4"], "m_min"),
         (["lowerbound", "--m-min", "1", "--m-max", "3"], "m_min"),
@@ -497,9 +540,13 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "synthetic-mprime-unconstrained",
         "synthetic-n-values-zero",
         "data-mprime-unconstrained",
-        "data-mprime-infinite",
-        "data-mprime-width-overflows",
+        "synthetic-grid-max-infinite",
+        "data-grid-width-overflows",
         "data-grid-min-infinite",
+        "data-grid-min-above-max",
+        "data-grid-size-one",
+        "data-grid-size-zero",
+        "synthetic-grid-size-negative",
         "demo-count",
         "lowerbound-empty-range",
         "lowerbound-m-below-2",
@@ -514,7 +561,10 @@ def test_unapplied_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, named):
     argv = [str(data) if arg == "{data}" else arg for arg in argv]
     assert main(["--out", str(tmp_path / "r")] + argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("eblab: ") and named in err
+    if named.startswith("unrecognized arguments: "):  # a removed flag: argparse prints usage, then the error
+        assert err.startswith("usage: eblab ") and err.endswith(f"\neblab: error: {named}\n")
+    else:
+        assert err.startswith("eblab: ") and named in err
     assert "Traceback" not in err
     assert not (tmp_path / "r.csv").exists()
 
@@ -599,12 +649,13 @@ def test_config_values_take_their_flags_parse(tmp_path, capsys):
     config = tmp_path / "run.json"
     args = ["--config", str(config), "--out", str(tmp_path / "c"), "npmle", "--n-values", "50",
             "--n-seeds", "1", "--grid-size", "40"]
-    config.write_text(json.dumps({"constrained": True, "mprime": "2"}))
+    config.write_text(json.dumps({"grid_min": "-2", "grid_max": 2}))
     assert main(args) == 0
-    assert json.loads((tmp_path / "c.json").read_text())["spec"]["params"]["mprime"] == 2.0
+    params = json.loads((tmp_path / "c.json").read_text())["spec"]["params"]
+    assert (params["grid_min"], params["grid_max"]) == (-2.0, 2.0)
     for bad, message in (
-        ({"constrained": "false"}, "config key 'constrained' must be true or false, not 'false'"),
-        ({"constrained": True, "mprime": "two"}, "config key 'mprime': invalid float value 'two'"),
+        ({"grid_min": -2, "grid_max": "two"}, "config key 'grid_max': invalid float value 'two'"),
+        ({"grid_min": [-2], "grid_max": 2}, "config key 'grid_min': invalid float value '[-2]'"),
         ({"max_iters": 2.5}, "config key 'max_iters': invalid int value '2.5'"),
         ({"max_iters": True}, "config key 'max_iters': invalid int value 'true'"),
         ({"seed": 1.5}, "config key 'seed': invalid int value '1.5'"),

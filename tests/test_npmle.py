@@ -175,6 +175,9 @@ def test_problem_validation():
         NpmleProblem(observations=[np.inf], grid=[0.0, 1.0])
     with pytest.raises(ValueError):
         NpmleProblem(observations=[0.0], grid=[1.0, 1.0])
+    for grid in ([0.0, 1.0, np.inf], [np.nan, 0.0, 1.0]):  # np.diff passes both
+        with pytest.raises(ValueError, match="grid must be finite"):
+            NpmleProblem(observations=[0.0], grid=grid)
     with pytest.raises(ValueError):
         NpmleProblem(observations=[0.0], grid=[0.0, 1.0], tol=0.0)
     with pytest.raises(ValueError):
@@ -182,6 +185,13 @@ def test_problem_validation():
     for bounds in (None, (-1.0, 1.0)):
         with pytest.raises(ValueError, match="need at least one observation"):
             NpmleProblem.from_observations([], bounds=bounds)
+    # linspace on these bounds gives nan or inf points (the width 2e308 overflows)
+    for bounds in ((-np.inf, np.inf), (-np.inf, 1.0), (0.0, np.nan), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            NpmleProblem.from_observations([0.0, 1.0], bounds=bounds)
+    for grid_size in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"grid_size must be >= 2, not {grid_size}"):
+            NpmleProblem.from_observations([0.0, 1.0], grid_size=grid_size)
 
 
 def test_observation_stranded_off_grid_raises():
