@@ -556,8 +556,10 @@ def _flag_actions(parser, command):
 
 
 def _from_config(action, key, value):
-    """A config value through its flag's parse."""
+    """A config value through its flag's parse; a flag with no parse takes a string."""
     if action.type is None:
+        if not isinstance(value, str):
+            raise InvalidParameter(f"config key {key!r}: expected a string, not {json.dumps(value)}")
         return value
     if isinstance(value, list) and action.type in (_parse_floats, _parse_ints):
         value = ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)  # comma form
@@ -572,26 +574,18 @@ def _from_config(action, key, value):
         ) from None
 
 
+def _flag_value(args, config, actions, key):
+    """The flag's value, else the config's through the flag's parse; None when neither is set."""
+    value = getattr(args, key)
+    if value is None and config.get(key) is not None:
+        value = _from_config(actions[key], key, config[key])
+    return value
+
+
 def _spec_from_args(args, config, actions):
-    def pick(key):
-        value = getattr(args, key)
-        if value is None and config.get(key) is not None:
-            value = _from_config(actions[key], key, config[key])
-        return value
-
     params = {key: value for key in vars(args)
-              if key not in _GLOBAL_DESTS and (value := pick(key)) is not None}
-
-    seed = pick("seed")
-    return ExperimentSpec(name=args.command, params=params, seed=0 if seed is None else seed)
-
-
-def _check_out(out):
-    """Refuse, before the run, an ``--out`` that names no file stem (a device, a FIFO, ".")."""
-    try:
-        output_paths(out)
-    except ValueError as exc:
-        raise InvalidParameter(f"cannot write --out {out!r}: {exc}") from None
+              if key not in _GLOBAL_DESTS and (value := _flag_value(args, config, actions, key)) is not None}
+    return ExperimentSpec(name=args.command, params=params, seed=_flag_value(args, config, actions, "seed") or 0)
 
 
 def main(argv=None):
@@ -602,10 +596,14 @@ def main(argv=None):
         return exc.code
     try:
         config = _load_config(args.config, parser)
-        out = args.out if args.out is not None else config.get("out")
-        if out:
-            _check_out(out)
-        report = run(_spec_from_args(args, config, _flag_actions(parser, args.command)))
+        actions = _flag_actions(parser, args.command)
+        out = _flag_value(args, config, actions, "out")
+        if out:  # refused before the run if it names no file stem (a device, a FIFO, ".")
+            try:
+                output_paths(out)
+            except ValueError as exc:
+                raise InvalidParameter(f"cannot write --out {out!r}: {exc}") from None
+        report = run(_spec_from_args(args, config, actions))
     except (InvalidParameter, UnknownExperiment, ValueError, OSError) as exc:
         print(f"eblab: {exc}", file=sys.stderr)
         return 2

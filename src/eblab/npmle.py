@@ -12,10 +12,10 @@ exact kernel.  Each step builds the Hessian on a small working set (the
 support plus the local maxima of the certificate
 D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one), solves the
 nonnegative QP with a primal active-set loop, backtracks on phi and
-renormalizes, so the mean log-likelihood never decreases.  The QP loop
-starts from the current weights once an SQP step has set the support
-(from 0 before); the ridged QP is strictly convex, so its answer is the
-same to the bit from either start, and the warm start only saves passes.
+renormalizes, so the mean log-likelihood never decreases.  Each QP loop
+starts from the previous QP's answer (from 0 before the first); the
+ridged QP is strictly convex, so its last pass solves on the same free
+set from any start: the cold start's bits in fewer passes.
 A step that fails is replaced by a short run of the multiplicative
 fixed-point iteration w_u <- w_u * D(u).  The kernel
 K[u, i] = phi(y_i - u) is held grid-major, one (m, n) array: the
@@ -149,8 +149,8 @@ def _loglik(fvals):
 
 def _density(kernel, w):
     """f = w @ K summed over the nonzero weights only: a fit has few."""
-    nz = np.flatnonzero(w)
-    return w[nz] @ kernel[nz]
+    nz = w.nonzero()[0]
+    return w[nz] @ kernel.take(nz, axis=0)
 
 
 def _certificate(kernel, fvals):
@@ -193,16 +193,16 @@ def solve_npmle(problem):
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}
     em_left = 0
+    qp_start = np.zeros(grid.size)  # the last QP's answer on the full grid: none yet
     while True:
         direction = _certificate(kernel, fvals)
         certificate = float(direction.max())
         if certificate <= stop_at or len(trace) >= problem.max_iters:
             break
-        warm = counts["sqp_steps"] > 0  # the uniform start is no support to start a QP from
-        step = None if em_left else _sqp_step(kernel, w, fvals, direction, trace[-1], warm)
+        step = None if em_left else _sqp_step(kernel, w, fvals, direction, trace[-1], qp_start)
         if step is None:
             em_left = (em_left or _EM_CHUNK) - 1
-            w = w * direction
+            w *= direction
             counts["em_steps"] += 1
         else:
             w, size = step
@@ -221,27 +221,28 @@ def solve_npmle(problem):
     return solution
 
 
-def _sqp_step(kernel, w, fvals, direction, loglik, warm):
+def _sqp_step(kernel, w, fvals, direction, loglik, qp_start):
     """One SQP step on the working set; (new x, working-set size) or None.
 
     The QP is the second-order model of phi around w restricted to the
     support plus the certificate's local maxima above one, with a small
     ridge; the step towards its solution is backtracked (Armijo) on the
-    exact phi, and the caller renormalizes x.  A ``warm`` QP starts from
-    w on the working set, a cold one from 0.  Returns None when the QP
-    direction is not a descent direction or no step length passes.
+    exact phi, and the caller renormalizes x.  The QP starts from the last
+    QP's answer, ``qp_start`` (0 before the first), and leaves its own there.
+    Returns None when the QP step is not a descent direction or no step length passes.
     """
-    peak = direction > 1.0
-    peak[1:] &= direction[1:] >= direction[:-1]
-    peak[:-1] &= direction[:-1] >= direction[1:]
-    work = np.flatnonzero((w > _PRUNE_WEIGHT) | peak)
-    k_work = kernel[work]
+    edges = np.concatenate(([-np.inf], direction, [-np.inf]))
+    peak = (direction >= np.maximum(edges[:-2], edges[2:])) & (direction > 1.0)
+    work = ((w > _PRUNE_WEIGHT) | peak).nonzero()[0]
+    k_work = kernel.take(work, axis=0)
     scaled = k_work / fvals
     hess = scaled @ scaled.T / fvals.size
     hess.reshape(-1)[:: work.size + 1] += _RIDGE * float(hess.diagonal().max())  # diagonal view
     grad = 1.0 - direction[work]
     w_work = w[work]
-    target = _nonnegative_qp(hess, grad - hess @ w_work, w_work if warm else np.zeros(work.size))
+    target = _nonnegative_qp(hess, grad - hess @ w_work, qp_start[work])
+    qp_start.fill(0.0)
+    qp_start[work] = target
     step = target - w_work
     slope = float(grad @ step)
     if not slope < 0.0:
@@ -251,7 +252,7 @@ def _sqp_step(kernel, w, fvals, direction, loglik, warm):
     alpha = 1.0
     for _ in range(_HALVINGS):
         f_try = fvals + alpha * k_step
-        if np.all(f_try > 0.0):
+        if f_try.min() > 0.0:  # a NaN fails too
             change = loglik - _loglik(f_try) + alpha * mass
             if change <= _ARMIJO * alpha * slope:
                 x = w.copy()
@@ -276,22 +277,23 @@ def _nonnegative_qp(hess, lin, x):
     """
     free = x > 0.0
     for _ in range(2 * x.size + 10):
-        idx = np.flatnonzero(free)
-        target = np.zeros_like(x)
+        idx = free.nonzero()[0]
+        target = np.zeros(x.size)
         if idx.size:
-            target[idx] = np.linalg.solve(hess[idx[:, None], idx], -lin[idx])
-        blocked = idx[target[idx] < 0.0]
-        if blocked.size:
-            ratios = x[blocked] / (x[blocked] - target[blocked])
-            k = int(np.argmin(ratios))
-            x = np.maximum(x + ratios[k] * (target - x), 0.0)
-            x[blocked[k]] = 0.0
-            free[blocked[k]] = False
-            continue
+            target[idx] = solved = np.linalg.solve(hess.take(idx, axis=0).take(idx, axis=1), -lin[idx])
+            negative = solved < 0.0
+            if negative.any():
+                blocked = idx[negative]
+                ratios = x[blocked] / (x[blocked] - solved[negative])
+                k = ratios.argmin()
+                x = np.maximum(x + ratios[k] * (target - x), 0.0)
+                x[blocked[k]] = 0.0
+                free[blocked[k]] = False
+                continue
         x = target
         multipliers = hess @ x + lin
         multipliers[free] = np.inf
-        j = int(np.argmin(multipliers))
+        j = multipliers.argmin()
         if not multipliers[j] < -_QP_TOL:
             break
         free[j] = True

@@ -659,9 +659,12 @@ def test_config_values_take_their_flags_parse(tmp_path, capsys):
         ({"max_iters": 2.5}, "config key 'max_iters': invalid int value '2.5'"),
         ({"max_iters": True}, "config key 'max_iters': invalid int value 'true'"),
         ({"seed": 1.5}, "config key 'seed': invalid int value '1.5'"),
+        ({"out": 5}, "config key 'out': expected a string, not 5"),
+        ({"prior": {"atoms": [0]}}, 'config key \'prior\': expected a string, not {"atoms": [0]}'),
     ):
         config.write_text(json.dumps(bad))
-        assert main(args) == 2
+        # an explicit --out would win over the config's
+        assert main(args if "out" not in bad else args[:2] + args[4:]) == 2
         assert capsys.readouterr().err == f"eblab: {message}\n"
 
 

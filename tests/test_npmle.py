@@ -76,6 +76,10 @@ def _npmle_problems(draw):
     return NpmleProblem.from_observations(y, grid_size=grid_size)
 
 
+# a sample spanning far more than the start's atom spacing: its first steps work on the whole grid
+_SPREAD = NpmleProblem.from_observations(np.random.default_rng(1).standard_cauchy(400), grid_size=100)
+
+
 def _small_problem(seed=3, n=150, **kwargs):
     rng = cell_rng(seed, n)
     y = sample_observations(TRUE_PRIOR, n, rng)
@@ -201,8 +205,19 @@ def test_observation_stranded_off_grid_raises():
         solve_npmle(problem)
 
 
+def test_spread_sample_fit_makes_few_solves_per_step(monkeypatch):
+    solve, calls = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b))
+    fit = solve_npmle(_SPREAD)
+    steps = fit.diagnostics["sqp_steps"]
+    assert steps >= 5 and fit.diagnostics["max_working_set"] == _SPREAD.grid.size
+    # a QP that starts from the current weights drops the step's leftover atoms one pass at a time
+    assert len(calls) <= 4 * steps
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(problem=_npmle_problems())
+@example(problem=_SPREAD)
 def test_warm_started_qp_returns_the_cold_start_bits(problem):
     # a mismatch here is a degenerate KKT point (a zero coordinate with a zero multiplier)
     qp, warm_starts = npmle._nonnegative_qp, []
@@ -222,6 +237,7 @@ def test_warm_started_qp_returns_the_cold_start_bits(problem):
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(problem=_npmle_problems())
+@example(problem=_SPREAD)
 def test_fit_with_the_cold_qp_is_the_same_fit(problem):
     fit = solve_npmle(problem)
     with pytest.MonkeyPatch.context() as patch:
