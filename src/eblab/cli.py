@@ -431,6 +431,7 @@ def _run_npmle(spec):
             "sqp_steps": sum(c["sqp_steps"] for c in counts),
             "em_steps": sum(c["em_steps"] for c in counts),
             "max_working_set": max(c["max_working_set"] for c in counts),
+            "binned_steps": sum(c["binned_steps"] for c in counts),
         },
     }
     return rows, summary

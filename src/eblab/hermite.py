@@ -208,6 +208,8 @@ def _moment_gap_tables(ms, j_max=200):
         raise ValueError(f"rule size must be in [1, {_MAX_GAP_LEVEL}]: alpha_m underflows beyond")
     if j_max < 2 * max(ms, default=0):
         raise ValueError("j_max must reach the first nonzero gap 2m")
+    if j_max > MAX_HERMITE_DEGREE:  # about j_max^2 / 8 big binomials; past about j = 200 every term underflows
+        raise ValueError(f"j_max must be <= {MAX_HERMITE_DEGREE}, not {j_max}")
     rows = [[1] for _ in range(j_max // 2 + 1)]
     for r, row in enumerate(rows):
         for k in range(r):

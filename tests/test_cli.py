@@ -220,7 +220,7 @@ def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     payload = json.loads((tmp_path / "a.json").read_text())
     assert payload["columns"] == ["n", "loglik", "cert", "iterations", "support_size"]
     diagnostics = payload["summary"]["diagnostics"]
-    assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set"}
+    assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set", "binned_steps"}
     row = (tmp_path / "a.csv").read_text().splitlines()[1].split(",")
     iterations, support_size = int(row[3]), int(row[4])
     assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
@@ -257,6 +257,7 @@ def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):
         "sqp_steps": sum(s.diagnostics["sqp_steps"] for s in solutions),
         "em_steps": sum(s.diagnostics["em_steps"] for s in solutions),
         "max_working_set": max(s.diagnostics["max_working_set"] for s in solutions),
+        "binned_steps": sum(s.diagnostics["binned_steps"] for s in solutions),
     }
 
 
@@ -524,6 +525,13 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["bernstein", "--prior", "point:u=0", "--k-max", "61"], "k_max"),
         (["bernstein", "--prior", "point:u=0", "--grid-size", "0"], "grid_size"),
         (["bernstein", "--prior", "point:u=0", "--grid-size", "-5"], "grid_size"),
+        (_SYNTHETIC + ["--tol", "0"], "tol must be finite and > 0, not 0.0"),
+        (_SYNTHETIC + ["--tol", "nan"], "tol must be finite and > 0, not nan"),
+        (_SYNTHETIC + ["--tol", "-1"], "tol must be finite and > 0, not -1.0"),
+        (_SYNTHETIC + ["--tol", "inf"], "tol must be finite and > 0, not inf"),
+        (["npmle", "--data", "{data}", "--max-iters", "0"], "max_iters must be >= 1, not 0"),
+        (["hermite", "--m-min", "2", "--m-max", "6", "--j-max", "401"], "j_max must be <= 400, not 401"),
+        (["lowerbound", "--m-min", "2", "--m-max", "3", "--j-max", "401"], "j_max must be <= 400, not 401"),
     ],
     ids=[
         "synthetic-grid-min",
@@ -553,6 +561,13 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "bernstein-k-max-past-cap",
         "bernstein-grid-size-zero",
         "bernstein-grid-size-negative",
+        "npmle-tol-zero",
+        "npmle-tol-nan",
+        "npmle-tol-negative",
+        "npmle-tol-infinite",
+        "npmle-max-iters-zero",
+        "hermite-j-max-past-cap",
+        "lowerbound-j-max-past-cap",
     ],
 )
 def test_unapplied_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, named):

@@ -66,10 +66,10 @@ _UNDERFLOW = _underflow_distance()
 
 
 @st.composite
-def _npmle_problems(draw):
+def _npmle_problems(draw, sizes=(20, 400), grid_sizes=(20, 200)):
     atoms = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5, unique=True))
-    n = draw(st.integers(20, 400))
-    grid_size = draw(st.integers(20, 200))
+    n = draw(st.integers(*sizes))
+    grid_size = draw(st.integers(*grid_sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     prior = DiscretePrior(atoms, rng.dirichlet(np.ones(len(atoms))))
     y = sample_observations(prior, n, rng)
@@ -213,6 +213,72 @@ def test_spread_sample_fit_makes_few_solves_per_step(monkeypatch):
     assert steps >= 5 and fit.diagnostics["max_working_set"] == _SPREAD.grid.size
     # a QP that starts from the current weights drops the step's leftover atoms one pass at a time
     assert len(calls) <= 4 * steps
+
+
+def test_spread_sample_binned_fit_starts_the_full_kernel_near_the_end(monkeypatch):
+    # 800 observations on a 100-point grid: binned; the binned phase does the whole-grid work
+    problem = NpmleProblem.from_observations(np.random.default_rng(1).standard_cauchy(800), grid_size=100)
+    assert npmle._binning_pays(problem.observations.size, problem.grid.size)
+    solve, solves, qp, working_sets = np.linalg.solve, [], npmle._nonnegative_qp, []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    monkeypatch.setattr(npmle, "_nonnegative_qp", lambda h, lin, x: working_sets.append(lin.size) or qp(h, lin, x))
+    fit = solve_npmle(problem)
+    counts = fit.diagnostics
+    assert fit.gradient_cert <= 1.0 + problem.tol
+    assert fit.iterations == 1 + counts["sqp_steps"] + counts["em_steps"] <= 4
+    assert counts["binned_steps"] >= 5
+    # the whole-grid QPs ran in the binned phase; the full kernel's working sets stay small
+    assert max(working_sets) == problem.grid.size > counts["max_working_set"]
+    assert len(solves) <= 4 * len(working_sets)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(problem=_npmle_problems(sizes=(800, 2000), grid_sizes=(50, 400)))
+def test_binned_start_fit_matches_the_plain_start_fit(problem):
+    assert npmle._binning_pays(problem.observations.size, problem.grid.size)
+    fit = solve_npmle(problem)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(npmle, "_binning_pays", lambda n, m: False)
+        plain = solve_npmle(problem)
+    assert plain.diagnostics["binned_steps"] == 0 < fit.diagnostics["binned_steps"]
+    for solution in (fit, plain):
+        assert solution.gradient_cert <= 1.0 + problem.tol
+        assert abs(gradient_certificate(solution, problem) - solution.gradient_cert) <= 1e-9
+        assert np.all(np.diff(solution.loglik_trace) >= -1e-12)
+    assert abs(fit.loglik - plain.loglik) <= problem.tol
+
+
+@pytest.mark.parametrize("n, m", [(50, 400), (200, 400), (400, 100), (799, 50), (800, 49), (1000, 501)])
+def test_small_or_fine_grid_fits_do_not_bin(n, m):
+    assert not npmle._binning_pays(n, m)
+
+
+def test_binned_start_past_underflow_falls_back_to_the_plain_starts_refusal():
+    # grid spacing 100.6: the binned fit covers every grid point, not every observation between them
+    problem = NpmleProblem.from_observations(np.random.default_rng(5).standard_cauchy(3200))
+    assert npmle._binning_pays(problem.observations.size, problem.grid.size)
+    with pytest.raises(ValueError, match="an observation is too far from every grid point"):
+        solve_npmle(problem)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    values=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8, unique=True).map(np.array),
+    grid=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=15, unique=True).map(np.sort),
+    data=st.data(),
+)
+def test_counted_sample_is_the_expanded_sample(values, grid, data):
+    # distances at most 10 and f <= phi(0) < 1: no underflow, and every log f has one sign
+    counts = np.array(data.draw(st.lists(st.integers(1, 5), min_size=values.size, max_size=values.size)))
+    w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).dirichlet(np.ones(grid.size))
+    counted = npmle._CountedSample(npmle._kernel(values, grid), counts.astype(float))
+    expanded = npmle._Sample(npmle._kernel(np.repeat(values, counts), grid))
+    f_counted, f_expanded = w @ counted.kernel, w @ expanded.kernel
+    assert np.allclose(counted.loglik(f_counted), expanded.loglik(f_expanded), rtol=1e-12, atol=0.0)
+    assert np.allclose(counted.certificate(f_counted), expanded.certificate(f_expanded), rtol=1e-12, atol=0.0)
+    assert np.allclose(counted.hessian(counted.kernel, f_counted), expanded.hessian(expanded.kernel, f_expanded),
+                       rtol=1e-12, atol=0.0)
+    assert counted.covers(f_counted) and expanded.covers(f_expanded)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
