@@ -269,21 +269,7 @@ def _run_lowerbound(spec):
     table_options = _given(p, j_max=int)
     if m_min < 2 or m_max < m_min:
         raise InvalidParameter("need 2 <= m_min <= m_max")
-
-    instances, summary = families.lowerbound_ratio_sweep(range(m_min, m_max + 1), **table_options)
-    rows = [
-        {
-            "m": inst.m,
-            "tau": inst.tau,
-            "alpha": inst.alpha,
-            "beta": inst.beta,
-            "eps_sq": inst.eps_sq,
-            "regret": inst.regret_val,
-            "ratio": inst.ratio,
-        }
-        for inst in instances
-    ]
-    return rows, summary
+    return families.lowerbound_ratio_sweep(range(m_min, m_max + 1), **table_options)
 
 
 def _run_moment(spec):
@@ -292,21 +278,7 @@ def _run_moment(spec):
     b_values = p.get("b_values", [4.0, 8.0, 16.0, 32.0])
     if not b_values:
         raise InvalidParameter("need at least one b value")
-
-    instances, summary = families.moment_family_sweep(p_exp, b_values)
-    rows = [
-        {
-            "p": inst.p,
-            "b": inst.b,
-            "eta": inst.eta,
-            "eps_sq": inst.eps_sq,
-            "regret": inst.regret_val,
-            "regret_lb": inst.regret_lb,
-            "lb_ok": inst.regret_val >= inst.regret_lb - 1e-12,
-        }
-        for inst in instances
-    ]
-    return rows, summary
+    return families.moment_family_sweep(p_exp, b_values)
 
 
 def _run_regratio(spec):

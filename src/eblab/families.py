@@ -1,17 +1,21 @@
 """Benchmark prior families with matched moments or heavy tails.
 
-Two constructions stress the divergence-versus-regret relationship:
+Each sweep returns ``(rows, summary)``; a row's keys, in order, are the
+columns of its CLI CSV.  Two constructions stress the
+divergence-versus-regret relationship:
 
-* ``build_lowerbound_instance``: contaminate a point mass at zero with a
+* ``lowerbound_ratio_sweep``: contaminate a point mass at zero with a
   sliver (mass tau_m = alpha_m^2) of the arcsine law, respectively its
   m-point Gauss rule.  The two priors share moments below degree 2m, so
   the marginals are astronomically close in Hellinger distance while the
   regret stays polynomially larger; the ratio against
   eps^2 log(1/eps) / loglog(1/eps) stays bounded below along the sweep.
-* ``build_moment_instance``: a rare spike at b with mass eta = b^(-p)
+* ``moment_family_sweep``: a rare spike at b with mass eta = b^(-p)
   against a pure point mass.  The spike keeps the p-th moment bounded
   while forcing regret of order b^2 eta, polynomially larger than the
-  squared Hellinger distance eta.
+  squared Hellinger distance eta.  ``fit_loglog_exponent`` gives the
+  sweep's log-log slope, and ``regularization_necessity_demo`` compares
+  one spike pair's plain and clipped-score regret.
 
 Densities of the contamination pairs differ only at relative size
 tau_m ~ 1e-8 .. 1e-77 across the sweep, far below double-precision
@@ -27,7 +31,6 @@ recurrence serves the whole sweep and no atom is summed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +38,10 @@ from . import metrics
 # moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
 from .hermite import _hermite_sums, _moment_gap_tables, moment_gap_table  # noqa: F401
 from .mixtures import DiscretePrior, phi
-from .quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, integrate_line
+from .quadrature import IntegrationSpec, arcsine_moment, integrate_line
 
 __all__ = [
-    "LowerBoundInstance",
-    "build_lowerbound_instance",
     "lowerbound_ratio_sweep",
-    "MomentFamilyInstance",
-    "build_moment_instance",
     "moment_family_sweep",
     "fit_loglog_exponent",
     "regularization_necessity_demo",
@@ -50,34 +49,6 @@ __all__ = [
 
 ARCSINE_RESOLUTION = 256
 _FAMILY_SPEC = IntegrationSpec(abs_tol=0.0, truncation_radius=16.0)
-
-
-def _contaminate(tau, rule):
-    """(1 - tau) delta_0 + tau * rule, merging a zero node if present; rule = (nodes, weights)."""
-    nodes, weights = rule
-    atoms = np.concatenate(([0.0], nodes))
-    weights = np.concatenate(([1.0 - tau], tau * weights))
-    zero = 1 + np.flatnonzero(nodes == 0.0)
-    weights[0] += weights[zero].sum()
-    return DiscretePrior(np.delete(atoms, zero), np.delete(weights, zero))
-
-
-@dataclass
-class LowerBoundInstance:
-    """Matched-moment contamination pair at level m."""
-
-    m: int
-    tau: float
-    alpha: float
-    beta: float
-    prior_g: DiscretePrior
-    prior_h: DiscretePrior
-    eps_sq: float
-    regret_val: float
-
-    @property
-    def ratio(self):
-        return self.regret_val / metrics.hellinger_rate_normalizer(self.eps_sq)
 
 
 def _lowerbound_coefficients(tables):
@@ -93,13 +64,21 @@ def _lowerbound_coefficients(tables):
     return coefficients
 
 
-def _lowerbound_instances(m_values, **table_options):
-    """Contamination pairs for every m in one vector-valued integration pass.
+def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
+    """A row per contamination level m plus summary rate constants.
 
-    Column 2i of the pass is eps^2 and column 2i + 1 the regret of the
-    i-th m, each to its own relative target.  Per node batch one Hermite
-    recurrence gives S, S' and every m's U, U'; the Gauss rules only
-    build the recorded priors.
+    G contaminates delta_0 with mass tau = alpha_m^2 of the arcsine law
+    (its ``ARCSINE_RESOLUTION``-point Gauss rule, which no integrand
+    reads), H with the same mass of the m-point rule.  That keeps eps^2 at
+    the 4 tau^2 alpha_m = 4 alpha_m^5 scale while the regret stays of order
+    tau^2 beta_m; beta_m >= 2 m alpha_m drives the ratio.  Every m is an
+    eps^2 and a regret column of one ``integrate_line`` pass, each to its
+    own relative target.  A row is m, tau, alpha, beta, eps_sq, regret and
+    ratio = regret / (eps^2 log(1/eps) / loglog(1/eps)).  ``min_ratio`` is
+    the empirical lower-bound constant; ``rate_c0`` is the smallest
+    m loglog(1/alpha) / log(1/alpha), the constant tying the family index
+    to the Hellinger separation.  ``table_options`` (``j_max``) go to
+    ``moment_gap_table``.
     """
     ms = [int(m) for m in m_values]
     if not all(2 <= m <= 12 for m in ms):
@@ -119,59 +98,19 @@ def _lowerbound_instances(m_values, **table_options):
         regret = 4.0 * tau * tau * num * num * gauss / (fg * fh * fh)
         return np.stack([hellinger, regret], axis=-1).reshape(len(y), -1)
 
-    values = integrate_line(integrand, _FAMILY_SPEC).reshape(-1, 2)
-    fine = chebyshev_rule(ARCSINE_RESOLUTION)
-    return [
-        LowerBoundInstance(m, float(t), table.alpha_m, table.beta_m, _contaminate(t, fine),
-                           _contaminate(t, chebyshev_rule(m)), *map(float, pair))
-        for m, t, table, pair in zip(ms, tau, tables, values)
-    ]
-
-
-def build_lowerbound_instance(m, **table_options):
-    """Contamination pair at level m with its Hellinger gap and regret.
-
-    tau is alpha_m squared, which keeps the Hellinger distance at the
-    eps^2 <= 4 tau^2 alpha_m = 4 alpha_m^5 scale while the regret stays
-    of order tau^2 beta_m; beta_m >= 2 m alpha_m drives the ratio.
-    ``table_options`` (``j_max``) go to ``moment_gap_table``.  This is
-    the one-level case of the pass ``lowerbound_ratio_sweep`` makes.
-    """
-    return _lowerbound_instances([m], **table_options)[0]
-
-
-def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
-    """Instances for each m plus summary rate constants.
-
-    Each m is an eps^2 and a regret column of one ``integrate_line``
-    pass.  ``min_ratio`` is the empirical lower-bound constant for
-    regret / (eps^2 log(1/eps) / loglog(1/eps));  ``rate_c0`` is the
-    smallest m loglog(1/alpha) / log(1/alpha), the constant tying the
-    family index to the Hellinger separation.  ``table_options`` go to
-    ``moment_gap_table``.
-    """
-    instances = _lowerbound_instances(m_values, **table_options)
-    ratios = [inst.ratio for inst in instances]
-    log_inv_alphas = [-math.log(inst.alpha) for inst in instances]
-    rate_cs = [inst.m * math.log(a) / a for inst, a in zip(instances, log_inv_alphas)]
+    values = integrate_line(integrand, _FAMILY_SPEC).reshape(-1, 2).tolist()
+    rows = [{"m": m, "tau": float(t), "alpha": table.alpha_m, "beta": table.beta_m, "eps_sq": eps_sq,
+             "regret": regret, "ratio": regret / metrics.hellinger_rate_normalizer(eps_sq)}
+            for m, t, table, (eps_sq, regret) in zip(ms, tau, tables, values)]
+    ratios = [row["ratio"] for row in rows]
+    log_inv_alphas = [-math.log(row["alpha"]) for row in rows]
+    rate_cs = [row["m"] * math.log(a) / a for row, a in zip(rows, log_inv_alphas)]
     summary = {"min_ratio": min(ratios), "max_ratio": max(ratios), "rate_c0": min(rate_cs)}
-    return instances, summary
+    return rows, summary
 
 
-@dataclass
-class MomentFamilyInstance:
-    """Rare-spike pair: G = (1 - eta) delta_0 + eta delta_b versus delta_0."""
-
-    p: float
-    b: float
-    eta: float
-    eps_sq: float
-    regret_val: float
-    regret_lb: float
-
-
-def _moment_instances(p, b_values):
-    """Spike instances for every b, scored in one lock-step ``integrate_lines`` pass."""
+def _moment_rows(p, b_values):
+    """``moment_family_sweep``'s rows, scored in one lock-step ``metrics.compute_metric_reports`` pass."""
     if not p > 0.0 or not all(b > 1.0 for b in b_values):
         raise ValueError("need p > 0 and b > 1, so that eta = b^-p is below one")
     etas = [b ** (-p) for b in b_values]
@@ -180,23 +119,12 @@ def _moment_instances(p, b_values):
             raise ValueError(f"eta = b^-p rounds to {eta!r}; it must lie strictly between 0 and 1")
     pairs = [(DiscretePrior([0.0, b], [1.0 - eta, eta]), DiscretePrior.point(0.0))
              for b, eta in zip(b_values, etas)]
-    sweep = metrics._sweep_integrals(pairs, ["hellinger_sq", "regret"])
-    return [MomentFamilyInstance(p=float(p), b=float(b), eta=eta, eps_sq=values["hellinger_sq"],
-                                 regret_val=values["regret"],
-                                 regret_lb=b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0)))
-            for b, eta, values in zip(b_values, etas, sweep)]
-
-
-def build_moment_instance(p, b):
-    """Spike pair at height b with mass eta = b^(-p), fully scored.
-
-    ``regret_lb`` is the closed-form floor b^2 (eta (1 - eta) - e^(-b^2/8));
-    it can be negative for small b, where it carries no information.
-    Raises ``ToleranceNotMet`` if eps^2 reads below its data-processing
-    floor, the squared Hellinger distance on the cells y > b/2 and y <= b/2:
-    the panels missed the spike.  The one-b case of ``moment_family_sweep``.
-    """
-    return _moment_instances(p, [b])[0]
+    rows = []
+    for b, eta, values in zip(b_values, etas, metrics.compute_metric_reports(pairs, ("hellinger_sq", "regret"))):
+        regret, regret_lb = values["regret"], b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0))
+        rows.append({"p": float(p), "b": float(b), "eta": eta, "eps_sq": values["hellinger_sq"],
+                     "regret": regret, "regret_lb": regret_lb, "lb_ok": regret >= regret_lb - 1e-12})
+    return rows
 
 
 def fit_loglog_exponent(xs, ys):
@@ -212,25 +140,28 @@ def fit_loglog_exponent(xs, ys):
 
 
 def moment_family_sweep(p, b_values):
-    """Spike instances across b, scored in one lock-step pass, plus the fitted exponent.
+    """A row per spike height b, scored in one lock-step pass, plus the fitted exponent.
 
-    Each instance equals its own ``build_moment_instance`` bit for bit.
-    The summary reports the measured log-log slope next to the target
-    (p - 2)/p: regret ~ b^2 eta and eps^2 ~ eta with eta = b^(-p).  With
-    fewer than two distinct b values there is no slope, and it is None.
+    A row is p, b, eta = b^(-p), eps_sq, regret, the closed-form floor
+    regret_lb = b^2 (eta (1 - eta) - e^(-b^2/8)) (negative for small b,
+    where it carries no information) and lb_ok, whether the regret reaches
+    it.  Each row equals its own one-b sweep's bit for bit.  Raises
+    ``ToleranceNotMet`` if eps^2 reads below its data-processing floor,
+    the squared Hellinger distance on the cells y > b/2 and y <= b/2: the
+    panels missed the spike.  The summary reports the measured log-log
+    slope next to the target (p - 2)/p: regret ~ b^2 eta and eps^2 ~ eta.
+    With fewer than two distinct b values there is no slope, and it is None.
     """
-    instances = _moment_instances(p, b_values)
+    rows = _moment_rows(p, b_values)
     exponent = None
     if len(set(b_values)) > 1:
-        exponent = fit_loglog_exponent(
-            [inst.eps_sq for inst in instances], [inst.regret_val for inst in instances]
-        )
+        exponent = fit_loglog_exponent([row["eps_sq"] for row in rows], [row["regret"] for row in rows])
     summary = {
         "fitted_exponent": exponent,
         "target_exponent": (float(p) - 2.0) / float(p),
-        "max_regret_to_eps_sq": max(inst.regret_val / inst.eps_sq for inst in instances),
+        "max_regret_to_eps_sq": max(row["regret"] / row["eps_sq"] for row in rows),
     }
-    return instances, summary
+    return rows, summary
 
 
 def regularization_necessity_demo(p, b, rho_values=()):
@@ -240,27 +171,24 @@ def regularization_necessity_demo(p, b, rho_values=()):
     scale at which clipping provably helps.  Each row carries the
     log-envelope eps^2 max((log 1/rho)^3, log 1/eps) for reference.
     """
-    rho_values = [float(r) for r in rho_values]
-    if not all(rho > 0.0 for rho in rho_values):
-        raise ValueError("rho values must be positive")
-    inst = build_moment_instance(p, b)
-    prior_g = DiscretePrior([0.0, inst.b], [1.0 - inst.eta, inst.eta])
-    eps = math.sqrt(inst.eps_sq)
-    rhos = sorted(set(rho_values) | {eps})
+    spike = _moment_rows(p, [b])[0]
+    prior_g = DiscretePrior([0.0, spike["b"]], [1.0 - spike["eta"], spike["eta"]])
+    eps = math.sqrt(spike["eps_sq"])
+    rhos = sorted({float(r) for r in rho_values} | {eps})
     regularized = metrics.pair_integrals(prior_g, DiscretePrior.point(0.0), rhos=rhos)
     rows = []
     for rho in rhos:
         reg = regularized[rho]
-        envelope = inst.eps_sq * max(math.log(1.0 / rho) ** 3, math.log(1.0 / eps))
+        envelope = spike["eps_sq"] * max(math.log(1.0 / rho) ** 3, math.log(1.0 / eps))
         rows.append(
             {
                 "rho": rho,
-                "regret": inst.regret_val,
+                "regret": spike["regret"],
                 "regret_regularized": reg,
-                "ratio": inst.regret_val / reg if reg > 0.0 else math.inf,
+                "ratio": spike["regret"] / reg if reg > 0.0 else math.inf,
                 "envelope": envelope,
             }
         )
     ratio_at_eps = next(r["ratio"] for r in rows if r["rho"] == eps)
-    summary = {"eps": eps, "ratio_at_eps": ratio_at_eps, "eps_sq": inst.eps_sq}
+    summary = {"eps": eps, "ratio_at_eps": ratio_at_eps, "eps_sq": spike["eps_sq"]}
     return rows, summary

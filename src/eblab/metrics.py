@@ -16,13 +16,15 @@ the state once per batch of nodes and integrates each requested
 functional as one column of a single vector-valued ``integrate_line``
 pass, to its own tolerance, on a window whose discarded tail is below
 1e-14; ``compute_metric_report`` is its pass over the four report
-functionals.  ``compute_metric_reports`` reports on a sweep of pairs
-in one ``integrate_lines`` pass: each side's priors are stacked once,
-one column per pair (``MarginalModel._stack``, which pads a prior with
+functionals.  ``compute_metric_reports`` integrates the named
+functionals (the four report ones by default) of a sweep of pairs in
+one ``integrate_lines`` pass: each side's priors are stacked once, one
+column per pair (``MarginalModel._stack``, which pads a prior with
 fewer atoms by weight-0 atoms), and each call gathers for each node the
 column of its own pair, so each pair's dict equals its
-``compute_metric_report`` bit for bit while 100 pairs share about 15
-integrand calls; ``families`` scores its spike sweep the same way.  This
+``pair_integrals`` bit for bit while 100 pairs share about 15 integrand
+calls; the ``families`` spike sweep and the ``npmle`` fits are scored
+with it too.  A clipping level rho must be positive and finite.  This
 rests on one summation order: every sum over atoms adds the nodes'
 (atoms, nodes) terms atom by atom, so a node's value does not depend on
 who shares its call, and a pad adds only exact zeros.
@@ -166,8 +168,9 @@ _FORMULAS = {
 
 def _pair_formulas(names, rhos):
     """A pair pass's columns: each named formula, a clipped regret per rho, Delta's second form."""
-    if not all(rho > 0.0 for rho in rhos):
-        raise ValueError("rho must be positive")
+    for rho in rhos:
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, not {rho!r}")
     formulas = [_FORMULAS[name] for name in names]
     formulas += [functools.partial(_clipped_regret, rho=rho) for rho in rhos]
     if "delta_flux" in names:
@@ -238,8 +241,8 @@ def pair_integrals(model_g, model_h, names=(), rhos=(), spec=None):
     ``names`` pick from hellinger_sq, delta, delta_flux, regret and
     regret_score_form; all come from one ``integrate_line`` pass over the
     pair state, each to its own tolerance.  Returns a dict keyed by name
-    and by rho (as a float).  A rho that is not positive raises
-    ``ValueError`` before any integration.
+    and by rho (as a float).  A rho that is not positive and finite
+    raises ``ValueError`` before any integration.
 
     ``delta`` sits inside the Hellinger sandwich pointwise,
     (a-b)^2 / (2(a+b)) <= (sqrt(a)-sqrt(b))^2 <= (a-b)^2/(a+b), so
@@ -299,7 +302,7 @@ def hellinger_rate_normalizer(eps_sq):
     return eps_sq * log_inv_eps / math.log(log_inv_eps)
 
 
-_REPORT_NAMES = ["hellinger_sq", "delta", "delta_flux", "regret"]
+_REPORT_NAMES = ("hellinger_sq", "delta", "delta_flux", "regret")
 
 
 def compute_metric_report(model_g, model_h, rhos=(), spec=None):
@@ -307,12 +310,14 @@ def compute_metric_report(model_g, model_h, rhos=(), spec=None):
     return pair_integrals(model_g, model_h, _REPORT_NAMES, rhos, spec)
 
 
-def _sweep_integrals(pairs, names):
+def compute_metric_reports(pairs, names=_REPORT_NAMES):
     """``pair_integrals(g, h, names)`` of each (g, h) in ``pairs``, integrated in lock step.
 
-    Every pair keeps its own window, targets, budget and Delta
-    cross-check, and its values equal its own ``pair_integrals`` bit for
-    bit; the pairs share each integrand call (``quadrature.integrate_lines``)
+    ``names`` default to the four report functionals, so that each dict
+    equals its own ``compute_metric_report``; no clipped regret is
+    integrated.  Every pair keeps its own window, targets, budget and
+    checks, and its values equal its own ``pair_integrals`` bit for bit;
+    the pairs share each integrand call (``quadrature.integrate_lines``)
     in one pass for the whole sweep, whatever their atom counts.  Each side
     is stacked once (``MarginalModel._stack``), a column per pair; each call
     only gathers the columns that ``which`` names.
@@ -332,12 +337,3 @@ def _sweep_integrals(pairs, names):
         floors = zip(*(x.tolist() for x in _hellinger_floor(*stacks)))
     return [_checked_values(integrals, names, [], spec, floor)
             for integrals, spec, floor in zip(integrate_lines(integrand, specs), specs, floors)]
-
-
-def compute_metric_reports(pairs):
-    """``compute_metric_report(g, h)`` of each (g, h) in ``pairs``, integrated in lock step.
-
-    Each dict equals its own ``compute_metric_report`` bit for bit; the
-    pairs share every integrand call.  No clipped regret is integrated.
-    """
-    return _sweep_integrals(pairs, _REPORT_NAMES)

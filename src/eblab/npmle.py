@@ -454,13 +454,13 @@ def empirical_regret_experiment(true_prior, cells, **fit_options):
     keys, in order, are the columns of the synthetic ``npmle`` CSV; and
     the ``NpmleSolution``, whose solver counts the CLI sums into its
     sidecar.  All fits are scored in one sweep
-    (``metrics._sweep_integrals``), each bit for bit as
+    (``metrics.compute_metric_reports``), each bit for bit as
     ``metrics.pair_integrals`` would score it alone.  Solver errors
     propagate.
     """
     solutions = [solve_npmle(NpmleProblem.from_observations(
         sample_observations(true_prior, n, cell_rng(seed, n)), **fit_options)) for n, seed in cells]
-    scores = metrics._sweep_integrals([(true_prior, s.prior) for s in solutions], ["hellinger_sq", "regret"])
+    scores = metrics.compute_metric_reports([(true_prior, s.prior) for s in solutions], ("hellinger_sq", "regret"))
     return [({"n": int(n), "seed": int(seed), "eps_sq": score["hellinger_sq"], "regret": score["regret"],
               "loglik": solution.loglik, "cert": solution.gradient_cert}, solution)
             for (n, seed), solution, score in zip(cells, solutions, scores)]

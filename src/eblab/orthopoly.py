@@ -110,7 +110,9 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     normalizes, and reads the coefficients back off as inner products.
     Derivative values are propagated through the exact same linear
     combinations, so ``basis_derivative`` differentiates the polynomials
-    actually stored, roundoff included.
+    actually stored, roundoff included.  A weight that overflows a double
+    on the grid (w peaks near e^(u^2) for a point mass at u) raises
+    ``ValueError`` naming the support bound.
     """
     k = int(k)
     if k < 0 or grid_size < 1:
@@ -120,7 +122,14 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     model = MarginalModel(nu)
     radius = default_window_radius(model.support_bound, k)
     nodes, quad_w = _composite_legendre(radius, grid_size)
-    measure = quad_w * np.exp(2.0 * log_phi(nodes) - model.log_density(nodes))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the support bound
+        measure = quad_w * np.exp(2.0 * log_phi(nodes) - model.log_density(nodes))
+        mu0 = float(measure.sum())
+    if not (np.isfinite(measure).all() and math.isfinite(mu0)):
+        raise ValueError(f"weight phi^2/f overflows a double on the grid at support bound "
+                         f"{model.support_bound:.6g} (a point mass at u weighs about e^(u^2))")
+    if not mu0 > 0.0:
+        raise DegreeUnstable("weight has no mass on the grid")
 
     def ip(u, v):
         return float(np.dot(u * measure, v))
@@ -130,10 +139,6 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     deriv = np.zeros_like(basis)
     a = np.zeros(n_polys)  # a[j] = a_{j+1}
     b = np.zeros(n_polys)
-
-    mu0 = float(measure.sum())
-    if not (mu0 > 0.0 and math.isfinite(mu0)):
-        raise DegreeUnstable("weight has no mass on the grid")
     basis[0] = 1.0 / math.sqrt(mu0)
     b[0] = ip(nodes * basis[0], basis[0])
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from eblab import metrics
 from eblab.cli import main
-from eblab.families import build_lowerbound_instance, build_moment_instance, fit_loglog_exponent
+from eblab.families import fit_loglog_exponent, lowerbound_ratio_sweep, moment_family_sweep
 from eblab.hermite import (
     _hermite_sums,
     alpha_bounds_hold,
@@ -135,20 +135,21 @@ def test_07_metric_identities_on_random_pairs():
 
 
 def test_08_matched_moment_family_ratio_floor():
-    instances = [build_lowerbound_instance(m) for m in range(2, 11)]
-    ratios = [inst.ratio for inst in instances]
-    for inst in instances:
-        alpha = moment_gap_table(inst.m).alpha_m
-        assert inst.eps_sq <= 4.0 * alpha**5
-        assert inst.ratio > 0.0
+    rows = [lowerbound_ratio_sweep([m])[0][0] for m in range(2, 11)]
+    ratios = [row["ratio"] for row in rows]
+    for row in rows:
+        alpha = moment_gap_table(row["m"]).alpha_m
+        assert row["eps_sq"] <= 4.0 * alpha**5
+        assert row["ratio"] > 0.0
     assert min(ratios) >= 0.5 * ratios[0]
 
 
 def test_09a_heavy_tail_family_inequalities():
-    for b in (4.0, 6.0, 8.0, 10.0, 12.0):
-        inst = build_moment_instance(2.0, b)
-        assert inst.regret_val >= b * b * (inst.eta * (1.0 - inst.eta) - math.exp(-b * b / 8.0)) - 1e-8
-        assert inst.eps_sq <= 2.0 * inst.eta
+    rows, _ = moment_family_sweep(2.0, (4.0, 6.0, 8.0, 10.0, 12.0))
+    for b, row in zip((4.0, 6.0, 8.0, 10.0, 12.0), rows):
+        eta = row["eta"]
+        assert row["regret"] >= b * b * (eta * (1.0 - eta) - math.exp(-b * b / 8.0)) - 1e-8
+        assert row["eps_sq"] <= 2.0 * eta
 
 
 def test_09b_heavy_tail_exponent_window():
@@ -157,10 +158,8 @@ def test_09b_heavy_tail_exponent_window():
     # is 0 at p = 2 (measured about -0.055): the regret stays of order
     # one while eps^2 -> 0.
     p = 2.0
-    instances = [build_moment_instance(p, b) for b in (4.0, 6.0, 8.0, 10.0, 12.0)]
-    slope = fit_loglog_exponent(
-        [inst.eps_sq for inst in instances], [inst.regret_val for inst in instances]
-    )
+    rows, _ = moment_family_sweep(p, (4.0, 6.0, 8.0, 10.0, 12.0))
+    slope = fit_loglog_exponent([row["eps_sq"] for row in rows], [row["regret"] for row in rows])
     assert abs(slope - (p - 2.0) / p) <= 0.15
 
 

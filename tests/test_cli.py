@@ -116,11 +116,21 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
          "below its lower bound 2.0 from the cell y > 50000.0: no panel"),
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e146"], 3,
          "eps^2 = 0.0 is below its lower bound 2.0"),
+        # phi^2/f of a point mass at u peaks near e^(u^2), past a double from u ~ 26.6 on;
+        # at 1e200 the log terms overflow first.  No overflow warning may leak on the way.
+        (["bernstein", "--prior", "point:u=27", "--k-max", "3"], 2,
+         "weight phi^2/f overflows a double on the grid at support bound 27 "),
+        (["bernstein", "--prior", "point:u=1e200", "--k-max", "3"], 2,
+         "weight phi^2/f overflows a double on the grid at support bound 1e+200 "),
+        (["regratio", "--p", "2", "--b", "8", "--rhos", "inf"], 2, "rho must be positive and finite, not inf"),
+        (["metrics", "--prior-g", "two_point:m=1", "--prior-h", "point:u=0", "--rhos", "0.1,inf"], 2,
+         "rho must be positive and finite, not inf"),
     ],
     ids=["hermite-alpha-underflow", "moment-eta-underflow", "demo-eta-underflow",
          "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed",
          "moment-spike-missed-3e4", "moment-spike-bump-missed-1e5", "metrics-far-atom-1e5",
-         "metrics-far-atom-1e146"],
+         "metrics-far-atom-1e146", "bernstein-weight-overflow-27", "bernstein-weight-overflow-1e200",
+         "demo-rho-infinite", "metrics-rho-infinite"],
 )
 def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     assert main(argv) == code

@@ -17,7 +17,7 @@ from eblab.hermite import (
     moment_gap_table,
     truncation_error,
 )
-from eblab.families import build_lowerbound_instance
+from eblab.families import lowerbound_ratio_sweep
 from eblab.mixtures import DiscretePrior
 from eblab.quadrature import IntegrationSpec, arcsine_moment, chebyshev_rule, integrate_line
 
@@ -240,8 +240,11 @@ def test_truncation_error_decreases_and_handles_degenerate_input():
 def test_truncation_error_survives_a_subnormal_tail_sum():
     # on the m = 2 lower-bound pair the first tail term at k = 132 is subnormal, so
     # 1e-13 * err_gp underflowed to 0 and its log raised a math domain error
-    instance = build_lowerbound_instance(2)
-    g, h = instance.prior_g, instance.prior_h
+    # the m = 2 row's pair: delta_0 contaminated with mass tau of the 256-point arcsine rule (G)
+    # and of the 2-point rule (H); neither rule has a node at 0
+    tau = lowerbound_ratio_sweep([2])[0][0]["tau"]
+    g, h = (DiscretePrior(np.r_[0.0, nodes], np.r_[1.0 - tau, tau * weights])
+            for nodes, weights in (chebyshev_rule(256), chebyshev_rule(2)))
     at_132 = truncation_error(g, h, 132)
     for low, mid, high in zip(truncation_error(g, h, 140), at_132, truncation_error(g, h, 120)):
         assert math.isfinite(mid) and low < mid < high

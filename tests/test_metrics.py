@@ -353,7 +353,7 @@ def test_sweep_of_any_atom_counts_is_one_pass_and_each_pair_alone(monkeypatch, n
         return integrate(f, specs)
 
     monkeypatch.setattr(metrics, "integrate_lines", counted)
-    sweep = metrics._sweep_integrals(pairs, names)
+    sweep = compute_metric_reports(pairs, names)
     assert passes == [len(pairs)]
     for values, (g, h) in zip(sweep, pairs):
         alone = pair_integrals(g, h, names)
@@ -476,7 +476,7 @@ def test_a_nodes_pair_state_is_bit_identical_in_every_batch(atoms):
 @given(ms=st.sets(st.integers(2, 12), min_size=1).map(sorted), ys=_NODES, data=st.data())
 def test_lowerbound_integrand_rows_do_not_depend_on_node_batching(ms, ys, data):
     # the sweep's one pass: an eps^2 and a regret column per m
-    f = _integrand_of(families, lambda: families._lowerbound_instances(ms))
+    f = _integrand_of(families, lambda: families.lowerbound_ratio_sweep(ms))
     assert f(ys).shape == (ys.size, 2 * len(ms))
     _assert_batch_invariant(f, ys, data.draw(st.integers(1, ys.size - 1)))
 
@@ -488,7 +488,7 @@ def test_bad_rho_raises_before_integrating(monkeypatch):
     monkeypatch.setattr(metrics, "integrate_line", refuse)
     g = DiscretePrior([-1.0, 1.0], [0.5, 0.5])
     h = DiscretePrior([0.0], [1.0])
-    for bad in (0.0, -0.5, math.nan):
+    for bad in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             compute_metric_report(g, h, rhos=(0.1, bad))
         with pytest.raises(ValueError):

@@ -126,6 +126,31 @@ def test_budget_exhaustion_carries_partial_solution():
     assert partial.gradient_cert > 1.0 + problem.tol
 
 
+def test_a_failed_sqp_step_falls_back_to_one_run_of_multiplicative_steps(monkeypatch):
+    # two clusters, 300 observations, 100 grid points: too small to bin, so every step is full-kernel
+    rng = np.random.default_rng(11)
+    y = np.concatenate([rng.normal(-2.0, 1.0, 150), rng.normal(2.0, 1.0, 150)])
+    problem = NpmleProblem.from_observations(y, grid_size=100)
+    unpatched = solve_npmle(problem)
+    assert unpatched.diagnostics["em_steps"] == 0
+    calls = []
+    sqp_step = npmle._sqp_step
+
+    def fails_first(*args):
+        calls.append(len(calls))
+        return None if len(calls) == 1 else sqp_step(*args)
+
+    monkeypatch.setattr(npmle, "_sqp_step", fails_first)
+    fit = solve_npmle(problem)
+    counts = fit.diagnostics
+    assert counts["em_steps"] == npmle._EM_CHUNK == 10
+    assert fit.iterations == 1 + counts["sqp_steps"] + counts["em_steps"]
+    assert len(calls) == 1 + counts["sqp_steps"]  # no SQP step is tried inside the run
+    assert np.all(np.diff(fit.loglik_trace) >= 0.0)
+    assert fit.gradient_cert <= 1.0 + problem.tol
+    assert abs(fit.loglik - unpatched.loglik) <= problem.tol
+
+
 @pytest.mark.parametrize("sqp", [True, False])
 def test_budget_accounting_across_phases(monkeypatch, sqp):
     if not sqp:
