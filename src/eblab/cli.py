@@ -404,6 +404,8 @@ def _run_npmle(spec):
             "em_steps": sum(c["em_steps"] for c in counts),
             "max_working_set": max(c["max_working_set"] for c in counts),
             "binned_steps": sum(c["binned_steps"] for c in counts),
+            "pricing_passes": sum(c["pricing_passes"] for c in counts),
+            "max_rows": max(c["max_rows"] for c in counts),
         },
     }
     return rows, summary

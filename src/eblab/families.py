@@ -179,7 +179,7 @@ def regularization_necessity_demo(p, b, rho_values=()):
     rows = []
     for rho in rhos:
         reg = regularized[rho]
-        envelope = spike["eps_sq"] * max(math.log(1.0 / rho) ** 3, math.log(1.0 / eps))
+        envelope = spike["eps_sq"] * max((-math.log(rho)) ** 3, -math.log(eps))
         rows.append(
             {
                 "rho": rho,

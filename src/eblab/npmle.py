@@ -18,16 +18,20 @@ ridged QP is strictly convex, so its last pass solves on the same free
 set from any start: the cold start's bits in fewer passes.
 A step that fails is replaced by a short run of the multiplicative
 fixed-point iteration w_u <- w_u * D(u).  The kernel
-K[u, i] = phi(y_i - u) is held grid-major, one (m, n) array: the
-certificate is one pass K (1/f) / n, a working set is a block of
-contiguous rows, and every density f is summed over the rows of the
-nonzero weights only, w[S] @ K[S], since a fit keeps a handful of the
-m grid weights nonzero.  A large sample on a grid much smaller than it
-is first binned at the grid (Koenker & Mizera 2014): each observation
-goes to its nearest grid point, and the same ascent fits the
-counts-weighted sample of the occupied points, on a kernel of at most
-m x m columns.  The exact fit starts from that fit's pruned weights and
-its last QP answer, and needs a few steps instead of about ten.
+K[u, i] = phi(y_i - u) is held grid-major, one row per grid point: a
+working set is a block of contiguous rows, and every density f is
+summed over the rows of the nonzero weights only, w[S] @ K[S], since a
+fit keeps a handful of the m grid weights nonzero.  A large sample on a
+grid much smaller than it is first binned at the grid (Koenker & Mizera
+2014): the same ascent fits the counts-weighted occupied grid points,
+on a kernel of at most m x m columns.  The exact fit starts from that
+fit's pruned weights and last QP answer and never builds the (m, n)
+kernel.  As in the restricted master and pricing steps of the
+constrained Newton method (Wang 2007), it ascends on the rows of a
+working grid W (the binned support and its neighbours), then prices the
+whole grid: D from kernel blocks of a few rows, each built and dropped
+in turn.  D's peaks join W until D meets the stopping rule.  Other fits
+ascend on the whole (m, n) kernel, where D is one pass K (1/f) / n.
 Stopping is governed solely by the exact full-grid first-order
 certificate max_u D(u) <= 1 + tol on the full sample, which bounds the
 log-likelihood suboptimality of the returned weights over the grid.
@@ -39,6 +43,7 @@ runs are bit-for-bit identical regardless of execution order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +71,8 @@ _RIDGE = 1e-10  # relative to the largest Hessian diagonal entry
 _ARMIJO = 1e-4
 _HALVINGS = 40
 _QP_TOL = 1e-12  # multiplier threshold for freeing a zero coordinate
+_RADIUS = 2  # a binned fit's working rows: its support and the grid rows this near it or a priced peak
+_BLOCK = 32  # grid rows per kernel block of the streamed full-grid certificate
 
 
 class NotConverged(RuntimeError):
@@ -129,8 +136,11 @@ class NpmleSolution:
     ``diagnostics`` holds deterministic solver counts: ``sqp_steps`` and
     ``em_steps`` split the iterations after the first between the two
     kinds of update, ``max_working_set`` is the largest number of
-    columns an SQP step worked on, and ``binned_steps`` counts the steps
-    of the binned fit that came first (0 when the fit did not bin).
+    columns an SQP step worked on, ``binned_steps`` counts the steps
+    of the binned fit that came first (0 when the fit did not bin),
+    ``pricing_passes`` the streamed full-grid certificates (0 when the
+    fit ascended on the whole grid) and ``max_rows`` the largest working
+    grid W the exact fit ascended on (m for a fit on the whole grid).
     """
 
     prior: DiscretePrior
@@ -243,28 +253,53 @@ def solve_npmle(problem):
     Where ``_binning_pays`` (a sample of at least 800 observations and
     twice the grid size, on at least 50 grid points), these steps first
     fit the sample binned at its nearest grid points, to the same rule on
-    the binned certificate; the full-kernel steps then start from its
-    pruned weights and last QP answer.  ``iterations``, the trace and the
-    ``sqp_steps``, ``em_steps`` and ``max_working_set`` diagnostics count
-    the full-kernel steps only, and ``binned_steps`` counts the binned
-    ones (0 when the fit does not bin).  If the binned weights leave some
-    observation with a non-finite 1/f, the fit starts over from the
-    uniform starts.  Raises ``NotConverged`` (with the partial solution
-    attached) if the budget of ``max_iters`` full-kernel iterations runs
-    out first, and ``ValueError`` if the certificate's 1/f overflows at
-    some observation even when the start spreads over every grid point.
+    the binned certificate.  The exact steps then start from its pruned
+    weights and last QP answer on the kernel rows of the binned support
+    and the ``_RADIUS`` grid rows on each side; each time they stop,
+    ``_priced`` streams the exact D over the whole grid, and D's peaks
+    above one and their neighbours join the rows until D meets the rule.
+    ``iterations``, the trace and the ``sqp_steps``, ``em_steps`` and
+    ``max_working_set`` diagnostics count the exact steps only (see
+    ``NpmleSolution`` for the others).  A fit that does not bin, or whose
+    binned weights leave some observation with a non-finite 1/f, starts
+    from the uniform starts on the whole grid.  Raises ``NotConverged``
+    (with the partial solution attached) if the budget of ``max_iters``
+    exact iterations runs out first, and ``ValueError`` if the
+    certificate's 1/f overflows at some observation even when the start
+    spreads over every grid point.
     """
     grid, y = problem.grid, problem.observations
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     qp_start = np.zeros(grid.size)  # the last QP's answer on the full grid: none yet
     w, binned_steps = _binned_fit(problem, stop_at, qp_start) if _binning_pays(y.size, grid.size) else (None, 0)
-    sample = _Sample(_kernel(y, grid))
-    if w is None or not sample.covers(fvals := _density(sample.kernel, w)):
+    rows = np.ones(grid.size, dtype=bool) if w is None else _near(w > 0.0)
+    sample = _Sample(_kernel(y, grid[rows]))
+    if w is not None and not sample.covers(fvals := _density(sample.kernel, w[rows])):
+        w, rows = None, np.ones(grid.size, dtype=bool)
+        sample = _Sample(_kernel(y, grid))
+    if w is None:
         qp_start.fill(0.0)
         w, fvals = _start(sample, grid)
-    w, certificate, trace, counts = _ascend(sample, w, fvals, stop_at, problem.max_iters, qp_start)
-    counts["binned_steps"] = binned_steps
-    solution = _package_solution(problem, sample, w, certificate, trace, counts)
+    trace = [sample.loglik(fvals)]
+    counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0, "binned_steps": binned_steps,
+              "pricing_passes": 0, "max_rows": 0}
+    while True:
+        w_rows, qp_rows = w[rows], qp_start[rows]
+        w_rows, fvals, certificate = _ascend(sample, w_rows, fvals, stop_at, problem.max_iters, qp_rows,
+                                             trace, counts)
+        w[rows], qp_start[rows] = w_rows, qp_rows  # both are 0 off the rows
+        if rows.all():
+            break
+        direction = _priced(y, grid, fvals)
+        certificate = float(direction.max())
+        counts["pricing_passes"] += 1
+        new = _near(_peaks(direction)) & ~rows  # with D over stop_at, empty only if W's own D rounded under it
+        if certificate <= stop_at or len(trace) >= problem.max_iters or not new.any():
+            break
+        rows |= new
+        sample = _Sample(_kernel(y, grid[rows]))
+    counts["max_rows"] = int(rows.sum())  # W only grows
+    solution = _package_solution(grid[rows], sample, w[rows], certificate, trace, counts)
     if certificate > 1.0 + problem.tol:
         raise NotConverged(
             f"certificate {certificate - 1.0:.3e} above tol {problem.tol:.1e} "
@@ -272,6 +307,28 @@ def solve_npmle(problem):
             solution,
         )
     return solution
+
+
+def _near(marked):
+    """The grid rows at most ``_RADIUS`` rows from a marked one."""
+    near = marked.copy()
+    for shift in range(1, _RADIUS + 1):
+        near[shift:] |= marked[:-shift]
+        near[:-shift] |= marked[shift:]
+    return near
+
+
+def _peaks(direction):
+    """The local maxima of the certificate above one: where new support enters."""
+    edges = np.concatenate(([-np.inf], direction, [-np.inf]))
+    return (direction >= np.maximum(edges[:-2], edges[2:])) & (direction > 1.0)
+
+
+def _priced(y, grid, fvals):
+    """``_Sample.certificate`` on the full grid's kernel, built ``_BLOCK`` rows at a time and dropped."""
+    inverse = 1.0 / fvals
+    blocks = [_kernel(y, grid[i:i + _BLOCK]) @ inverse for i in range(0, grid.size, _BLOCK)]
+    return np.concatenate(blocks) / fvals.size
 
 
 def _binned_fit(problem, stop_at, qp_start):
@@ -289,25 +346,25 @@ def _binned_fit(problem, stop_at, qp_start):
     occupied = bins.nonzero()[0]
     sample = _CountedSample(_kernel(grid[occupied], grid), bins[occupied].astype(float))
     w, fvals = _start(sample, grid)
-    w, _, trace, _ = _ascend(sample, w, fvals, stop_at, problem.max_iters, qp_start)
+    trace = [sample.loglik(fvals)]
+    w, _, _ = _ascend(sample, w, fvals, stop_at, problem.max_iters, qp_start, trace, Counter())
     w[w <= _PRUNE_WEIGHT] = 0.0
     return w / w.sum(), len(trace) - 1
 
 
-def _ascend(sample, w, fvals, stop_at, max_iters, qp_start):
+def _ascend(sample, w, fvals, stop_at, max_iters, qp_start, trace, counts):
     """Ascent steps from w until the certificate is at most ``stop_at`` or the trace holds ``max_iters`` values.
 
-    Returns (w, certificate, loglik trace, counts).  Each step is an SQP
-    step, or one of a short run of multiplicative steps after one fails.
+    Returns (w, f, certificate); appends each step's loglik to ``trace``
+    and counts it in ``counts``.  Each step is an SQP step, or one of a
+    short run of multiplicative steps after one fails.
     """
-    trace = [sample.loglik(fvals)]
-    counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0}
     em_left = 0
     while True:
         direction = sample.certificate(fvals)
         certificate = float(direction.max())
         if certificate <= stop_at or len(trace) >= max_iters:
-            return w, certificate, trace, counts
+            return w, fvals, certificate
         step = None if em_left else _sqp_step(sample, w, fvals, direction, trace[-1], qp_start)
         if step is None:
             em_left = (em_left or _EM_CHUNK) - 1
@@ -332,9 +389,7 @@ def _sqp_step(sample, w, fvals, direction, loglik, qp_start):
     QP's answer, ``qp_start`` (0 before the first), and leaves its own there.
     Returns None when the QP step is not a descent direction or no step length passes.
     """
-    edges = np.concatenate(([-np.inf], direction, [-np.inf]))
-    peak = (direction >= np.maximum(edges[:-2], edges[2:])) & (direction > 1.0)
-    work = ((w > _PRUNE_WEIGHT) | peak).nonzero()[0]
+    work = ((w > _PRUNE_WEIGHT) | _peaks(direction)).nonzero()[0]
     k_work = sample.kernel.take(work, axis=0)
     hess = sample.hessian(k_work, fvals)
     hess.reshape(-1)[:: work.size + 1] += _RIDGE * float(hess.diagonal().max())  # diagonal view
@@ -400,11 +455,11 @@ def _nonnegative_qp(hess, lin, x):
     return x
 
 
-def _package_solution(problem, sample, w, certificate, trace, counts):
+def _package_solution(grid, sample, w, certificate, trace, counts):
     keep = w > _PRUNE_WEIGHT
     if not np.any(keep):
         keep = w == w.max()
-    atoms = problem.grid[keep]
+    atoms = grid[keep]
     weights = w[keep] / w[keep].sum()
     prior = DiscretePrior(atoms, weights)
     fvals = weights @ sample.kernel[keep]

@@ -230,7 +230,8 @@ def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     payload = json.loads((tmp_path / "a.json").read_text())
     assert payload["columns"] == ["n", "loglik", "cert", "iterations", "support_size"]
     diagnostics = payload["summary"]["diagnostics"]
-    assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set", "binned_steps"}
+    assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set", "binned_steps", "pricing_passes",
+                                "max_rows"}
     row = (tmp_path / "a.csv").read_text().splitlines()[1].split(",")
     iterations, support_size = int(row[3]), int(row[4])
     assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
@@ -268,6 +269,8 @@ def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):
         "em_steps": sum(s.diagnostics["em_steps"] for s in solutions),
         "max_working_set": max(s.diagnostics["max_working_set"] for s in solutions),
         "binned_steps": sum(s.diagnostics["binned_steps"] for s in solutions),
+        "pricing_passes": sum(s.diagnostics["pricing_passes"] for s in solutions),
+        "max_rows": max(s.diagnostics["max_rows"] for s in solutions),
     }
 
 
@@ -481,6 +484,17 @@ def test_regratio_clipping_demo_mode(tmp_path):
     rhos = [float(line.split(",")[0]) for line in lines[1:]]
     assert rhos == sorted(rhos)
     assert len(rhos) == 3  # the pair's own separation level is inserted
+
+
+def test_regratio_envelope_is_finite_at_a_subnormal_rho(tmp_path):
+    # 1/rho overflows to inf below about 5.6e-309; log(1/rho) = -log(rho) does not
+    out = tmp_path / "tiny"
+    assert main(["--out", str(out), "regratio", "--p", "2", "--b", "8", "--rhos", "1e-320"]) == 0
+    header, *lines = (tmp_path / "tiny.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "envelope"
+    envelopes = {float(line.split(",")[0]): float(line.split(",")[-1]) for line in lines}
+    assert 1e-320 in envelopes and len(envelopes) == 2  # the pair's own separation level is inserted
+    assert all(math.isfinite(e) and e > 0.0 for e in envelopes.values())
 
 
 def test_metrics_of_identical_point_priors_vanishes(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -276,6 +278,65 @@ def test_binned_start_fit_matches_the_plain_start_fit(problem):
 @pytest.mark.parametrize("n, m", [(50, 400), (200, 400), (400, 100), (799, 50), (800, 49), (1000, 501)])
 def test_small_or_fine_grid_fits_do_not_bin(n, m):
     assert not npmle._binning_pays(n, m)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    y=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=200).map(np.array),
+    grid=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=150, unique=True).map(np.sort),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 33), seed=0)
+@example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 64), seed=1)
+@example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 97), seed=2)
+def test_streamed_certificate_is_the_full_kernel_certificate(y, grid, seed):
+    kernel = npmle._kernel(y, grid)
+    fvals = np.random.default_rng(seed).dirichlet(np.ones(grid.size)) @ kernel
+    full = npmle._Sample(kernel).certificate(fvals)
+    streamed = npmle._priced(y, grid, fvals)
+    assert streamed.shape == full.shape
+    assert np.all(np.abs(streamed - full) <= 4.0 * np.spacing(full))
+
+
+def test_a_binned_start_that_misses_a_cluster_grows_its_rows(monkeypatch):
+    # the binned weights sit on the left cluster alone: pricing finds the right one and the rows grow
+    rng = np.random.default_rng(4)
+    y = np.concatenate([rng.normal(-3.0, 1.0, 1000), rng.normal(3.0, 1.0, 1000)])
+    problem = NpmleProblem.from_observations(y, grid_size=100)
+    plain = solve_npmle(problem)
+
+    def one_cluster(problem, stop_at, qp_start):
+        w = np.zeros(problem.grid.size)
+        w[np.abs(problem.grid + 3.0).argmin()] = 1.0
+        return w, 0
+
+    monkeypatch.setattr(npmle, "_binned_fit", one_cluster)
+    fit = solve_npmle(problem)
+    counts = fit.diagnostics
+    assert counts["pricing_passes"] >= 2
+    assert 2 * npmle._RADIUS + 1 < counts["max_rows"] < problem.grid.size
+    assert fit.gradient_cert <= 1.0 + problem.tol
+    assert gradient_certificate(fit, problem) <= 1.0 + problem.tol
+    assert fit.prior.atoms.max() > 0.0 > fit.prior.atoms.min()
+    assert fit.iterations == 1 + counts["sqp_steps"] + counts["em_steps"] == fit.loglik_trace.size
+    assert np.all(np.diff(fit.loglik_trace) >= -1e-12)
+    assert abs(fit.loglik - plain.loglik) <= problem.tol
+
+
+def test_binned_fit_memory_stays_below_a_quarter_of_the_full_kernel():
+    # the full (400, 20000) kernel takes 64 MB; a binned fit holds its working rows and one block
+    y = sample_observations(TRUE_PRIOR, 20_000, cell_rng(8, 20_000))
+    problem = NpmleProblem.from_observations(y)
+    assert npmle._binning_pays(y.size, problem.grid.size)
+    tracemalloc.start()
+    try:
+        fit = solve_npmle(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.gradient_cert <= 1.0 + problem.tol
+    assert fit.diagnostics["pricing_passes"] >= 1
+    assert peak < problem.grid.size * y.size * 8 / 4
 
 
 def test_binned_start_past_underflow_falls_back_to_the_plain_starts_refusal():
