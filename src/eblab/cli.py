@@ -389,24 +389,21 @@ def _run_npmle(spec):
 
     fits = npmle.empirical_regret_experiment(true_prior, [(n, seed) for n in n_values for seed in seeds], **fit)
     rows = [record for record, _ in fits]
-    counts = [solution.diagnostics for _, solution in fits]
     medians = {}
     for n in n_values:
         regrets = sorted(r["regret"] for r in rows if r["n"] == n)
         medians[str(n)] = regrets[len(regrets) // 2]
+    counts = [solution.diagnostics for _, solution in fits]
+    diagnostics = {"iterations": sum(solution.iterations for _, solution in fits)}
+    for key in ("sqp_steps", "em_steps", "binned_steps", "pricing_passes"):
+        diagnostics[key] = sum(c[key] for c in counts)
+    for key in ("max_working_set", "max_rows"):
+        diagnostics[key] = max(c[key] for c in counts)
     summary = {
         "true_prior": json.loads(true_prior.to_json()),
         "median_regret": medians,
         "max_cert": max(r["cert"] for r in rows),
-        "diagnostics": {
-            "iterations": sum(solution.iterations for _, solution in fits),
-            "sqp_steps": sum(c["sqp_steps"] for c in counts),
-            "em_steps": sum(c["em_steps"] for c in counts),
-            "max_working_set": max(c["max_working_set"] for c in counts),
-            "binned_steps": sum(c["binned_steps"] for c in counts),
-            "pricing_passes": sum(c["pricing_passes"] for c in counts),
-            "max_rows": max(c["max_rows"] for c in counts),
-        },
+        "diagnostics": diagnostics,
     }
     return rows, summary
 

@@ -1,43 +1,35 @@
 """Nonparametric maximum likelihood for Gaussian location mixtures.
 
 The mixing distribution is restricted to a fixed finite grid, which
-turns maximum likelihood into a finite-dimensional concave program over
-the simplex.  Following mixSQP (Kim, Carbonetto, Stephens & Anitescu
-2020), the solver minimizes
+turns maximum likelihood into a concave program over the simplex.
+Following mixSQP (Kim, Carbonetto, Stephens & Anitescu 2020), the
+solver minimizes
 
     phi(x) = -(1/n) sum_i log f_x(y_i) + sum_u x_u   over x >= 0,
 
-whose minimizer sums to one, by sequential quadratic programming on the
-exact kernel.  Each step builds the Hessian on a small working set (the
-support plus the local maxima of the certificate
-D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one), solves the
-nonnegative QP with a primal active-set loop, backtracks on phi and
-renormalizes, so the mean log-likelihood never decreases.  Each QP loop
-starts from the previous QP's answer (from 0 before the first); the
-ridged QP is strictly convex, so its last pass solves on the same free
-set from any start: the cold start's bits in fewer passes.
-A step that fails is replaced by a short run of the multiplicative
-fixed-point iteration w_u <- w_u * D(u).  The kernel
-K[u, i] = phi(y_i - u) is held grid-major, one row per grid point: a
-working set is a block of contiguous rows, and every density f is
-summed over the rows of the nonzero weights only, w[S] @ K[S], since a
-fit keeps a handful of the m grid weights nonzero.  A large sample on a
-grid much smaller than it is first binned at the grid (Koenker & Mizera
-2014): the same ascent fits the counts-weighted occupied grid points,
-on a kernel of at most m x m columns.  The exact fit starts from that
-fit's pruned weights and last QP answer and never builds the (m, n)
-kernel.  As in the restricted master and pricing steps of the
-constrained Newton method (Wang 2007), it ascends on the rows of a
-working grid W (the binned support and its neighbours), then prices the
-whole grid: D from kernel blocks of a few rows, each built and dropped
-in turn.  D's peaks join W until D meets the stopping rule.  Other fits
-ascend on the whole (m, n) kernel, where D is one pass K (1/f) / n.
-Stopping is governed solely by the exact full-grid first-order
-certificate max_u D(u) <= 1 + tol on the full sample, which bounds the
-log-likelihood suboptimality of the returned weights over the grid.
+whose minimizer sums to one, by sequential quadratic programming: each
+step solves a nonnegative QP on the support plus the local maxima of the
+certificate D(u) = (1/n) sum_i phi(y_i - u) / f_w(y_i) above one and
+backtracks on phi, so the mean log-likelihood never decreases; a step
+that fails is replaced by a few multiplicative steps w_u <- w_u D(u).
+The kernel K[u, i] = phi(y_i - u) is held grid-major, and a density
+sums only the rows of the nonzero weights.  As mixSQP scales each
+likelihood row by its largest entry, observation i's column is scaled
+by exp(c_i / 2), c_i its squared distance to the nearest grid point,
+wherever phi would be far below any kept value at every grid point: D
+and every step are unchanged, the log-likelihood moves by the known
+mean of c / 2, and 1/f is finite at every start, so heavy-tailed samples
+fit.  A large sample on a grid much smaller than it is first fitted
+binned at the grid (Koenker & Mizera 2014).  The exact fit then ascends
+on the kernel rows of a working grid W around the binned support and
+prices the whole grid from kernel blocks of a few rows, as in the
+restricted master and pricing steps of the constrained Newton method
+(Wang 2007); D's peaks join W until D meets the only stopping rule,
+the exact full-grid certificate max_u D(u) <= 1 + tol on the full
+sample, which bounds the log-likelihood suboptimality over the grid.
 Randomized experiment helpers derive every stream from a named
-(master seed, cell index) pair via numpy's SeedSequence so repeated
-runs are bit-for-bit identical regardless of execution order.
+(master seed, cell index) pair via numpy's SeedSequence, so reruns are
+bit-for-bit identical regardless of execution order.
 """
 
 from __future__ import annotations
@@ -73,6 +65,7 @@ _HALVINGS = 40
 _QP_TOL = 1e-12  # multiplier threshold for freeing a zero coordinate
 _RADIUS = 2  # a binned fit's working rows: its support and the grid rows this near it or a priced peak
 _BLOCK = 32  # grid rows per kernel block of the streamed full-grid certificate
+_FAR = 600.0  # squared distance to the nearest grid point past which a kernel column is shifted
 
 
 class NotConverged(RuntimeError):
@@ -85,7 +78,7 @@ class NotConverged(RuntimeError):
 
 @dataclass
 class NpmleProblem:
-    """Observations plus the support grid and stopping policy."""
+    """Observations plus the support grid and stopping policy, with each observation's nearest grid point."""
 
     observations: np.ndarray
     grid: np.ndarray
@@ -105,6 +98,7 @@ class NpmleProblem:
             raise ValueError(f"tol must be finite and > 0, not {self.tol!r}")
         if not self.max_iters >= 1:
             raise ValueError(f"max_iters must be >= 1, not {self.max_iters!r}")
+        self._nearest, self._shift = _shift(self.observations, self.grid)
 
     @classmethod
     def from_observations(cls, observations, grid_size=400, bounds=None, **kwargs):
@@ -151,12 +145,32 @@ class NpmleSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _kernel(y, grid):
-    """Grid-major kernel K[j, i] = phi(y_i - u_j), built in place in one (m, n) buffer."""
+def _shift(y, grid):
+    """(each observation's nearest grid point, the exponent shift of its kernel column or None).
+
+    Where the squared distance c_i from y_i to its nearest grid point
+    passes ``_FAR``, observation i's column of every kernel is built with
+    exponent -(y_i - u)^2 / 2 + c_i / 2, whose largest entry is phi(0).
+    None when no column is, as for every sample gridded on its own range.
+    """
+    nearest = np.searchsorted(0.5 * grid[:-1] + 0.5 * grid[1:], y)  # halves: no overflow
+    with np.errstate(over="ignore"):
+        far = np.square(grid[nearest] - y)
+    if not (far > _FAR).any():
+        return nearest, None
+    if np.isinf(far).any():
+        raise ValueError(f"observation {y[np.isinf(far).argmax()]:.6g}: its squared distance to the grid overflows")
+    return nearest, np.where(far > _FAR, 0.5 * far, 0.0)
+
+
+def _kernel(y, grid, shift=None):
+    """Grid-major kernel K[j, i] = phi(y_i - u_j), each column times exp(``shift``), built in place in one buffer."""
     kernel = np.subtract.outer(grid, y)
     with np.errstate(over="ignore"):  # phi of an overflowed distance is exactly 0 either way
         np.square(kernel, out=kernel)
     kernel *= -0.5
+    if shift is not None:
+        kernel += shift
     kernel -= LOG_SQRT_2PI
     return np.exp(kernel, out=kernel)
 
@@ -181,11 +195,6 @@ class _Sample:
         # D = K (1/f) / n, one pass over the grid-major kernel; the n x m quotient never exists
         return self.kernel @ (1.0 / fvals) / fvals.size
 
-    def covers(self, fvals):
-        """Whether the certificate's 1/f is finite at every observation."""
-        with np.errstate(divide="ignore", over="ignore"):
-            return bool(np.isfinite(1.0 / fvals).all())
-
     def hessian(self, rows, fvals):
         """The Hessian of -mean log f in the weights of the kernel ``rows``."""
         scaled = rows / fvals
@@ -205,27 +214,23 @@ class _CountedSample(_Sample):
     def certificate(self, fvals):
         return self.kernel @ (self.counts / fvals) / self.total
 
-    def covers(self, fvals):
-        with np.errstate(divide="ignore", over="ignore"):
-            return bool(np.isfinite(self.counts / fvals).all())
-
     def hessian(self, rows, fvals):
         scaled = rows * (self.root / fvals)
         return scaled @ scaled.T / self.total
 
 
-def _start(sample, grid):
-    """The uniform start on evenly spaced grid atoms, else on all of them: (w, f) with a finite certificate."""
+def _start(grid):
+    """The uniform start on index-spaced grid atoms, both ends among them, at most 8 apart, else on all.
+
+    On the kernel columns of ``_shift`` its 1/f is then finite at every observation.
+    """
     count = max(_START_ATOMS, math.ceil((grid[-1] - grid[0]) / _START_SPACING) + 1)
-    start = np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)
-    for atoms in (start, slice(None)):  # all grid atoms if an observation is far from the start's
-        w = np.zeros(grid.size)
-        w[atoms] = 1.0
-        w /= w.sum()
-        fvals = _density(sample.kernel, w)
-        if sample.covers(fvals):
-            return w, fvals
-    raise ValueError("an observation is too far from every grid point")
+    atoms = np.round(np.linspace(0, grid.size - 1, min(grid.size, count))).astype(int)
+    if np.diff(grid[atoms]).max() > 2.0 * _START_SPACING:
+        atoms = np.arange(grid.size)
+    w = np.zeros(grid.size)
+    w[atoms] = 1.0
+    return w / w.sum()
 
 
 def _binning_pays(n, m):
@@ -240,46 +245,28 @@ def _binning_pays(n, m):
 def solve_npmle(problem):
     """Maximize the mixture likelihood over weights on the fixed grid.
 
-    Starts uniform on evenly spaced grid atoms (at least 40, at most 4
-    apart where the grid allows) and takes active-set SQP steps on
-    phi(x) = -mean log f_x + sum(x) over the support plus the local
-    maxima of the certificate above one, which is how new support points
-    enter; atoms leave when the QP sets them to zero.  A step that is
-    not a descent direction or fails its line search is replaced by a
-    short run of multiplicative updates.  Every iteration keeps the mean
-    log-likelihood nondecreasing, and the only stopping rule is the
-    exact full-grid certificate max_u D(u) <= 1 + tol on the full sample.
-
-    Where ``_binning_pays`` (a sample of at least 800 observations and
-    twice the grid size, on at least 50 grid points), these steps first
-    fit the sample binned at its nearest grid points, to the same rule on
-    the binned certificate.  The exact steps then start from its pruned
-    weights and last QP answer on the kernel rows of the binned support
-    and the ``_RADIUS`` grid rows on each side; each time they stop,
-    ``_priced`` streams the exact D over the whole grid, and D's peaks
-    above one and their neighbours join the rows until D meets the rule.
+    Starts uniform on evenly spaced grid atoms (``_start``) and takes SQP
+    steps, or runs of multiplicative steps, until the exact full-grid
+    certificate max_u D(u) <= 1 + tol holds on the full sample.  Where
+    ``_binning_pays``, the steps first fit the binned sample
+    (``_binned_fit``) to the same rule on its certificate; the exact
+    steps then start from its pruned weights and last QP answer on the
+    kernel rows of its support and the ``_RADIUS`` grid rows on each
+    side.  Each time they stop, ``_priced`` streams D over the whole
+    grid, and D's peaks above one and their neighbours join the rows.
     ``iterations``, the trace and the ``sqp_steps``, ``em_steps`` and
-    ``max_working_set`` diagnostics count the exact steps only (see
-    ``NpmleSolution`` for the others).  A fit that does not bin, or whose
-    binned weights leave some observation with a non-finite 1/f, starts
-    from the uniform starts on the whole grid.  Raises ``NotConverged``
-    (with the partial solution attached) if the budget of ``max_iters``
-    exact iterations runs out first, and ``ValueError`` if the
-    certificate's 1/f overflows at some observation even when the start
-    spreads over every grid point.
+    ``max_working_set`` diagnostics count the exact steps only.  Raises
+    ``NotConverged`` (with the partial solution attached) if the budget
+    of ``max_iters`` exact iterations runs out first.
     """
-    grid, y = problem.grid, problem.observations
+    grid, y, shift = problem.grid, problem.observations, problem._shift
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     qp_start = np.zeros(grid.size)  # the last QP's answer on the full grid: none yet
-    w, binned_steps = _binned_fit(problem, stop_at, qp_start) if _binning_pays(y.size, grid.size) else (None, 0)
-    rows = np.ones(grid.size, dtype=bool) if w is None else _near(w > 0.0)
-    sample = _Sample(_kernel(y, grid[rows]))
-    if w is not None and not sample.covers(fvals := _density(sample.kernel, w[rows])):
-        w, rows = None, np.ones(grid.size, dtype=bool)
-        sample = _Sample(_kernel(y, grid))
-    if w is None:
-        qp_start.fill(0.0)
-        w, fvals = _start(sample, grid)
+    binning = _binning_pays(y.size, grid.size)
+    w, binned_steps = _binned_fit(problem, stop_at, qp_start) if binning else (_start(grid), 0)
+    rows = _near(w > 0.0) if binning else np.ones(grid.size, dtype=bool)
+    sample = _Sample(_kernel(y, grid[rows], shift))
+    fvals = _density(sample.kernel, w[rows])
     trace = [sample.loglik(fvals)]
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0, "binned_steps": binned_steps,
               "pricing_passes": 0, "max_rows": 0}
@@ -290,16 +277,17 @@ def solve_npmle(problem):
         w[rows], qp_start[rows] = w_rows, qp_rows  # both are 0 off the rows
         if rows.all():
             break
-        direction = _priced(y, grid, fvals)
+        direction = _priced(y, grid, fvals, shift)
         certificate = float(direction.max())
         counts["pricing_passes"] += 1
         new = _near(_peaks(direction)) & ~rows  # with D over stop_at, empty only if W's own D rounded under it
         if certificate <= stop_at or len(trace) >= problem.max_iters or not new.any():
             break
         rows |= new
-        sample = _Sample(_kernel(y, grid[rows]))
+        sample = _Sample(_kernel(y, grid[rows], shift))
     counts["max_rows"] = int(rows.sum())  # W only grows
-    solution = _package_solution(grid[rows], sample, w[rows], certificate, trace, counts)
+    offset = 0.0 if shift is None else float((shift / y.size).sum())
+    solution = _package_solution(grid[rows], sample, w[rows], certificate, trace, counts, offset)
     if certificate > 1.0 + problem.tol:
         raise NotConverged(
             f"certificate {certificate - 1.0:.3e} above tol {problem.tol:.1e} "
@@ -324,10 +312,10 @@ def _peaks(direction):
     return (direction >= np.maximum(edges[:-2], edges[2:])) & (direction > 1.0)
 
 
-def _priced(y, grid, fvals):
+def _priced(y, grid, fvals, shift=None):
     """``_Sample.certificate`` on the full grid's kernel, built ``_BLOCK`` rows at a time and dropped."""
     inverse = 1.0 / fvals
-    blocks = [_kernel(y, grid[i:i + _BLOCK]) @ inverse for i in range(0, grid.size, _BLOCK)]
+    blocks = [_kernel(y, grid[i:i + _BLOCK], shift) @ inverse for i in range(0, grid.size, _BLOCK)]
     return np.concatenate(blocks) / fvals.size
 
 
@@ -335,17 +323,23 @@ def _binned_fit(problem, stop_at, qp_start):
     """The fit of the sample binned at its nearest grid points: its pruned weights and step count.
 
     Each occupied grid point is one observation counted as often as the
-    sample falls nearest to it; the fit starts from the uniform start and
-    stops by the same rule as the full one, on the binned certificate, and
-    leaves its last QP answer in ``qp_start``.  Its kernel is at most m x m
-    and is freed before the caller builds the full one.
+    sample falls nearest to it, but an observation on a shifted kernel
+    column is its own point: its column falls off steeply away from its
+    nearest grid point, which atoms a few rows off may serve.  The fit
+    starts from ``_start``, stops by the same rule as the full one on the
+    binned certificate, and leaves its last QP answer in ``qp_start``.
     """
-    grid = problem.grid
-    nearest = np.searchsorted(0.5 * grid[:-1] + 0.5 * grid[1:], problem.observations)  # halves: no overflow
-    bins = np.bincount(nearest, minlength=grid.size)
+    grid, y, shift = problem.grid, problem.observations, problem._shift
+    alone = np.zeros(y.size, dtype=bool) if shift is None else shift > 0.0
+    bins = np.bincount(problem._nearest[~alone], minlength=grid.size)
     occupied = bins.nonzero()[0]
-    sample = _CountedSample(_kernel(grid[occupied], grid), bins[occupied].astype(float))
-    w, fvals = _start(sample, grid)
+    kernel, counts = _kernel(grid[occupied], grid), bins[occupied].astype(float)
+    if alone.any():
+        kernel = np.hstack([kernel, _kernel(y[alone], grid, shift[alone])])
+        counts = np.r_[counts, np.ones(alone.sum())]
+    sample = _CountedSample(kernel, counts)
+    w = _start(grid)
+    fvals = _density(sample.kernel, w)
     trace = [sample.loglik(fvals)]
     w, _, _ = _ascend(sample, w, fvals, stop_at, problem.max_iters, qp_start, trace, Counter())
     w[w <= _PRUNE_WEIGHT] = 0.0
@@ -369,25 +363,26 @@ def _ascend(sample, w, fvals, stop_at, max_iters, qp_start, trace, counts):
         if step is None:
             em_left = (em_left or _EM_CHUNK) - 1
             w *= direction
+            w /= w.sum()
+            fvals = _density(sample.kernel, w)
             counts["em_steps"] += 1
         else:
-            w, size = step
+            w, fvals, size = step
             counts["sqp_steps"] += 1
             counts["max_working_set"] = max(counts["max_working_set"], size)
-        w /= w.sum()
-        fvals = _density(sample.kernel, w)
         trace.append(sample.loglik(fvals))
 
 
 def _sqp_step(sample, w, fvals, direction, loglik, qp_start):
-    """One SQP step on the working set; (new x, working-set size) or None.
+    """One SQP step on the working set; (new weights, their f, working-set size) or None.
 
     The QP is the second-order model of phi around w restricted to the
     support plus the certificate's local maxima above one, with a small
     ridge; the step towards its solution is backtracked (Armijo) on the
-    exact phi, and the caller renormalizes x.  The QP starts from the last
-    QP's answer, ``qp_start`` (0 before the first), and leaves its own there.
-    Returns None when the QP step is not a descent direction or no step length passes.
+    exact phi.  The QP starts from the last QP's answer, ``qp_start`` (0
+    before the first), and leaves its own there.  None when the step is
+    not a descent direction, no length passes, or the passing step's f,
+    summed afresh, is 0 somewhere.
     """
     work = ((w > _PRUNE_WEIGHT) | _peaks(direction)).nonzero()[0]
     k_work = sample.kernel.take(work, axis=0)
@@ -412,7 +407,9 @@ def _sqp_step(sample, w, fvals, direction, loglik, qp_start):
             if change <= _ARMIJO * alpha * slope:
                 x = w.copy()
                 x[work] = (1.0 - alpha) * w_work + alpha * target
-                return x, work.size
+                x /= x.sum()
+                f_x = _density(sample.kernel, x)  # f + alpha K step can keep a rounding residue where f_x is 0
+                return (x, f_x, work.size) if f_x.min() > 0.0 else None
         alpha *= 0.5
     return None
 
@@ -455,7 +452,7 @@ def _nonnegative_qp(hess, lin, x):
     return x
 
 
-def _package_solution(grid, sample, w, certificate, trace, counts):
+def _package_solution(grid, sample, w, certificate, trace, counts, offset):
     keep = w > _PRUNE_WEIGHT
     if not np.any(keep):
         keep = w == w.max()
@@ -465,19 +462,20 @@ def _package_solution(grid, sample, w, certificate, trace, counts):
     fvals = weights @ sample.kernel[keep]
     return NpmleSolution(
         prior=prior,
-        loglik=sample.loglik(fvals),
+        loglik=sample.loglik(fvals) - offset,
         gradient_cert=certificate,
         iterations=len(trace),
-        loglik_trace=np.asarray(trace),
+        loglik_trace=np.asarray(trace) - offset,
         diagnostics=counts,
     )
 
 
 def gradient_certificate(solution, problem):
-    """Recompute max_u D(u) over the problem grid for a fitted prior."""
-    model = MarginalModel(solution.prior)
-    y = problem.observations
-    return float(_Sample(_kernel(y, problem.grid)).certificate(model.density(y)).max())
+    """Recompute max_u D(u) over the problem grid for a fitted prior: f from its ``MarginalModel``, D by ``_priced``."""
+    y, shift = problem.observations, problem._shift
+    log_f = MarginalModel(solution.prior).log_density(y)
+    fvals = np.exp(log_f if shift is None else log_f + shift)
+    return float(_priced(y, problem.grid, fvals, shift).max())
 
 
 def cell_rng(master_seed, *cell_index):

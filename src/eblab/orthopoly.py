@@ -78,7 +78,7 @@ class RecurrenceTable:
     ``a[j]`` holds a_{j+1} for j = 0..degree (off-diagonal entries
     a_1..a_{degree+1}) and ``b[j]`` holds b_j for j = 0..degree+1.  The
     cached grid arrays evaluate q_0..q_{degree+1} and their derivatives
-    at the quadrature nodes; ``measure`` already includes the weight w.
+    at the quadrature nodes; ``measure`` already includes the weight w (over its peak, past e^700).
     """
 
     degree: int
@@ -110,8 +110,9 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     normalizes, and reads the coefficients back off as inner products.
     Derivative values are propagated through the exact same linear
     combinations, so ``basis_derivative`` differentiates the polynomials
-    actually stored, roundoff included.  A weight that overflows a double
-    on the grid (w peaks near e^(u^2) for a point mass at u) raises
+    actually stored, roundoff included.  Past e^700 (w peaks near
+    e^(u^2) for a point mass at u) w is divided by its peak, which a, b
+    and L do not see; a weight whose log overflows on the grid raises
     ``ValueError`` naming the support bound.
     """
     k = int(k)
@@ -123,7 +124,9 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     radius = default_window_radius(model.support_bound, k)
     nodes, quad_w = _composite_legendre(radius, grid_size)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, with the support bound
-        measure = quad_w * np.exp(2.0 * log_phi(nodes) - model.log_density(nodes))
+        log_weight = 2.0 * log_phi(nodes) - model.log_density(nodes)
+        log_weight -= top if (top := log_weight.max()) > 700.0 else 0.0  # past a double: L and its norms are scale-free
+        measure = quad_w * np.exp(log_weight)
         mu0 = float(measure.sum())
     if not (np.isfinite(measure).all() and math.isfinite(mu0)):
         raise ValueError(f"weight phi^2/f overflows a double on the grid at support bound "

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -116,10 +117,8 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
          "below its lower bound 2.0 from the cell y > 50000.0: no panel"),
         (["metrics", "--prior-g", "point:u=0", "--prior-h", "point:u=1e146"], 3,
          "eps^2 = 0.0 is below its lower bound 2.0"),
-        # phi^2/f of a point mass at u peaks near e^(u^2), past a double from u ~ 26.6 on;
-        # at 1e200 the log terms overflow first.  No overflow warning may leak on the way.
-        (["bernstein", "--prior", "point:u=27", "--k-max", "3"], 2,
-         "weight phi^2/f overflows a double on the grid at support bound 27 "),
+        # phi^2/f of a point mass at u peaks near e^(u^2); at 1e200 its log terms overflow.
+        # No overflow warning may leak on the way.
         (["bernstein", "--prior", "point:u=1e200", "--k-max", "3"], 2,
          "weight phi^2/f overflows a double on the grid at support bound 1e+200 "),
         (["regratio", "--p", "2", "--b", "8", "--rhos", "inf"], 2, "rho must be positive and finite, not inf"),
@@ -129,7 +128,7 @@ def test_non_finite_integrand_exits_3_without_traceback(monkeypatch, capsys):
     ids=["hermite-alpha-underflow", "moment-eta-underflow", "demo-eta-underflow",
          "metrics-support-overflow", "metrics-support-past-window", "moment-spike-missed",
          "moment-spike-missed-3e4", "moment-spike-bump-missed-1e5", "metrics-far-atom-1e5",
-         "metrics-far-atom-1e146", "bernstein-weight-overflow-27", "bernstein-weight-overflow-1e200",
+         "metrics-far-atom-1e146", "bernstein-weight-overflow-1e200",
          "demo-rho-infinite", "metrics-rho-infinite"],
 )
 def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
@@ -137,6 +136,18 @@ def test_out_of_range_inputs_exit_with_their_code(capsys, argv, code, named):
     err = capsys.readouterr().err
     assert err.startswith("eblab: ") and named in err
     assert "Traceback" not in err
+
+
+def test_bernstein_point_mass_past_the_double_range_of_its_weight(tmp_path, capsys):
+    # phi^2/f of a point mass at 27 peaks near e^729, past a double: the measure is divided by its peak,
+    # which leaves every row as it was, and a point mass's rows are sqrt(k), as for the Gaussian weight
+    out = tmp_path / "b"
+    assert main(["--out", str(out), "bernstein", "--prior", "point:u=27", "--k-max", "12"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((tmp_path / "b.csv").read_text().splitlines()))
+    assert [int(row["k"]) for row in rows] == list(range(1, 13))
+    for row in rows:
+        assert abs(float(row["l_norm"]) - math.sqrt(int(row["k"]))) <= 1e-13 * math.sqrt(int(row["k"]))
 
 
 @pytest.mark.parametrize(

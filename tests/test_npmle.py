@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def _npmle_problems(draw, sizes=(20, 400), grid_sizes=(20, 200)):
 
 # a sample spanning far more than the start's atom spacing: its first steps work on the whole grid
 _SPREAD = NpmleProblem.from_observations(np.random.default_rng(1).standard_cauchy(400), grid_size=100)
+
+
+def _certified_far_fit(problem):
+    """Fit with every RuntimeWarning an error; the fit is certified and its certificate finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = solve_npmle(problem)
+    assert np.isfinite(fit.gradient_cert) and fit.gradient_cert <= 1.0 + problem.tol
+    assert np.isfinite(fit.loglik)
+    return fit
 
 
 def _small_problem(seed=3, n=150, **kwargs):
@@ -226,10 +237,13 @@ def test_problem_validation():
 
 
 def test_observation_stranded_off_grid_raises():
+    # phi(59) underflows at every grid point; on its shifted column 60.0 is fitted at the nearest grid end
     y = np.array([0.0, 0.5, 60.0])
     problem = NpmleProblem(observations=y, grid=np.linspace(-1.0, 1.0, 50))
-    with pytest.raises(ValueError):
-        solve_npmle(problem)
+    assert _stranded_by_full_pass(y, problem.grid)
+    fit = _certified_far_fit(problem)
+    assert fit.prior.atoms.max() == problem.grid[-1]
+    assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-9
 
 
 def test_spread_sample_fit_makes_few_solves_per_step(monkeypatch):
@@ -323,10 +337,14 @@ def test_a_binned_start_that_misses_a_cluster_grows_its_rows(monkeypatch):
     assert abs(fit.loglik - plain.loglik) <= problem.tol
 
 
+def _large_problem():
+    return NpmleProblem.from_observations(sample_observations(TRUE_PRIOR, 20_000, cell_rng(8, 20_000)))
+
+
 def test_binned_fit_memory_stays_below_a_quarter_of_the_full_kernel():
     # the full (400, 20000) kernel takes 64 MB; a binned fit holds its working rows and one block
-    y = sample_observations(TRUE_PRIOR, 20_000, cell_rng(8, 20_000))
-    problem = NpmleProblem.from_observations(y)
+    problem = _large_problem()
+    y = problem.observations
     assert npmle._binning_pays(y.size, problem.grid.size)
     tracemalloc.start()
     try:
@@ -339,12 +357,66 @@ def test_binned_fit_memory_stays_below_a_quarter_of_the_full_kernel():
     assert peak < problem.grid.size * y.size * 8 / 4
 
 
+def test_gradient_certificate_streams_the_kernel():
+    # one block of 32 grid rows is 5 MB; the full (400, 20000) kernel would be 64 MB
+    problem = _large_problem()
+    fit = solve_npmle(problem)
+    tracemalloc.start()
+    try:
+        check = gradient_certificate(fit, problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(check - fit.gradient_cert) <= 1e-12
+    assert peak < 16e6
+
+
 def test_binned_start_past_underflow_falls_back_to_the_plain_starts_refusal():
-    # grid spacing 100.6: the binned fit covers every grid point, not every observation between them
+    # grid spacing 100.6: the observations midway between grid points are fitted on shifted columns
     problem = NpmleProblem.from_observations(np.random.default_rng(5).standard_cauchy(3200))
     assert npmle._binning_pays(problem.observations.size, problem.grid.size)
-    with pytest.raises(ValueError, match="an observation is too far from every grid point"):
-        solve_npmle(problem)
+    assert _stranded_by_full_pass(problem.observations, problem.grid)
+    fit = _certified_far_fit(problem)
+    assert fit.diagnostics["binned_steps"] > 0 and fit.diagnostics["pricing_passes"] >= 1
+    assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cauchy_samples_fit_and_certify_on_the_default_grid(seed):
+    y = np.random.default_rng(seed).standard_cauchy(3200)
+    problem = NpmleProblem.from_observations(y)
+    fit = _certified_far_fit(problem)
+    assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-12
+    loglik = float(np.mean(MarginalModel(fit.prior).log_density(y)))
+    assert abs(fit.loglik - loglik) <= 1e-12 * abs(loglik)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    problem=_npmle_problems(sizes=(20, 1000), grid_sizes=(20, 400)),
+    far=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(25.0, 1e4)), min_size=1, max_size=5),
+)
+def test_shifted_fit_loglik_is_the_log_sum_exp_loglik(problem, far):
+    # observations past the grid ends, each at least 25 from it: their kernel columns are shifted
+    ends = np.where(np.array([side for side, _ in far]) > 0.0, problem.grid[-1], problem.grid[0])
+    y = np.r_[problem.observations, ends + np.array([side * offset for side, offset in far])]
+    shifted = NpmleProblem(observations=y, grid=problem.grid)
+    assert shifted._shift is not None
+    fit = _certified_far_fit(shifted)
+    loglik = float(np.mean(MarginalModel(fit.prior).log_density(y)))
+    assert abs(fit.loglik - loglik) <= 1e-12 * abs(loglik)
+    assert abs(fit.loglik_trace[-1] - loglik) <= 1e-9 * abs(loglik)  # the trace is unshifted too
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(problem=_npmle_problems(sizes=(1, 3200), grid_sizes=(2, 400)))
+@example(problem=NpmleProblem.from_observations(sample_observations(TRUE_PRIOR, 3200, cell_rng(0, 3200))))
+def test_samples_gridded_on_their_own_range_shift_no_row(problem):
+    # the bench's samples are gridded on their range with spacing far below 49: no column is shifted
+    assert np.diff(problem.grid).max() < 2.0 * np.sqrt(npmle._FAR)
+    nearest, shift = npmle._shift(problem.observations, problem.grid)
+    assert shift is None and problem._shift is None
+    assert np.array_equal(nearest, problem._nearest)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -364,7 +436,7 @@ def test_counted_sample_is_the_expanded_sample(values, grid, data):
     assert np.allclose(counted.certificate(f_counted), expanded.certificate(f_expanded), rtol=1e-12, atol=0.0)
     assert np.allclose(counted.hessian(counted.kernel, f_counted), expanded.hessian(expanded.kernel, f_expanded),
                        rtol=1e-12, atol=0.0)
-    assert counted.covers(f_counted) and expanded.covers(f_expanded)
+    assert np.isfinite(counted.certificate(f_counted)).all() and np.isfinite(expanded.certificate(f_expanded)).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -426,33 +498,68 @@ _OFFSETS = st.one_of(
 @example(grid=np.array([0.0, 2.0 * _UNDERFLOW]), picks=[(0, 1.0, _UNDERFLOW)])
 @example(grid=np.array([0.0, 1.0]), picks=[(0, -1.0, _UNDERFLOW), (1, 1.0, 1.0)])
 def test_far_observations_are_refused_or_certified_without_overflow(grid, picks):
-    # observations beyond both grid ends and between grid points, on both sides of phi's underflow;
-    # a RuntimeWarning fails the test, so a start that is not refused has a finite 1/f
+    # observations beyond both grid ends and between grid points, on both sides of phi's underflow:
+    # each is fitted, with no RuntimeWarning on the way, and the fit is certified
     y = np.array([grid[min(i, grid.size - 1)] + side * offset for i, side, offset in picks])
-    problem = NpmleProblem(observations=y, grid=grid, max_iters=1)
-    try:
-        solution = solve_npmle(problem)
-    except NotConverged as exc:
-        solution = exc.solution
-    except ValueError as exc:
-        assert "an observation is too far from every grid point" in str(exc)
-        # refused only near overflow: the all-grid start's f, at least max phi / m, is below 1/max
-        assert np.any(npmle._kernel(y, grid).max(axis=0) < 2.0 * grid.size / np.finfo(float).max)
-        return
-    assert not _stranded_by_full_pass(y, grid)
-    assert np.isfinite(solution.gradient_cert)
+    problem = NpmleProblem(observations=y, grid=grid)
+    fit = _certified_far_fit(problem)
+    check = gradient_certificate(fit, problem)
+    # the prior's log density rounds -d^2/2 to about ulp(d^2), which the certificate's ratios carry
+    assert abs(check - fit.gradient_cert) <= 1e-9 + 4e-16 * np.square(y[:, None] - grid).min(axis=1).max()
 
 
-@pytest.mark.parametrize("distance, refused", [(37.5, False), (37.8, True)])
-def test_an_observation_whose_1_over_f_overflows_is_refused(distance, refused):
-    # phi(37.8) is subnormal but not 0, and 1/phi(37.8) overflows: the certificate cannot be formed
+def test_an_observation_whose_squared_distance_overflows_is_refused():
+    # 1e200 from the grid: c = 1e400 overflows, so no shift can bring its column into range
+    with pytest.raises(ValueError, match=r"observation 1e\+200: its squared distance to the grid overflows"):
+        NpmleProblem(observations=np.array([0.0, 1e200]), grid=np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("distance, overflows", [(37.5, False), (37.8, True)])
+def test_an_observation_whose_1_over_f_overflows_is_refused(distance, overflows):
+    # phi(37.8) is subnormal but not 0, and 1/phi(37.8) overflows; with the column shift both fit
+    with np.errstate(over="ignore"):
+        assert bool(np.isinf(1.0 / npmle._kernel(np.array([distance]), np.zeros(1))[0, 0])) == overflows
     problem = NpmleProblem(observations=np.array([0.0, 0.0, 0.0, 1.0 + distance]),
                            grid=np.linspace(-1.0, 1.0, 50))
-    if refused:
-        with pytest.raises(ValueError, match="an observation is too far from every grid point"):
+    fit = _certified_far_fit(problem)
+    assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-9
+
+
+def test_an_uneven_grid_starts_on_every_grid_point_where_its_start_atoms_are_far_apart():
+    # the start's atoms are spaced by index: of the five far grid points they take 200 and 500 only
+    assert np.count_nonzero(npmle._start(np.linspace(-3.0, 3.0, 400))) == 40  # an even grid: unchanged
+    grid = np.r_[np.linspace(0.0, 1.0, 400), [100.0, 200.0, 300.0, 400.0, 500.0]]
+    assert np.all(npmle._start(grid) > 0.0)
+    for far in (310.0, 350.0):  # 10 from 300 on an unshifted column; 50 from 300 and 400 on a shifted one
+        problem = NpmleProblem(observations=np.array([0.5, far]), grid=grid)
+        fit = _certified_far_fit(problem)
+        assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-12
+
+
+def test_a_binned_fit_keeps_each_observation_on_a_shifted_column_its_own_point():
+    # 300 and 1000 fall in the grid's gap nearest to 0; binned there, the atoms below 0 that serve 0
+    # are too far from them on their shifted columns, and their f would be 0
+    rng = np.random.default_rng(0)
+    grid = np.r_[np.linspace(-10.0, 0.0, 400), [5000.0]]
+    problem = NpmleProblem(observations=np.r_[rng.normal(-1.0, 0.5, 2000), [300.0, 1000.0]], grid=grid)
+    assert npmle._binning_pays(problem.observations.size, grid.size)
+    fit = _certified_far_fit(problem)
+    assert fit.diagnostics["binned_steps"] > 0
+    assert abs(gradient_certificate(fit, problem) - fit.gradient_cert) <= 1e-9
+
+
+def test_a_step_whose_fresh_density_is_0_somewhere_is_not_taken():
+    # an SQP step drops the only atoms that reach some observation: its line search's f + alpha K step
+    # keeps a positive rounding residue there, while the new weights' f, summed afresh, is exactly 0
+    y = 0.7000012588882414 * np.random.default_rng(1036).standard_cauchy(932)
+    problem = NpmleProblem.from_observations(y, grid_size=361, max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConverged) as info:
             solve_npmle(problem)
-    else:
-        assert solve_npmle(problem).gradient_cert <= 1.0 + problem.tol
+    solution = info.value.solution
+    assert solution.diagnostics["em_steps"] > 0
+    assert np.isfinite(solution.loglik) and np.all(np.diff(solution.loglik_trace) >= 0.0)
 
 
 # strictly increasing grids on [-10, 10]: a density there is at least 1e-12 phi(20), far from subnormal
@@ -492,8 +599,10 @@ def test_support_only_density_matches_the_dense_product(y, grid, data):
 def test_observation_past_underflow_distance_raises(y, grid, distance, side):
     far = (grid[-1] if side > 0 else grid[0]) + side * distance  # phi(39) underflows to 0
     problem = NpmleProblem(observations=np.r_[y, far], grid=grid)
-    with pytest.raises(ValueError, match="an observation is too far from every grid point"):
-        solve_npmle(problem)
+    assert _stranded_by_full_pass(problem.observations, grid)
+    fit = _certified_far_fit(problem)
+    loglik = float(np.mean(MarginalModel(fit.prior).log_density(problem.observations)))
+    assert abs(fit.loglik - loglik) <= 1e-12 * abs(loglik)
 
 
 def test_constrained_grid_respects_bound():
