@@ -395,7 +395,7 @@ def _run_npmle(spec):
         medians[str(n)] = regrets[len(regrets) // 2]
     counts = [solution.diagnostics for _, solution in fits]
     diagnostics = {"iterations": sum(solution.iterations for _, solution in fits)}
-    for key in ("sqp_steps", "em_steps", "binned_steps", "pricing_passes"):
+    for key in ("sqp_steps", "em_steps", "binned_steps", "pricing_passes", "priced_rows"):
         diagnostics[key] = sum(c[key] for c in counts)
     for key in ("max_working_set", "max_rows"):
         diagnostics[key] = max(c[key] for c in counts)

@@ -22,10 +22,12 @@ mean of c / 2, and 1/f is finite at every start, so heavy-tailed samples
 fit.  A large sample on a grid much smaller than it is first fitted
 binned at the grid (Koenker & Mizera 2014).  The exact fit then ascends
 on the kernel rows of a working grid W around the binned support and
-prices the whole grid from kernel blocks of a few rows, as in the
-restricted master and pricing steps of the constrained Newton method
-(Wang 2007); D's peaks join W until D meets the only stopping rule,
-the exact full-grid certificate max_u D(u) <= 1 + tol on the full
+prices the whole grid, as in the restricted master and pricing steps of
+the constrained Newton method (Wang 2007): an upper bound on D from the
+binned kernel and three moments of each bin skips the grid rows where D
+cannot reach one, and D is summed exactly, in kernel blocks of a few
+rows, on the rest.  D's peaks join W until D meets the only stopping
+rule, the exact full-grid certificate max_u D(u) <= 1 + tol on the full
 sample, which bounds the log-likelihood suboptimality over the grid.
 Randomized experiment helpers derive every stream from a named
 (master seed, cell index) pair via numpy's SeedSequence, so reruns are
@@ -65,6 +67,9 @@ _HALVINGS = 40
 _QP_TOL = 1e-12  # multiplier threshold for freeing a zero coordinate
 _RADIUS = 2  # a binned fit's working rows: its support and the grid rows this near it or a priced peak
 _BLOCK = 32  # grid rows per kernel block of the streamed full-grid certificate
+_FINE = 8  # grid rows per kernel block where the bound leaves rows to price: their sums keep _BLOCK's bits
+_SKIP = 1e-6  # a grid row whose bound on D stays this far below one keeps its bound
+_SPREAD = 2.0  # the largest grid span times largest distance to the nearest grid point where the bound is used
 _FAR = 600.0  # squared distance to the nearest grid point past which a kernel column is shifted
 
 
@@ -132,9 +137,11 @@ class NpmleSolution:
     kinds of update, ``max_working_set`` is the largest number of
     columns an SQP step worked on, ``binned_steps`` counts the steps
     of the binned fit that came first (0 when the fit did not bin),
-    ``pricing_passes`` the streamed full-grid certificates (0 when the
-    fit ascended on the whole grid) and ``max_rows`` the largest working
-    grid W the exact fit ascended on (m for a fit on the whole grid).
+    ``pricing_passes`` the full-grid certificates (0 when the fit
+    ascended on the whole grid), ``priced_rows`` the grid rows they
+    summed D on exactly (the bound served the rest) and ``max_rows`` the
+    largest working grid W the exact fit ascended on (m for a fit on the
+    whole grid).
     """
 
     prior: DiscretePrior
@@ -252,7 +259,7 @@ def solve_npmle(problem):
     (``_binned_fit``) to the same rule on its certificate; the exact
     steps then start from its pruned weights and last QP answer on the
     kernel rows of its support and the ``_RADIUS`` grid rows on each
-    side.  Each time they stop, ``_priced`` streams D over the whole
+    side.  Each time they stop, ``_bounded`` prices D over the whole
     grid, and D's peaks above one and their neighbours join the rows.
     ``iterations``, the trace and the ``sqp_steps``, ``em_steps`` and
     ``max_working_set`` diagnostics count the exact steps only.  Raises
@@ -263,13 +270,13 @@ def solve_npmle(problem):
     stop_at = 1.0 + _STOP_MARGIN * problem.tol
     qp_start = np.zeros(grid.size)  # the last QP's answer on the full grid: none yet
     binning = _binning_pays(y.size, grid.size)
-    w, binned_steps = _binned_fit(problem, stop_at, qp_start) if binning else (_start(grid), 0)
+    w, binned_steps, binned = _binned_fit(problem, stop_at, qp_start) if binning else (_start(grid), 0, None)
     rows = _near(w > 0.0) if binning else np.ones(grid.size, dtype=bool)
     sample = _Sample(_kernel(y, grid[rows], shift))
     fvals = _density(sample.kernel, w[rows])
     trace = [sample.loglik(fvals)]
     counts = {"sqp_steps": 0, "em_steps": 0, "max_working_set": 0, "binned_steps": binned_steps,
-              "pricing_passes": 0, "max_rows": 0}
+              "pricing_passes": 0, "priced_rows": 0, "max_rows": 0}
     while True:
         w_rows, qp_rows = w[rows], qp_start[rows]
         w_rows, fvals, certificate = _ascend(sample, w_rows, fvals, stop_at, problem.max_iters, qp_rows,
@@ -277,9 +284,10 @@ def solve_npmle(problem):
         w[rows], qp_start[rows] = w_rows, qp_rows  # both are 0 off the rows
         if rows.all():
             break
-        direction = _priced(y, grid, fvals, shift)
+        direction, priced = _bounded(y, grid, fvals, shift, binned)
         certificate = float(direction.max())
         counts["pricing_passes"] += 1
+        counts["priced_rows"] += int(priced.sum())
         new = _near(_peaks(direction)) & ~rows  # with D over stop_at, empty only if W's own D rounded under it
         if certificate <= stop_at or len(trace) >= problem.max_iters or not new.any():
             break
@@ -313,37 +321,124 @@ def _peaks(direction):
 
 
 def _priced(y, grid, fvals, shift=None):
-    """``_Sample.certificate`` on the full grid's kernel, built ``_BLOCK`` rows at a time and dropped."""
+    """``_Sample.certificate`` on the full grid's kernel, built ``_BLOCK`` rows at a time and dropped.
+
+    The oracle: ``gradient_certificate`` prices with it, and ``_bounded``
+    returns its maximum and peaks bit for bit.
+    """
     inverse = 1.0 / fvals
     blocks = [_kernel(y, grid[i:i + _BLOCK], shift) @ inverse for i in range(0, grid.size, _BLOCK)]
     return np.concatenate(blocks) / fvals.size
 
 
 def _binned_fit(problem, stop_at, qp_start):
-    """The fit of the sample binned at its nearest grid points: its pruned weights and step count.
+    """The fit of the sample binned at its nearest grid points: its pruned weights, step count and ``_Binned``.
 
-    Each occupied grid point is one observation counted as often as the
-    sample falls nearest to it, but an observation on a shifted kernel
-    column is its own point: its column falls off steeply away from its
-    nearest grid point, which atoms a few rows off may serve.  The fit
-    starts from ``_start``, stops by the same rule as the full one on the
-    binned certificate, and leaves its last QP answer in ``qp_start``.
+    The fit starts from ``_start``, stops by the same rule as the full one
+    on the binned certificate, and leaves its last QP answer in
+    ``qp_start``.
     """
-    grid, y, shift = problem.grid, problem.observations, problem._shift
-    alone = np.zeros(y.size, dtype=bool) if shift is None else shift > 0.0
-    bins = np.bincount(problem._nearest[~alone], minlength=grid.size)
-    occupied = bins.nonzero()[0]
-    kernel, counts = _kernel(grid[occupied], grid), bins[occupied].astype(float)
-    if alone.any():
-        kernel = np.hstack([kernel, _kernel(y[alone], grid, shift[alone])])
-        counts = np.r_[counts, np.ones(alone.sum())]
-    sample = _CountedSample(kernel, counts)
-    w = _start(grid)
-    fvals = _density(sample.kernel, w)
-    trace = [sample.loglik(fvals)]
-    w, _, _ = _ascend(sample, w, fvals, stop_at, problem.max_iters, qp_start, trace, Counter())
+    binned = _Binned(problem)
+    w = _start(problem.grid)
+    fvals = _density(binned.sample.kernel, w)
+    trace = [binned.sample.loglik(fvals)]
+    w, _, _ = _ascend(binned.sample, w, fvals, stop_at, problem.max_iters, qp_start, trace, Counter())
     w[w <= _PRUNE_WEIGHT] = 0.0
-    return w / w.sum(), len(trace) - 1
+    return w / w.sum(), len(trace) - 1, binned
+
+
+class _Binned:
+    """The sample binned at its nearest grid points, and the upper bound on D that its kernel gives.
+
+    Each occupied grid point g_k is one observation counted as often as
+    the sample falls nearest to it, but an observation on a shifted kernel
+    column is its own point: its column falls off steeply away from its
+    nearest grid point, which atoms a few rows off may serve.
+
+    ``upper`` bounds D at every grid row u from the binned kernel
+    K[u, k] = phi(d), d = g_k - u.  An observation y = g_k + delta has
+    phi(y - u) = phi(d) e^(-d delta) e^(-delta^2 / 2), and
+    e^x <= 1 + x + x^2 e^|x| / 2 with |d delta| <= 2 h r, h half the grid's
+    span and r the largest |delta|.  So with E = e^(2 h r),
+    c = e^(-delta^2 / 2) / f and bin k's moments M_l = sum c delta^l,
+
+        n D(u) <= sum_k K[u, k] (M_0 - d M_1 + E d^2 M_2 / 2)
+
+    plus the shifted observations' exact columns, in exact arithmetic.  In
+    d = (g_k - centre) - (u - centre) it is one product of K with six
+    columns.  Rounding: each observation's factor 1 - d delta +
+    E d^2 delta^2 / 2 is at least 0.7, and where 2 h r <= ``_SPREAD`` the
+    absolute values of its expanded parts sum to at most 26 times it.  So
+    the bound's rounding, like that of ``_priced``'s D, is at most a
+    relative 27 (n + m) eps + 2e-12, below ``_SKIP`` / 2 for n below 10^8,
+    and an entry that underflows in either moves it by less than
+    2^-1000 sum(1/f) / n, which ``_bounded`` adds.  A row whose bound stays
+    below 1 - ``_SKIP`` thus has ``_priced``'s D below 1 - ``_SKIP`` / 2.
+    Past ``_SPREAD`` the bound is not used.
+    """
+
+    def __init__(self, problem):
+        grid, y, shift = problem.grid, problem.observations, problem._shift
+        alone = np.zeros(y.size, dtype=bool) if shift is None else shift > 0.0
+        self.alone = alone if alone.any() else None
+        nearest = problem._nearest[~alone]
+        bins = np.bincount(nearest, minlength=grid.size)
+        occupied = bins.nonzero()[0]
+        kernel, counts = _kernel(grid[occupied], grid), bins[occupied].astype(float)
+        self.bin_kernel = kernel
+        delta = y[~alone] - grid[nearest]
+        self.column = (np.cumsum(bins > 0) - 1)[nearest]
+        self.powers = np.exp(-0.5 * np.square(delta)) * np.array([np.ones_like(delta), delta, np.square(delta)])
+        centre, half = 0.5 * grid[-1] + 0.5 * grid[0], float(0.5 * grid[-1] - 0.5 * grid[0])  # halves: no overflow
+        self.centred, self.rows = grid[occupied] - centre, grid - centre
+        spread = 2.0 * half * float(np.abs(delta).max(initial=0.0))
+        self.factor = math.exp(spread) if spread <= _SPREAD else None  # E, or None: every row is priced
+        if self.alone is not None:
+            kernel = np.hstack([kernel, _kernel(y[alone], grid, shift[alone])])
+            counts = np.r_[counts, np.ones(alone.sum())]
+        self.sample = _CountedSample(kernel, counts)
+        starts = np.arange(0, grid.size - grid.size % _BLOCK, _FINE)
+        if grid.size % _BLOCK:  # the last partial block is priced whole, as ``_priced`` prices it
+            starts = np.r_[starts, grid.size - grid.size % _BLOCK]
+        self.blocks = starts, np.r_[starts[1:], grid.size]
+
+    def upper(self, inverse):
+        """n times the bound on D at every grid row, given 1/f; ``_bounded`` adds the underflow slack."""
+        binned = inverse if self.alone is None else inverse[~self.alone]
+        g, u = self.centred, self.rows
+        m0, m1, m2 = (np.bincount(self.column, power * binned, minlength=g.size) for power in self.powers)
+        p = self.bin_kernel @ np.array([m0, g * m1, m1, g * g * m2, g * m2, m2]).T
+        upper = p[:, 0] - p[:, 1] + u * p[:, 2] + 0.5 * self.factor * (p[:, 3] - 2.0 * u * p[:, 4] + u * u * p[:, 5])
+        if self.alone is not None:
+            upper += self.sample.kernel[:, g.size:] @ inverse[self.alone]
+        return upper
+
+
+def _bounded(y, grid, fvals, shift, binned):
+    """``_priced``'s D on the rows where the bound from ``binned`` reaches 1 - ``_SKIP``, the bound elsewhere.
+
+    Returns (D, the rows priced exactly).  A row whose bound is below
+    1 - ``_SKIP`` has D below 1 - ``_SKIP`` / 2 (``_Binned``), so the
+    maximum and the peaks above one are ``_priced``'s, bit for bit, once
+    some priced row reaches 1 - ``_SKIP`` / 2; otherwise every row is
+    priced.  A non-finite bound prices its row.  The rows are priced as
+    ``_priced`` prices them, in ``_FINE``-row blocks aligned with its
+    ``_BLOCK``-row ones and its last, partial block whole, which keeps its
+    bits on OpenBLAS (the tests check it).
+    """
+    if binned.factor is None:
+        return _priced(y, grid, fvals, shift), np.ones(grid.size, dtype=bool)
+    n, inverse = fvals.size, 1.0 / fvals
+    with np.errstate(over="ignore", invalid="ignore"):
+        direction = (binned.upper(inverse) + 2.0**-1000 * inverse.sum()) / n
+    starts, ends = binned.blocks
+    hit = np.logical_or.reduceat(~(direction < 1.0 - _SKIP), starts)
+    for start, end in zip(starts[hit], ends[hit]):
+        direction[start:end] = _kernel(y, grid[start:end], shift) @ inverse / n
+    priced = np.repeat(hit, ends - starts)
+    if not direction.max() >= 1.0 - 0.5 * _SKIP:
+        return _priced(y, grid, fvals, shift), np.ones(grid.size, dtype=bool)
+    return direction, priced
 
 
 def _ascend(sample, w, fvals, stop_at, max_iters, qp_start, trace, counts):
@@ -471,11 +566,21 @@ def _package_solution(grid, sample, w, certificate, trace, counts, offset):
 
 
 def gradient_certificate(solution, problem):
-    """Recompute max_u D(u) over the problem grid for a fitted prior: f from its ``MarginalModel``, D by ``_priced``."""
-    y, shift = problem.observations, problem._shift
-    log_f = MarginalModel(solution.prior).log_density(y)
-    fvals = np.exp(log_f if shift is None else log_f + shift)
-    return float(_priced(y, problem.grid, fvals, shift).max())
+    """Recompute max_u D(u) over the problem grid for a fitted prior: f from its atoms, D by ``_priced``.
+
+    f is the prior's ``MarginalModel`` density.  On a shifted kernel column
+    it is summed relative to the observation's nearest grid point g, each
+    atom's log term taking -(u - g)(u + g - 2y) / 2 in place of
+    -(y - u)^2 / 2 + (y - g)^2 / 2, so it is as exact as the fit's own f.
+    """
+    y, grid, shift = problem.observations, problem.grid, problem._shift
+    fvals = np.exp(MarginalModel(solution.prior).log_density(y))
+    if shift is not None:
+        far = shift > 0.0
+        near, u = grid[problem._nearest[far]][:, None], solution.prior.atoms
+        terms = -0.5 * (u - near) * ((u - y[far, None]) + (near - y[far, None])) - LOG_SQRT_2PI
+        fvals[far] = np.exp(terms) @ solution.prior.weights
+    return float(_priced(y, grid, fvals, shift).max())
 
 
 def cell_rng(master_seed, *cell_index):

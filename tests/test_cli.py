@@ -242,7 +242,7 @@ def test_npmle_data_sidecar_records_solver_diagnostics(tmp_path):
     assert payload["columns"] == ["n", "loglik", "cert", "iterations", "support_size"]
     diagnostics = payload["summary"]["diagnostics"]
     assert set(diagnostics) == {"sqp_steps", "em_steps", "max_working_set", "binned_steps", "pricing_passes",
-                                "max_rows"}
+                                "priced_rows", "max_rows"}
     row = (tmp_path / "a.csv").read_text().splitlines()[1].split(",")
     iterations, support_size = int(row[3]), int(row[4])
     assert iterations == 1 + diagnostics["sqp_steps"] + diagnostics["em_steps"]
@@ -281,6 +281,7 @@ def test_npmle_synthetic_sidecar_sums_solver_diagnostics(tmp_path, monkeypatch):
         "max_working_set": max(s.diagnostics["max_working_set"] for s in solutions),
         "binned_steps": sum(s.diagnostics["binned_steps"] for s in solutions),
         "pricing_passes": sum(s.diagnostics["pricing_passes"] for s in solutions),
+        "priced_rows": sum(s.diagnostics["priced_rows"] for s in solutions),
         "max_rows": max(s.diagnostics["max_rows"] for s in solutions),
     }
 
