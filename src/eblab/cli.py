@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -492,6 +493,10 @@ def _build_parser():
     s.add_argument("--tol", type=float)
     s.add_argument("--max-iters", type=int)
 
+    # a negative number, -1e3 included (Python 3.11's argparse reads that as a flag), is a value; -inf and -x are not
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for p in (parser, *_subparsers(parser).values()):
+        p._negative_number_matcher = negative_number
     return parser
 
 

@@ -25,10 +25,11 @@ on the kernel rows of a working grid W around the binned support and
 prices the whole grid, as in the restricted master and pricing steps of
 the constrained Newton method (Wang 2007): an upper bound on D from the
 binned kernel and three moments of each bin skips the grid rows where D
-cannot reach one, and D is summed exactly, in kernel blocks of a few
-rows, on the rest.  D's peaks join W until D meets the only stopping
-rule, the exact full-grid certificate max_u D(u) <= 1 + tol on the full
-sample, which bounds the log-likelihood suboptimality over the grid.
+cannot reach one, and D is summed exactly on the rest, in the kernel
+blocks of 8 to 15 rows that ``gradient_certificate`` sums everywhere.
+D's peaks join W until D meets the only stopping rule, the exact
+full-grid certificate max_u D(u) <= 1 + tol on the full sample, which
+bounds the log-likelihood suboptimality over the grid.
 Randomized experiment helpers derive every stream from a named
 (master seed, cell index) pair via numpy's SeedSequence, so reruns are
 bit-for-bit identical regardless of execution order.
@@ -66,8 +67,7 @@ _ARMIJO = 1e-4
 _HALVINGS = 40
 _QP_TOL = 1e-12  # multiplier threshold for freeing a zero coordinate
 _RADIUS = 2  # a binned fit's working rows: its support and the grid rows this near it or a priced peak
-_BLOCK = 32  # grid rows per kernel block of the streamed full-grid certificate
-_FINE = 8  # grid rows per kernel block where the bound leaves rows to price: their sums keep _BLOCK's bits
+_BLOCK = 8  # grid rows per kernel block of the streamed full-grid certificate; the last takes 8 to 15
 _SKIP = 1e-6  # a grid row whose bound on D stays this far below one keeps its bound
 _SPREAD = 2.0  # the largest grid span times largest distance to the nearest grid point where the bound is used
 _FAR = 600.0  # squared distance to the nearest grid point past which a kernel column is shifted
@@ -259,8 +259,9 @@ def solve_npmle(problem):
     (``_binned_fit``) to the same rule on its certificate; the exact
     steps then start from its pruned weights and last QP answer on the
     kernel rows of its support and the ``_RADIUS`` grid rows on each
-    side.  Each time they stop, ``_bounded`` prices D over the whole
-    grid, and D's peaks above one and their neighbours join the rows.
+    side.  Each time they stop, ``_priced`` prices D over the whole
+    grid through the binned fit's bound, and D's peaks above one and
+    their neighbours join the rows.
     ``iterations``, the trace and the ``sqp_steps``, ``em_steps`` and
     ``max_working_set`` diagnostics count the exact steps only.  Raises
     ``NotConverged`` (with the partial solution attached) if the budget
@@ -284,7 +285,7 @@ def solve_npmle(problem):
         w[rows], qp_start[rows] = w_rows, qp_rows  # both are 0 off the rows
         if rows.all():
             break
-        direction, priced = _bounded(y, grid, fvals, shift, binned)
+        direction, priced = _priced(y, grid, fvals, shift, binned)
         certificate = float(direction.max())
         counts["pricing_passes"] += 1
         counts["priced_rows"] += int(priced.sum())
@@ -320,15 +321,36 @@ def _peaks(direction):
     return (direction >= np.maximum(edges[:-2], edges[2:])) & (direction > 1.0)
 
 
-def _priced(y, grid, fvals, shift=None):
-    """``_Sample.certificate`` on the full grid's kernel, built ``_BLOCK`` rows at a time and dropped.
+def _priced(y, grid, fvals, shift=None, binned=None):
+    """(D on the full grid, the rows summed exactly): ``_Sample.certificate`` streamed in ``_BLOCK``-row blocks.
 
-    The oracle: ``gradient_certificate`` prices with it, and ``_bounded``
-    returns its maximum and peaks bit for bit.
+    Each block's kernel is built, summed as K (1/f) / n and dropped; the
+    last block takes the 8 to 15 rows left (all of them below 8).  Without
+    ``binned`` every block is summed: the oracle that
+    ``gradient_certificate`` prices with.  With it, the blocks holding a
+    row whose bound on D (``_Binned.upper``) reaches 1 - ``_SKIP`` or is
+    not finite are summed first, and the rest keep their bound, below
+    1 - ``_SKIP``; those rows' D is below 1 - ``_SKIP`` / 2, so once a
+    summed row reaches that the maximum and the peaks above one are the
+    oracle's, bit for bit.  Otherwise the rest are summed too.
     """
-    inverse = 1.0 / fvals
-    blocks = [_kernel(y, grid[i:i + _BLOCK], shift) @ inverse for i in range(0, grid.size, _BLOCK)]
-    return np.concatenate(blocks) / fvals.size
+    n, inverse = fvals.size, 1.0 / fvals
+    starts = np.arange(0, max(grid.size - _BLOCK + 1, 1), _BLOCK)
+    ends = np.r_[starts[1:], grid.size]
+    if binned is None or binned.factor is None:
+        direction = np.full(grid.size, np.inf)  # no bound: every block is summed first
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction = (binned.upper(inverse) + 2.0**-1000 * inverse.sum()) / n
+    hit = np.logical_or.reduceat(~(direction < 1.0 - _SKIP), starts)
+    summed = np.zeros_like(hit)
+    for blocks in (hit, ~hit):
+        for start, end in zip(starts[blocks], ends[blocks]):
+            direction[start:end] = _kernel(y, grid[start:end], shift) @ inverse / n
+        summed |= blocks
+        if direction.max() >= 1.0 - 0.5 * _SKIP:
+            break
+    return direction, np.repeat(summed, ends - starts)
 
 
 def _binned_fit(problem, stop_at, qp_start):
@@ -372,7 +394,7 @@ class _Binned:
     the bound's rounding, like that of ``_priced``'s D, is at most a
     relative 27 (n + m) eps + 2e-12, below ``_SKIP`` / 2 for n below 10^8,
     and an entry that underflows in either moves it by less than
-    2^-1000 sum(1/f) / n, which ``_bounded`` adds.  A row whose bound stays
+    2^-1000 sum(1/f) / n, which ``_priced`` adds.  A row whose bound stays
     below 1 - ``_SKIP`` thus has ``_priced``'s D below 1 - ``_SKIP`` / 2.
     Past ``_SPREAD`` the bound is not used.
     """
@@ -397,13 +419,9 @@ class _Binned:
             kernel = np.hstack([kernel, _kernel(y[alone], grid, shift[alone])])
             counts = np.r_[counts, np.ones(alone.sum())]
         self.sample = _CountedSample(kernel, counts)
-        starts = np.arange(0, grid.size - grid.size % _BLOCK, _FINE)
-        if grid.size % _BLOCK:  # the last partial block is priced whole, as ``_priced`` prices it
-            starts = np.r_[starts, grid.size - grid.size % _BLOCK]
-        self.blocks = starts, np.r_[starts[1:], grid.size]
 
     def upper(self, inverse):
-        """n times the bound on D at every grid row, given 1/f; ``_bounded`` adds the underflow slack."""
+        """n times the bound on D at every grid row, given 1/f; ``_priced`` adds the underflow slack."""
         binned = inverse if self.alone is None else inverse[~self.alone]
         g, u = self.centred, self.rows
         m0, m1, m2 = (np.bincount(self.column, power * binned, minlength=g.size) for power in self.powers)
@@ -412,33 +430,6 @@ class _Binned:
         if self.alone is not None:
             upper += self.sample.kernel[:, g.size:] @ inverse[self.alone]
         return upper
-
-
-def _bounded(y, grid, fvals, shift, binned):
-    """``_priced``'s D on the rows where the bound from ``binned`` reaches 1 - ``_SKIP``, the bound elsewhere.
-
-    Returns (D, the rows priced exactly).  A row whose bound is below
-    1 - ``_SKIP`` has D below 1 - ``_SKIP`` / 2 (``_Binned``), so the
-    maximum and the peaks above one are ``_priced``'s, bit for bit, once
-    some priced row reaches 1 - ``_SKIP`` / 2; otherwise every row is
-    priced.  A non-finite bound prices its row.  The rows are priced as
-    ``_priced`` prices them, in ``_FINE``-row blocks aligned with its
-    ``_BLOCK``-row ones and its last, partial block whole, which keeps its
-    bits on OpenBLAS (the tests check it).
-    """
-    if binned.factor is None:
-        return _priced(y, grid, fvals, shift), np.ones(grid.size, dtype=bool)
-    n, inverse = fvals.size, 1.0 / fvals
-    with np.errstate(over="ignore", invalid="ignore"):
-        direction = (binned.upper(inverse) + 2.0**-1000 * inverse.sum()) / n
-    starts, ends = binned.blocks
-    hit = np.logical_or.reduceat(~(direction < 1.0 - _SKIP), starts)
-    for start, end in zip(starts[hit], ends[hit]):
-        direction[start:end] = _kernel(y, grid[start:end], shift) @ inverse / n
-    priced = np.repeat(hit, ends - starts)
-    if not direction.max() >= 1.0 - 0.5 * _SKIP:
-        return _priced(y, grid, fvals, shift), np.ones(grid.size, dtype=bool)
-    return direction, priced
 
 
 def _ascend(sample, w, fvals, stop_at, max_iters, qp_start, trace, counts):
@@ -580,7 +571,7 @@ def gradient_certificate(solution, problem):
         near, u = grid[problem._nearest[far]][:, None], solution.prior.atoms
         terms = -0.5 * (u - near) * ((u - y[far, None]) + (near - y[far, None])) - LOG_SQRT_2PI
         fvals[far] = np.exp(terms) @ solution.prior.weights
-    return float(_priced(y, grid, fvals, shift).max())
+    return float(_priced(y, grid, fvals, shift)[0].max())
 
 
 def cell_rng(master_seed, *cell_index):

@@ -308,6 +308,26 @@ def test_npmle_synthetic_grid_flags_fix_every_fit_grid(tmp_path, monkeypatch):
     assert (tmp_path / "g.csv").read_text().splitlines() == [",".join(fits[0][0])] + rows
 
 
+@pytest.mark.parametrize("lo", ["-1e3", "-1.5E1", "-3", "-.5"])
+def test_npmle_grid_min_reads_a_negative_number_in_exponent_form(tmp_path, lo):
+    data = tmp_path / "y.txt"
+    np.savetxt(data, cell_rng(0, 7).standard_normal(30))
+    argv = ["npmle", "--data", str(data), "--grid-size", "50", "--grid-max", "1e3"]
+    assert main(["--out", str(tmp_path / "bare")] + argv + ["--grid-min", lo]) == 0
+    assert main(["--out", str(tmp_path / "joined")] + argv + [f"--grid-min={lo}"]) == 0
+    assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-x"])
+def test_npmle_grid_min_takes_no_flag_like_value(tmp_path, capsys, value):
+    data = tmp_path / "y.txt"
+    np.savetxt(data, cell_rng(0, 7).standard_normal(30))
+    argv = ["--out", str(tmp_path / "r"), "npmle", "--data", str(data), "--grid-min", value, "--grid-max", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith("eblab npmle: error: argument --grid-min: expected one argument\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_npmle_constrained_and_mprime_are_gone(tmp_path, capsys):
     assert main(["npmle", "-h"]) == 0
     help_text = capsys.readouterr().out

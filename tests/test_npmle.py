@@ -303,11 +303,13 @@ def test_small_or_fine_grid_fits_do_not_bin(n, m):
 @example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 33), seed=0)
 @example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 64), seed=1)
 @example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 97), seed=2)
+@example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 5), seed=3)
+@example(y=np.linspace(-3.0, 3.0, 50), grid=np.linspace(-4.0, 4.0, 187), seed=4)
 def test_streamed_certificate_is_the_full_kernel_certificate(y, grid, seed):
     kernel = npmle._kernel(y, grid)
     fvals = np.random.default_rng(seed).dirichlet(np.ones(grid.size)) @ kernel
     full = npmle._Sample(kernel).certificate(fvals)
-    streamed = npmle._priced(y, grid, fvals)
+    streamed, _ = npmle._priced(y, grid, fvals)
     assert streamed.shape == full.shape
     assert np.all(np.abs(streamed - full) <= 4.0 * np.spacing(full))
 
@@ -332,18 +334,35 @@ def _binned_pricings(draw):
 _BENCH_LIKE = NpmleProblem.from_observations(sample_observations(TRUE_PRIOR, 3200, cell_rng(0, 3200)))
 
 
+def _start_pricing(problem):
+    """``problem``, its ``_Binned`` and the density of the uniform start: a case of ``_binned_pricings``."""
+    kernel = npmle._kernel(problem.observations, problem.grid, problem._shift)
+    return problem, npmle._Binned(problem), npmle._density(kernel, npmle._start(problem.grid))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(case=_binned_pricings())
-@example(case=(_BENCH_LIKE, npmle._Binned(_BENCH_LIKE), npmle._density(
-    npmle._kernel(_BENCH_LIKE.observations, _BENCH_LIKE.grid), npmle._start(_BENCH_LIKE.grid))))
+@example(case=_start_pricing(_BENCH_LIKE))
+# a grid of 5 points, one block; the bound is used (2 h r <= 0.5)
+@example(case=_start_pricing(NpmleProblem(observations=cell_rng(1, 200).uniform(-1.0, 1.0, 200),
+                                          grid=np.linspace(-1.0, 1.0, 5))))
+# 185 and 187 points: the last block takes 9 and 11 rows, and it is priced while the first ten blocks are not
+@example(case=_start_pricing(NpmleProblem.from_observations(
+    _BENCH_LIKE.observations[_BENCH_LIKE.observations < 1.0], grid_size=185)))
+@example(case=_start_pricing(NpmleProblem.from_observations(
+    _BENCH_LIKE.observations[_BENCH_LIKE.observations < 1.0], grid_size=187)))
+# a wide sample: 2 h r is about 41, so there is no bound and every row is priced
+@example(case=_start_pricing(NpmleProblem.from_observations(10.0 * cell_rng(2, 1000).standard_normal(1000),
+                                                            grid_size=60)))
 def test_bounded_pricing_is_the_streamed_certificate_where_it_matters(case):
     # the bound is above D everywhere; the rows it prices keep _priced's bits, the rest stay below one
     problem, binned, fvals = case
     y, grid, shift = problem.observations, problem.grid, problem._shift
-    exact = npmle._priced(y, grid, fvals, shift)
+    exact, every_row = npmle._priced(y, grid, fvals, shift)
+    assert every_row.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        direction, priced = npmle._bounded(y, grid, fvals, shift, binned)
+        direction, priced = npmle._priced(y, grid, fvals, shift, binned)
         if binned.factor is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 upper = binned.upper(1.0 / fvals) / y.size
@@ -354,6 +373,7 @@ def test_bounded_pricing_is_the_streamed_certificate_where_it_matters(case):
     assert np.array_equal(npmle._peaks(direction), npmle._peaks(exact))
     assert direction[priced].tobytes() == exact[priced].tobytes()
     assert np.all(direction[~priced] < 1.0 - npmle._SKIP) and np.all(exact[~priced] < 1.0 - 0.5 * npmle._SKIP)
+    assert binned.factor is not None or priced.all()
 
 
 def test_a_bench_like_fit_prices_few_grid_rows_exactly():
@@ -411,7 +431,7 @@ def test_binned_fit_memory_stays_below_a_quarter_of_the_full_kernel():
 
 
 def test_gradient_certificate_streams_the_kernel():
-    # one block of 32 grid rows is 5 MB; the full (400, 20000) kernel would be 64 MB
+    # one block of 8 grid rows is 1.3 MB; the full (400, 20000) kernel would be 64 MB
     problem = _large_problem()
     fit = solve_npmle(problem)
     tracemalloc.start()
