@@ -71,12 +71,13 @@ def _hermite_sums(coefficients, y, factorial=False):
     nodes = y.reshape(-1)
     s = np.empty((len(a) + 1, nodes.size))  # s[j + 1] = s_j, s[0] = s_{-1}
     s[0], s[1] = 0.0, 1.0
+    views = list(s)  # one row view per degree, split once
     for j in range(1, len(a)):
-        out = np.multiply(nodes, s[j], out=s[j + 1])
+        out = np.multiply(nodes, views[j], out=views[j + 1])
         if factorial:
-            np.divide(np.subtract(out, s[j - 1], out=out), j, out=out)
+            np.divide(np.subtract(out, views[j - 1], out=out), float(j), out=out)
         else:
-            np.subtract(out, (j - 1) * s[j - 1], out=out)
+            np.subtract(out, (j - 1.0) * views[j - 1], out=out)
     live = a != 0.0
     rows = np.flatnonzero(live.any(axis=1))  # degrees that some series uses
     terms = np.stack([s[rows + 1], s[rows]], axis=1)[:, :, None]  # s_j and s_{j-1}

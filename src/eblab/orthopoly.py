@@ -39,6 +39,7 @@ __all__ = [
     "RecurrenceTable",
     "OperatorMatrices",
     "recurrence_for_weight",
+    "differentiation_matrix",
     "build_operators",
     "operator_norm",
     "bernstein_constant",
@@ -146,8 +147,9 @@ def recurrence_for_weight(nu, k, grid_size=4000):
     b[0] = ip(nodes * basis[0], basis[0])
 
     for j in range(n_polys - 1):
-        r = (nodes - b[j]) * basis[j]
-        rd = basis[j] + (nodes - b[j]) * deriv[j]
+        shifted = nodes - b[j]
+        r = shifted * basis[j]
+        rd = basis[j] + shifted * deriv[j]
         if j > 0:
             r = r - a[j - 1] * basis[j - 1]
             rd = rd - a[j - 1] * deriv[j - 1]
@@ -203,6 +205,12 @@ class OperatorMatrices:
     J: np.ndarray
 
 
+def differentiation_matrix(table):
+    """L_{ij} = <q_i, q_j'> over degrees <= k, from a recurrence table's grid cache."""
+    kp1 = table.degree + 1
+    return (table.basis[:kp1] * table.measure) @ table.basis_derivative[:kp1].T
+
+
 def build_operators(nu, table):
     """Assemble L, A, B, S, J from a recurrence table's grid cache."""
     k = table.degree
@@ -211,10 +219,9 @@ def build_operators(nu, table):
     mvals = model.posterior_mean(table.nodes)
 
     q = table.basis[:kp1]
-    qd = table.basis_derivative[:kp1]
     qw = q * table.measure
 
-    l_mat = qw @ qd.T
+    l_mat = differentiation_matrix(table)
     mult = qw @ (q * mvals).T  # <q_i, m_nu q_j>
     a_mat = np.triu(mult, 1)
     b_mat = np.diag(table.a[:k], 1)
@@ -242,9 +249,7 @@ def bernstein_constant(nu, k, **grid_options):
     Gaussian value sqrt(k).  ``grid_options`` (``grid_size``) go to
     ``recurrence_for_weight``.
     """
-    table = recurrence_for_weight(nu, k, **grid_options)
-    ops = build_operators(nu, table)
-    return operator_norm(ops.L)
+    return operator_norm(differentiation_matrix(recurrence_for_weight(nu, k, **grid_options)))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import eblab.cli as cli
 import eblab.metrics as metrics
 import eblab.npmle as npmle
+import eblab.orthopoly as orthopoly
 import eblab.quadrature as quadrature
 from eblab.cli import _parse_generator, main, parse_prior_spec
 from eblab.metrics import FormMismatch
@@ -369,6 +370,36 @@ def test_bernstein_rows_from_one_build_match_per_degree_builds():
     for row in _bernstein_rows("k_atom:k=5,m=1", 2, 16):
         per_degree = bernstein_constant(prior, row["k"])
         assert abs(row["l_norm"] - per_degree) <= 1e-12 * per_degree
+
+
+def test_bernstein_rows_build_no_operators_but_l(monkeypatch):
+    def refuse(nu, table):
+        raise AssertionError("build_operators called without --dump-matrices")
+
+    monkeypatch.setattr(orthopoly, "build_operators", refuse)
+    rows = _bernstein_rows("k_atom:k=5,m=1", 2, 8)
+    assert [row["k"] for row in rows] == list(range(2, 9))
+    assert all(row["within_bound"] for row in rows)
+
+
+def test_bernstein_dump_matrices_are_the_k_max_operators(tmp_path):
+    dump = tmp_path / "ops.npz"
+    argv = ["--out", str(tmp_path / "b"), "--seed", "3", "bernstein", "--prior", "k_atom:k=5,m=1",
+            "--k-min", "2", "--k-max", "12", "--dump-matrices", str(dump)]
+    assert main(argv) == 0
+    prior = parse_prior_spec("k_atom:k=5,m=1", cell_rng(3, 0))
+    ops = orthopoly.build_operators(prior, orthopoly.recurrence_for_weight(prior, 12))
+    with np.load(dump) as saved:
+        assert sorted(saved.files) == ["A", "B", "J", "L", "S"]
+        for name in saved.files:
+            expected = getattr(ops, name)
+            assert saved[name].shape == expected.shape and saved[name].tobytes() == expected.tobytes(), name
+    with open(tmp_path / "b.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["k"]) for row in rows] == list(range(2, 13))
+    for row in rows:
+        k = int(row["k"])
+        assert float(row["l_norm"]) == orthopoly.operator_norm(ops.L[: k + 1, : k + 1])
 
 
 def test_reruns_are_byte_identical_across_threads(tmp_path):

@@ -340,6 +340,24 @@ def _start_pricing(problem):
     return problem, npmle._Binned(problem), npmle._density(kernel, npmle._start(problem.grid))
 
 
+def _overflowed_bin():
+    """A case whose 1/f overflows the moments of grid[0]'s bin: the bound is NaN (0 times inf) where its kernel underflows."""
+    grid = np.linspace(-25.0, 25.0, 501)  # 2 h r is at most 50 * 0.03
+    rng = cell_rng(3, 300)
+    y = np.r_[rng.choice(grid, 300) + rng.uniform(-0.03, 0.03, 300), grid[0] + 0.01, grid[0] - 0.01]
+    problem, binned, fvals = _start_pricing(NpmleProblem(observations=y, grid=grid))
+    fvals[-2:] = 1e-308  # 1/f = 1e308 each: finite, and D stays finite, but the bin's M_0 does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert binned.factor is not None and np.isnan(binned.upper(1.0 / fvals)).any()
+    return problem, binned, fvals
+
+
+def _nan_end_rows():
+    """A grid reaching +-1e200, its sample on grid points: the bound is NaN (u^2 M_2 = inf * 0) at the two end rows alone."""
+    grid = np.r_[-1e200, np.linspace(-12.0, 12.0, 40), 1e200]
+    return _start_pricing(NpmleProblem(observations=np.repeat(grid[np.abs(grid) < 1.0], 10), grid=grid))
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(case=_binned_pricings())
 @example(case=_start_pricing(_BENCH_LIKE))
@@ -354,6 +372,10 @@ def _start_pricing(problem):
 # a wide sample: 2 h r is about 41, so there is no bound and every row is priced
 @example(case=_start_pricing(NpmleProblem.from_observations(10.0 * cell_rng(2, 1000).standard_normal(1000),
                                                             grid_size=60)))
+# NaN bounds: with overflowed bin moments every row's bound is NaN or inf; with NaN at the end rows alone,
+# their blocks are priced with the rows near the sample, and the block at -7.7 to -3.4 is not priced
+@example(case=_overflowed_bin())
+@example(case=_nan_end_rows())
 def test_bounded_pricing_is_the_streamed_certificate_where_it_matters(case):
     # the bound is above D everywhere; the rows it prices keep _priced's bits, the rest stay below one
     problem, binned, fvals = case
@@ -367,8 +389,14 @@ def test_bounded_pricing_is_the_streamed_certificate_where_it_matters(case):
             with np.errstate(over="ignore", invalid="ignore"):
                 upper = binned.upper(1.0 / fvals) / y.size
                 slack = 2.0**-1000 * np.sum(1.0 / fvals) / y.size
+                bound = (binned.upper(1.0 / fvals) + 2.0**-1000 * np.sum(1.0 / fvals)) / y.size
             finite = np.isfinite(upper)
             assert np.all(exact[finite] <= upper[finite] * (1.0 + 0.5 * npmle._SKIP) + slack)
+            # 8-row blocks, the last taking the 8 to 15 rows left: those whose bound is not below 1 - _SKIP
+            # (NaN included) are priced, and the rest only if none of those reaches 1 - _SKIP / 2
+            block = np.minimum(np.arange(grid.size) // npmle._BLOCK, max(grid.size // npmle._BLOCK - 1, 0))
+            first = np.isin(block, block[~(bound < 1.0 - npmle._SKIP)])
+            assert np.array_equal(priced, first | (exact[first].max(initial=0.0) < 1.0 - 0.5 * npmle._SKIP))
     assert direction.max().tobytes() == exact.max().tobytes()
     assert np.array_equal(npmle._peaks(direction), npmle._peaks(exact))
     assert direction[priced].tobytes() == exact[priced].tobytes()

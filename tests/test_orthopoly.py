@@ -11,6 +11,7 @@ from eblab.orthopoly import (
     bernstein_constant,
     build_operators,
     default_window_radius,
+    differentiation_matrix,
     jacobi_norm_bound_check,
     operator_norm,
     recurrence_for_weight,
@@ -57,6 +58,7 @@ def test_operator_identities_hold_to_quadrature_error():
     ops = build_operators(prior, table)
     kp1 = k + 1
     assert ops.L.shape == (kp1, kp1)
+    assert differentiation_matrix(table).tobytes() == ops.L.tobytes()  # what bernstein rows read
     assert np.max(np.abs(np.tril(ops.L))) <= 1e-8  # differentiation lowers degree
     assert np.max(np.abs(ops.L - (ops.A + ops.B))) <= 1e-8
     assert np.max(np.abs(ops.S - (ops.L + ops.L.T))) <= 1e-8
