@@ -396,12 +396,10 @@ def _run_npmle(spec):
     for n in n_values:
         regrets = sorted(r["regret"] for r in rows if r["n"] == n)
         medians[str(n)] = regrets[len(regrets) // 2]
-    counts = [solution.diagnostics for _, solution in fits]
     diagnostics = {"iterations": sum(solution.iterations for _, solution in fits)}
-    for key in ("sqp_steps", "em_steps", "binned_steps", "pricing_passes", "priced_rows"):
-        diagnostics[key] = sum(c[key] for c in counts)
-    for key in ("max_working_set", "max_rows"):
-        diagnostics[key] = max(c[key] for c in counts)
+    for key in fits[0][1].diagnostics:  # a max_* count takes the largest fit's, every other the sum
+        counts = [solution.diagnostics[key] for _, solution in fits]
+        diagnostics[key] = max(counts) if key.startswith("max_") else sum(counts)
     summary = {
         "true_prior": json.loads(true_prior.to_json()),
         "median_regret": medians,

@@ -20,9 +20,9 @@ here:
   ``integrate_lines`` runs many such integrals in lock step, each with
   its own spec, so that they share every integrand call; each result
   equals its own ``integrate_line`` bit for bit, and ``integrate_line``
-  is the case of one integral.  Its first passes are one schedule laid
-  out once, a panel is one row of ends, K15 values, errors and integral,
-  and each step applies the rule once to all the integrals its call ends.
+  is the case of one integral.  A call takes every waiting panel of the
+  first passes' one schedule, laid out once, then whole split rounds,
+  oldest first, while they fit, and applies the rule once to all it ends.
 * ``orthopoly._composite_legendre``: a fixed composite Gauss-Legendre
   grid on a window.  The Stieltjes inner products of the orthopolynomial
   recurrence are sums over it, and ``orthopoly`` caches the basis on its
@@ -206,8 +206,8 @@ def _panel_estimates(fx, ends):
 def _first_passes(specs):
     """Every first pass, [-R, R] cut into 8 to 64 equal panels, panel t of each before panel t + 1 of any.
 
-    Returns the panels' ends and integrals, ``finals``, a row per pass in the order they end (the position
-    of its last panel, its integral, its panel count twice), and ``rows``, their panels in that order.
+    Returns the panels' ends and integrals, then per pass, in the order they end, the position of its last
+    panel (``last``), a row of ``finals`` (its integral, its panel count twice) and its panels (``rows``).
     """
     radius = np.array([spec.truncation_radius for spec in specs])
     count = np.minimum(64.0, np.maximum(8.0, np.ceil(radius))).astype(np.intp)
@@ -220,8 +220,8 @@ def _first_passes(specs):
         ends[position[:n, group], 0], ends[position[:n, group], 1] = edges[:-1], edges[1:]
     last = position[count - 1, np.arange(len(specs))]
     done = last.argsort()
-    finals = np.stack((last[done], done, count[done], count[done]), axis=1)
-    return ends, grid.nonzero()[1], finals, position[:, done].T[grid[:, done].T]
+    finals = np.stack((done, count[done], count[done]), axis=1)
+    return ends, grid.nonzero()[1], last[done], finals, position[:, done].T[grid[:, done].T]
 
 
 def _runs(starts, lengths):
@@ -258,56 +258,49 @@ def integrate_lines(f, specs):
     Integral i is exactly ``integrate_line`` of y -> f(y, i) with
     ``specs[i]``: its own window, first pass, per-component targets,
     refinement batches and panel budget.  Each integral has one request
-    waiting at a time in one queue: its next first-pass panel, or the
-    children of its split round.  Each step evaluates requests from the
-    front of the queue together in one call ``f(y, which)``, where
-    ``which[j]`` is the index of the integral that node y[j] belongs to:
-    as many whole requests as fit in 2 * 128 panels and at least one, so
-    a single integral makes exactly the calls it would make alone.
+    waiting at a time: its next first-pass panel, or the children of its
+    split round.  A step evaluates every waiting first-pass panel (at most
+    2 * 128), then whole rounds, oldest first, while they fit in 2 * 128
+    panels, in one call ``f(y, which)``, where ``which[j]`` is the index of
+    the integral that node y[j] belongs to, so a single integral makes
+    exactly the calls it would make alone.
 
-    The first passes take turns round robin, so the queued first-pass
+    The first passes take turns round robin, so the waiting first-pass
     panels are always the next ones of one schedule, laid out once with
-    its nodes; a queued round keeps the schedule position it waits at, and
-    a step of first-pass panels alone is a slice.  A panel is one row of
-    ends, K15 values, errors and integral; the live panels past the first
-    passes are one pool, and each integral's sums and tolerances one row.
-    A step applies the rule once to all the integrals whose pass or round
-    it completes.  If rows of ``f`` do not depend on which nodes share the
-    call and ``f`` does not write to ``y``, every result equals its
-    ``integrate_line`` bit for bit.  Returns a list with one float or
-    array per spec; the first integral to fail raises its
+    its nodes, and a step of first-pass panels alone is a slice.  A panel
+    is one row of ends, K15 values, errors and integral; the live panels
+    past the first passes are one pool, and each integral's sums and
+    tolerances one row.  A step applies the rule once to all the integrals
+    whose pass or round it completes.  If rows of ``f`` do not depend on
+    which nodes share the call and ``f`` does not write to ``y``, every
+    result equals its ``integrate_line`` bit for bit.  Returns a list with
+    one float or array per spec; the first integral to fail raises its
     ``ToleranceNotMet``.
     """
     results = [None] * len(specs)
     if not specs:
         return results
-    ends, owner, finals, rows = _first_passes(specs)
-    nodes, last, table = _nodes(ends), finals[:, 0].copy(), ends
-    bounds = [0] + finals[:, 2].cumsum().tolist()  # pass i's panels are rows[bounds[i]:bounds[i + 1]]
+    ends, owner, last, finals, rows = _first_passes(specs)
+    nodes, table, kids = _nodes(ends), ends, ends[:0]
+    bounds = [0] + finals[:, 1].cumsum().tolist()  # pass i's panels are rows[bounds[i]:bounds[i + 1]]
     max_panels = np.array([spec.max_panels for spec in specs])
-    rounds = finals[:0]  # queued rounds: the schedule position each waits at, integral, new and live panels
-    p = c = waiting = 0  # the next first-pass panel, the passes complete, the new panels of the rounds
+    rounds = finals[:0]  # waiting rounds, oldest first: integral, new and live panels; ``kids`` their rows
+    p = c = 0  # the next first-pass panel, the passes complete
 
     def result(x):
         return float(x[0]) if shape == () else x.copy()
 
     while p < len(ends) or len(rounds):
-        queued = p + len(specs) - c  # first-pass panels p, ..., queued - 1 are in the queue
-        j, s, nf = len(rounds), waiting, queued - p  # rounds in the step, their panels, first-pass panels
-        if nf + s > _CALL_PANELS:  # not the whole queue: as many whole requests from its front as fit
-            size = rounds[:, 2].cumsum()
-            j = int((rounds[:, 0] - p + size).searchsorted(_CALL_PANELS, "right"))
+        nf = min(len(specs) - c, _CALL_PANELS)  # the first-pass panels in the step
+        j, s = len(rounds), len(kids)  # the rounds in the step and their panels
+        if nf + s > _CALL_PANELS:  # not every round: as many whole ones as fit
+            size = rounds[:, 1].cumsum()
+            j = int(size.searchsorted(_CALL_PANELS - nf, "right"))
             s = int(size[j - 1]) if j else 0
-            nf = min((int(rounds[j, 0]) if j < len(rounds) else queued) - p, _CALL_PANELS - s)
         if not j:  # first-pass panels only: a slice of the schedule
             step, y, which = table[p:p + nf], nodes[15 * p:15 * (p + nf)], owner[p:p + nf].repeat(15)
         else:
-            step = kids[:s]
-            if nf:  # first-pass panels and rounds, in the order of the queue
-                order = 2 * np.concatenate((np.arange(p, p + nf), rounds[:j, 0].repeat(rounds[:j, 2])))
-                order[:nf] += 1  # a round goes before the first-pass panel at its position
-                order = order.argsort(kind="stable")
-                step = np.concatenate((table[p:p + nf], step))[order]
+            step = np.concatenate((table[p:p + nf], kids[:s])) if nf else kids[:s]
             y, which = _nodes(step[:, :2]), step[:, -1].astype(np.intp).repeat(15)
         values, errors, shape = _panel_estimates(f(y, which), step[:, :2])
         if not p:  # the first call: now the rows have their width; a row of sums ends in the tolerances
@@ -317,27 +310,18 @@ def integrate_lines(f, specs):
             sums = np.hstack((np.zeros((len(specs), 2 * k)), [[s.abs_tol, s.rel_tol] for s in specs]))
         step[:, 2:2 + k], step[:, 2 + k:-1] = values, errors
         if j and nf:
-            scheduled = order < nf
-            table[p:p + nf], step = step[scheduled], step[~scheduled]
-        p, start, c0, c = p + nf, p, c, (int(last.searchsorted(p + nf)) if nf else c)
+            table[p:p + nf] = step[:nf]
+        p, c0, c = p + nf, c, (int(last.searchsorted(p + nf)) if nf else c)
         if c == c0 and not j:
             continue
-        due, new = rounds[:j], step if j else kids[:0]  # the integrals due and their new rows, in step order
-        rounds, kids, waiting = rounds[j:], kids[s:], waiting - s
-        at = queued - start  # added to a schedule position in the step: the position queued after it
+        due, new = rounds[:j], step[nf:]  # the integrals due and their new rows, in step order
+        rounds, kids = rounds[j:], kids[s:]
         if c > c0:
             due = np.concatenate((finals[c0:c], due))
             new = np.concatenate((table[rows[bounds[c0]:bounds[c]]], new))
-            completes = np.arange(len(due)) < c - c0
-            if j:
-                order = (2 * due[:, 0] + completes).argsort(kind="stable")  # a round goes before its position
-                new = new[_runs((due[:, 2].cumsum() - due[:, 2])[order], due[order, 2])]
-                due, completes = due[order], completes[order]
-            at = at - (completes.cumsum() - completes)  # the passes that end there queue no panel
             if c == len(specs):  # every first pass is done: free the schedule
                 nodes = table = None
-        at = due[:, 0] + at  # each one's round goes after the first-pass panels the step queues before it
-        integrals, lengths, panels = due[:, 1], due[:, 2], due[:, 3]
+        integrals, lengths, panels = due.T
         state = sums[integrals]
         state[:, :-2] += _row_sums(new[:, 2:-1], lengths, k)
         target = np.maximum(state[:, -2:-1], state[:, -1:] * abs(state[:, :k]))
@@ -348,8 +332,8 @@ def integrate_lines(f, specs):
                 results[integrals[d]] = result(state[d, :k])
             pool = pool[(pool[:, -1:] != integrals[~split]).all(axis=1)]  # finished rounds leave it
             new = new[split.repeat(lengths)]
-            integrals, lengths, panels, state, over, target, at = (
-                x[split] for x in (integrals, lengths, panels, state, over, target, at))
+            integrals, lengths, panels, state, over, target = (
+                x[split] for x in (integrals, lengths, panels, state, over, target))
             if not len(integrals):
                 continue
         err = state[:, k:-2]  # the component furthest over its target; a target of 0 puts its component first
@@ -385,8 +369,8 @@ def integrate_lines(f, specs):
         pool = pool[keep]
         kid = batch.repeat(2, axis=0)  # left, right child of each
         kid[0::2, 1] = kid[1::2, 0] = 0.5 * (kid[0::2, 0] + kid[0::2, 1])
-        rounds = np.concatenate((rounds, np.array((at, integrals, 2 * taken, panels + taken)).T))
-        kids, waiting = np.concatenate((kids, kid)), waiting + len(kid)
+        rounds = np.concatenate((rounds, np.array((integrals, 2 * taken, panels + taken)).T))
+        kids = np.concatenate((kids, kid))
     return results
 
 

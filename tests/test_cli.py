@@ -879,8 +879,9 @@ def test_one_value_moment_sweep_writes_strict_json(tmp_path):
         (["lowerbound", "--m-min", "2", "--m-max", "12"], 18),
         (["moment", "--p", "3", "--b-values", "4,8,16,32"], 45),
         (["regratio", "--p", "2", "--b", "8", "--rhos", "0.01,0.05,0.2"], 84),
+        (["npmle", "--n-values", "200,800,3200", "--n-seeds", "1"], 15),
     ],
-    ids=["lowerbound", "moment", "clipped"],
+    ids=["lowerbound", "moment", "clipped", "npmle"],
 )
 def test_construction_sweeps_make_their_integrand_calls(tmp_path, monkeypatch, argv, calls):
     # every integral of the call, lock-step sweeps and single ``integrate_line`` passes alike

@@ -232,6 +232,16 @@ def _bumps(centers, widths, vector):
     return f
 
 
+def _holed(f, bad, cut, vector):
+    """``f`` with NaN on the nodes of integral ``bad`` past ``cut``."""
+
+    def holed(y, which):
+        hole = (which == bad) & (y > cut)
+        return np.where(hole[:, None] if vector else hole, np.nan, f(y, which))
+
+    return holed
+
+
 def _one_by_one(f, specs):
     """Each integral through ``integrate_line``, the reference for the lock-step pass."""
     return [integrate_line(lambda y, i=i: f(y, np.full(y.shape, i)), spec)
@@ -379,16 +389,20 @@ def _generator_refinement(spec):
 
 
 def _generator_lines(f, specs):
-    """Reference for ``integrate_lines``: one ``_generator_refinement`` per integral, sent every panel."""
+    """Reference for ``integrate_lines``: one ``_generator_refinement`` per integral, sent every panel.
+
+    First-pass requests (one panel each) and split rounds (two or more) wait in two FIFO queues.  A call
+    takes every waiting first-pass request, at most 2 * 128, then whole rounds, oldest first, while they fit.
+    """
     runs = [_generator_refinement(spec) for spec in specs]
     results = [None] * len(runs)
-    waiting = [(i, next(run)) for i, run in enumerate(runs)]
-    while waiting:
-        take, panels = 1, len(waiting[0][1])
-        while take < len(waiting) and panels + len(waiting[take][1]) <= quadrature._CALL_PANELS:
-            panels += len(waiting[take][1])
-            take += 1
-        step, waiting = waiting[:take], waiting[take:]
+    first, rounds = [(i, next(run)) for i, run in enumerate(runs)], []
+    while first or rounds:
+        step, first = first[:quadrature._CALL_PANELS], first[quadrature._CALL_PANELS:]
+        panels = len(step)
+        while rounds and panels + len(rounds[0][1]) <= quadrature._CALL_PANELS:
+            panels += len(rounds[0][1])
+            step.append(rounds.pop(0))
         ends = np.concatenate([request for _, request in step])
         which = np.repeat([i for i, _ in step], [15 * len(request) for _, request in step])
         values, errors, shape = quadrature._panel_estimates(f(quadrature._nodes(ends), which), ends)
@@ -396,7 +410,8 @@ def _generator_lines(f, specs):
         for i, request in step:
             stop = start + len(request)
             try:
-                waiting.append((i, runs[i].send((values[start:stop], errors[start:stop], shape))))
+                request = runs[i].send((values[start:stop], errors[start:stop], shape))
+                (first if len(request) == 1 else rounds).append((i, request))
             except StopIteration as done:
                 results[i] = done.value
             start = stop
@@ -435,10 +450,16 @@ def _schedule(driver, f, specs):
 @example(count=257, vector=True, failure="nan", seed=3, zero=None, close=True)
 @example(count=120, vector=False, failure=None, seed=4, zero=-0.0, close=False)
 @example(count=40, vector=True, failure="budget", seed=5, zero=0.0, close=False)
+@example(count=100, vector=False, failure="budget+budget", seed=2, zero=None, close=True)
+@example(count=40, vector=True, failure="budget+budget", seed=1, zero=None, close=False)
+@example(count=257, vector=True, failure="budget+nan", seed=25, zero=None, close=True)
+@example(count=40, vector=False, failure="budget+nan", seed=10, zero=None, close=False)
 def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed, zero, close):
     # 1-300 integrals of 8-64 first-pass panels: past 256 the first pass fills whole calls and rolls over.
     # The examples add a column that is ``zero`` on every node, so no padding may flip its sign, and
-    # ``close`` radii in [7, 10], so first passes of 8, 9 or 10 panels end in one call
+    # ``close`` radii in [7, 10], so first passes of 8, 9 or 10 panels end in one call.  Two failures in
+    # two integrals pin which one surfaces: both budgets run out after the same call (11, then 64), a NaN
+    # comes one call before the budget would run out (7 and 8), and a budget runs out first (26 and 36)
     rng = np.random.default_rng(seed)
     radii = rng.uniform(7.0, 10.0, size=count) if close else rng.uniform(1.0, 80.0, size=count)
     specs = [IntegrationSpec(abs_tol=float(rng.choice([0.0, 1e-13, 1e-10])),
@@ -448,17 +469,13 @@ def test_driver_makes_the_generator_rules_calls(count, vector, failure, seed, ze
     widths = rng.choice([1e-3, 0.05, 0.3, 1.0, 3.0], size=(count, 2))
     f = _bumps(centers, widths, vector)
     bad = int(rng.integers(count))
-    if failure == "budget":
-        specs[bad] = IntegrationSpec(abs_tol=0.0, rel_tol=1e-12, truncation_radius=radii[bad],
-                                     max_panels=int(rng.integers(2, 80)))
-    elif failure == "nan":
-        cut = rng.uniform(-radii[bad], radii[bad])
-        bumps = f
-
-        def f(y, which):
-            return np.where(((which == bad) & (y > cut))[:, None] if vector else (which == bad) & (y > cut),
-                            np.nan, bumps(y, which))
-
+    for kind in failure.split("+") if failure else ():
+        if kind == "budget":
+            specs[bad] = IntegrationSpec(abs_tol=0.0, rel_tol=1e-12, truncation_radius=radii[bad],
+                                         max_panels=int(rng.integers(2, 80)))
+        else:
+            f = _holed(f, bad, rng.uniform(-radii[bad], radii[bad]), vector)
+        bad = (bad + count // 2) % count  # a second failure is in another integral
     if zero is not None:
         inner = f
 
