@@ -25,8 +25,7 @@ import numpy as np
 
 from . import families, metrics, npmle, orthopoly
 # moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
-from .hermite import (_moment_gap_tables, alpha_bounds, alpha_bounds_hold,  # noqa: F401
-                      moment_gap_table)
+from .hermite import alpha_bounds, alpha_bounds_hold, moment_gap_table, moment_gap_tables  # noqa: F401
 from .mixtures import DiscretePrior, check_class_membership
 from .quadrature import ToleranceNotMet
 from .reports import ExperimentReport, ExperimentSpec, InvalidParameter, UnknownExperiment, output_paths
@@ -234,14 +233,12 @@ def _run_bernstein(spec):
 
 def _run_hermite(spec):
     p = spec.params
-    m_min = int(p.get("m_min", 1))
-    m_max = int(p.get("m_max", 8))
-    table_options = _given(p, j_max=int)
+    m_min, m_max = int(p.get("m_min", 1)), int(p.get("m_max", 8))
     if m_min < 1 or m_max < m_min:
         raise InvalidParameter("need 1 <= m_min <= m_max")
 
     rows = []
-    for table in _moment_gap_tables(range(m_min, m_max + 1), **table_options):
+    for table in moment_gap_tables(range(m_min, m_max + 1), **_given(p, j_max=int)):
         m = table.m
         alpha_lower, alpha_upper = alpha_bounds(m)
         rows.append(
@@ -267,12 +264,11 @@ def _run_hermite(spec):
 
 def _run_lowerbound(spec):
     p = spec.params
-    m_min = int(p.get("m_min", 2))
-    m_max = int(p.get("m_max", 12))
-    table_options = _given(p, j_max=int)
-    if m_min < 2 or m_max < m_min:
-        raise InvalidParameter("need 2 <= m_min <= m_max")
-    return families.lowerbound_ratio_sweep(range(m_min, m_max + 1), **table_options)
+    levels = families.LOWERBOUND_LEVELS
+    m_min, m_max = int(p.get("m_min", levels[0])), int(p.get("m_max", levels[-1]))
+    if m_min < levels[0] or m_max < m_min:
+        raise InvalidParameter(f"need {levels[0]} <= m_min <= m_max")
+    return families.lowerbound_ratio_sweep(range(m_min, m_max + 1), **_given(p, j_max=int))
 
 
 def _run_moment(spec):
@@ -562,7 +558,10 @@ def _flag_value(args, config, actions, key):
 def _spec_from_args(args, config, actions):
     params = {key: value for key in vars(args)
               if key not in _GLOBAL_DESTS and (value := _flag_value(args, config, actions, key)) is not None}
-    return ExperimentSpec(name=args.command, params=params, seed=_flag_value(args, config, actions, "seed") or 0)
+    seed = _flag_value(args, config, actions, "seed") or 0
+    if seed < 0:  # numpy seeds are >= 0; refused for every subcommand, since every sidecar echoes it
+        raise InvalidParameter(f"--seed must be >= 0, not {seed}")
+    return ExperimentSpec(name=args.command, params=params, seed=seed)
 
 
 def main(argv=None):

@@ -36,18 +36,22 @@ import numpy as np
 
 from . import metrics
 # moment_gap_table stays bound here: bench/tests/test_tracer.py checks this import site
-from .hermite import _hermite_sums, _moment_gap_tables, moment_gap_table  # noqa: F401
+from .hermite import hermite_sums, moment_gap_table, moment_gap_tables  # noqa: F401
 from .mixtures import DiscretePrior, phi
 from .quadrature import IntegrationSpec, arcsine_moment, integrate_line
 
 __all__ = [
+    "LOWERBOUND_LEVELS",
     "lowerbound_ratio_sweep",
     "moment_family_sweep",
     "fit_loglog_exponent",
     "regularization_necessity_demo",
 ]
 
+LOWERBOUND_LEVELS = range(2, 13)  # the sweep's levels m: tau = alpha_m^2 underflows past m = 12
 ARCSINE_RESOLUTION = 256
+# the share of alpha_m and of beta_m that a gap table's truncation at j_max may discard
+_TABLE_REMAINDER_SHARE = 1e-9
 _FAMILY_SPEC = IntegrationSpec(abs_tol=0.0, truncation_radius=16.0)
 
 
@@ -64,7 +68,7 @@ def _lowerbound_coefficients(tables):
     return coefficients
 
 
-def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
+def lowerbound_ratio_sweep(m_values=LOWERBOUND_LEVELS, **table_options):
     """A row per contamination level m plus summary rate constants.
 
     G contaminates delta_0 with mass tau = alpha_m^2 of the arcsine law
@@ -78,17 +82,23 @@ def lowerbound_ratio_sweep(m_values=range(2, 13), **table_options):
     the empirical lower-bound constant; ``rate_c0`` is the smallest
     m loglog(1/alpha) / log(1/alpha), the constant tying the family index
     to the Hellinger separation.  ``table_options`` (``j_max``) go to
-    ``moment_gap_table``.
+    ``moment_gap_tables``; a ``j_max`` whose tables may discard more than
+    1e-9 of alpha_m or beta_m raises ``ValueError``.
     """
     ms = [int(m) for m in m_values]
-    if not all(2 <= m <= 12 for m in ms):
-        raise ValueError("m must be between 2 and 12 (tau underflows beyond)")
-    tables = _moment_gap_tables(ms, **table_options)
+    if not all(m in LOWERBOUND_LEVELS for m in ms):
+        raise ValueError(f"m must be in [{LOWERBOUND_LEVELS[0]}, {LOWERBOUND_LEVELS[-1]}]: tau underflows beyond")
+    tables = moment_gap_tables(ms, **table_options)
+    for table in tables:
+        if (table.alpha_remainder > _TABLE_REMAINDER_SHARE * table.alpha_m
+                or table.beta_remainder > _TABLE_REMAINDER_SHARE * table.beta_m):
+            raise ValueError(f"j_max = {table.j_max} is too small for m = {table.m}: its gap table's "
+                             "truncation bound is not negligible against alpha_m or beta_m")
     tau = np.array([table.alpha_m * table.alpha_m for table in tables])
     coefficients = _lowerbound_coefficients(tables)
 
     def integrand(y):
-        sums, shifted = _hermite_sums(coefficients, y, factorial=True)
+        sums, shifted = hermite_sums(coefficients, y, factorial=True)
         s, t, u, uprime = sums[:, :1], shifted[:, :1], sums[:, 1:], shifted[:, 1:]
         fg = 1.0 + tau * (s - 1.0)
         fh = fg - 2.0 * tau * u

@@ -16,7 +16,7 @@ The same machinery specialises to the arcsine law nu versus its m-point
 Gauss rule nu_m: their moment gaps are exact binomial expressions (see
 ``moment_gap_table``), which keeps the leading gap 2^(1-2m) accurate to
 the last bit instead of being drowned by floating-point cancellation.
-One recurrence, ``_hermite_sums``, evaluates every Hermite series of the
+One recurrence, ``hermite_sums``, evaluates every Hermite series of the
 package.  It sums each series in degree order from 0, one addition per
 nonzero coefficient, exactly as a per-degree loop adds it.
 """
@@ -30,9 +30,11 @@ import numpy as np
 
 __all__ = [
     "MAX_HERMITE_DEGREE",
+    "hermite_sums",
     "expansion_coefficients",
     "truncation_error",
     "MomentGapTable",
+    "moment_gap_tables",
     "moment_gap_table",
     "alpha_bounds",
     "alpha_bounds_hold",
@@ -44,11 +46,11 @@ _MAX_GAP_LEVEL = 66
 # truncation_error stops once the tail envelope is below this share of the sum
 _TRUNCATION_REL_FLOOR = 1e-13
 _TRUNCATION_MAX_DEGREE = 5000
-# nodes per product block of _hermite_sums: bounds its (degrees, 2, nodes, series) buffer
+# nodes per product block of hermite_sums: bounds its (degrees, 2, nodes, series) buffer
 _SUM_BLOCK = 64
 
 
-def _hermite_sums(coefficients, y, factorial=False):
+def hermite_sums(coefficients, y, factorial=False):
     """(sum_j a_j s_j(y), sum_j a_j s_{j-1}(y)) for s_j = H_j / D_j, s_{-1} = 0.
 
     The single three-term recurrence of the package.  D_j = 1 gives the
@@ -192,7 +194,7 @@ class MomentGapTable:
     beta_remainder: float
 
 
-def _moment_gap_tables(ms, j_max=200):
+def moment_gap_tables(ms, j_max=200):
     """``moment_gap_table(m, j_max)`` for every m in ``ms``, from one set of binomial rows.
 
     Averaging cos^j over the Chebyshev angles kills every harmonic except
@@ -240,7 +242,7 @@ def _moment_gap_tables(ms, j_max=200):
 
 def moment_gap_table(m, j_max=200):
     """Gap table plus alpha/beta tail sums for the m-point Gauss rule (a one-level sweep)."""
-    return _moment_gap_tables([m], j_max)[0]
+    return moment_gap_tables([m], j_max)[0]
 
 
 def alpha_bounds(m):

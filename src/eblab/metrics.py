@@ -19,7 +19,7 @@ pass, to its own tolerance, on a window whose discarded tail is below
 functionals.  ``compute_metric_reports`` integrates the named
 functionals (the four report ones by default) of a sweep of pairs in
 one ``integrate_lines`` pass: each side's priors are stacked once, one
-column per pair (``MarginalModel._stack``, which pads a prior with
+column per pair (``MarginalModel.stack``, which pads a prior with
 fewer atoms by weight-0 atoms), and each call gathers for each node the
 column of its own pair, so each pair's dict equals its
 ``pair_integrals`` bit for bit while 100 pairs share about 15 integrand
@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .mixtures import MarginalModel, _per_atom, log_phi
+from .mixtures import MarginalModel, log_phi, per_atom
 from .quadrature import (IntegrationSpec, ToleranceNotMet, gaussian_tail_radius, integrate_line,
                          integrate_lines)
 
@@ -107,9 +107,9 @@ class _PairState:
         self.imbalance = np.tanh(0.5 * (self.lg - self.lh))
 
 
-def _atom_sum(terms, per_atom):
-    """sum_i terms_i * per_atom_i over the leading axis of the (atoms, *shape) array ``terms``."""
-    return (terms * _per_atom(per_atom, terms.ndim - 1)).sum(axis=0)
+def _atom_sum(terms, values):
+    """sum_i terms_i * values_i over the leading axis of the (atoms, *shape) array ``terms``."""
+    return (terms * per_atom(values, terms.ndim - 1)).sum(axis=0)
 
 
 def _flux_gprime(s):
@@ -117,7 +117,7 @@ def _flux_gprime(s):
     half_log_fbar = 0.5 * (np.logaddexp(s.lg, s.lh) - math.log(2.0))
 
     def scaled_flux(model):
-        terms = np.exp(log_phi(s.y - _per_atom(model.atoms, s.y.ndim)) - half_log_fbar)
+        terms = np.exp(log_phi(s.y - per_atom(model.atoms, s.y.ndim)) - half_log_fbar)
         return _atom_sum(terms, model.weights * model.atoms)
 
     diff = scaled_flux(s.model_g) - scaled_flux(s.model_h)
@@ -132,8 +132,8 @@ def _linear_density_and_score(model, y):
     stays finite where f itself underflows.  A weight-0 atom's log kernel is
     -inf, so its kernel is an exact 0.
     """
-    weights, diff = model.weights, _per_atom(model.atoms, y.ndim) - y
-    log_kernel = np.where(_per_atom(weights, y.ndim) > 0.0, log_phi(diff), -np.inf)
+    weights, diff = model.weights, per_atom(model.atoms, y.ndim) - y
+    log_kernel = np.where(per_atom(weights, y.ndim) > 0.0, log_phi(diff), -np.inf)
     top = log_kernel.max(axis=0)
     kernel = np.exp(log_kernel - top)
     scaled_f = _atom_sum(kernel, weights)
@@ -191,7 +191,7 @@ def _hellinger_floor(model_g, model_h):
 
     A lower bound on eps^2 (data processing), with t halfway between the
     priors' largest atoms of positive weight.  For stacked models
-    (``MarginalModel._stack``) both are arrays, one entry per column.  Each
+    (``MarginalModel.stack``) both are arrays, one entry per column.  Each
     cell's chances under G and H are tail sums of their own; the gap
     between them is one sum over both priors' atoms, an atom of H that G
     also has merged into G's signed weight, so nothing cancels and
@@ -319,7 +319,7 @@ def compute_metric_reports(pairs, names=_REPORT_NAMES):
     checks, and its values equal its own ``pair_integrals`` bit for bit;
     the pairs share each integrand call (``quadrature.integrate_lines``)
     in one pass for the whole sweep, whatever their atom counts.  Each side
-    is stacked once (``MarginalModel._stack``), a column per pair; each call
+    is stacked once (``MarginalModel.stack``), a column per pair; each call
     only gathers the columns that ``which`` names.
     """
     formulas = _pair_formulas(names, [])
@@ -327,10 +327,10 @@ def compute_metric_reports(pairs, names=_REPORT_NAMES):
         return []
     models = [_as_models(g, h) for g, h in pairs]
     specs = [integration_window(*pair) for pair in models]
-    stacks = [MarginalModel._stack([pair[side] for pair in models]) for side in (0, 1)]
+    stacks = [MarginalModel.stack([pair[side] for pair in models]) for side in (0, 1)]
 
     def integrand(y, which):
-        return _columns(formulas, _PairState(*(stack._rows(which) for stack in stacks), y))
+        return _columns(formulas, _PairState(*(stack.rows(which) for stack in stacks), y))
 
     floors = [None] * len(specs)
     if "hellinger_sq" in names:

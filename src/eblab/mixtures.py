@@ -116,7 +116,7 @@ def _log_sum_exp(log_terms):
     return shift + np.log(total), shifted / total
 
 
-def _per_atom(values, ndim):
+def per_atom(values, ndim):
     """``values`` of shape (atoms,) or (atoms, *shape), made to broadcast against (atoms, *shape).
 
     ``ndim`` is len(shape), the number of point axes.
@@ -142,8 +142,8 @@ class MarginalModel:
         self.support_bound = float(np.max(np.abs(self.atoms)))
 
     @staticmethod
-    def _stack(models):
-        """One model whose column r is ``models[r]``, for ``_rows`` to gather from.
+    def stack(models):
+        """One model whose column r is ``models[r]``, for ``rows`` to gather from.
 
         Each column reuses its model's atoms, weights and log weights.  A
         prior with fewer atoms than the largest is padded with weight-0
@@ -166,8 +166,8 @@ class MarginalModel:
         stack.support_bound = max(m.support_bound for m in models)
         return stack
 
-    def _rows(self, which):
-        """For a ``_stack`` of models: the model whose column j is column which[j].
+    def rows(self, which):
+        """For a ``stack`` of models: the model whose column j is column which[j].
 
         Atoms, weights and log weights are gathered, not taken again, so
         ``evaluate`` at nodes y with y.shape == which.shape gives node j
@@ -181,8 +181,8 @@ class MarginalModel:
     def _log_terms(self, y):
         """The (atoms, *y.shape) array of log w_i + log phi(y - u_i)."""
         y = np.asarray(y, dtype=float)
-        diff = y - _per_atom(self.atoms, y.ndim)
-        return _per_atom(self._log_weights, y.ndim) - 0.5 * diff * diff - LOG_SQRT_2PI
+        diff = y - per_atom(self.atoms, y.ndim)
+        return per_atom(self._log_weights, y.ndim) - 0.5 * diff * diff - LOG_SQRT_2PI
 
     @staticmethod
     def _maybe_scalar(value, y):

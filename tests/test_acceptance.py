@@ -16,9 +16,9 @@ from eblab import metrics
 from eblab.cli import main
 from eblab.families import fit_loglog_exponent, lowerbound_ratio_sweep, moment_family_sweep
 from eblab.hermite import (
-    _hermite_sums,
     alpha_bounds_hold,
     expansion_coefficients,
+    hermite_sums,
     moment_gap_table,
     truncation_error,
 )
@@ -110,7 +110,7 @@ def test_06_truncation_tails_match_quadrature_and_envelope():
         tail[: k + 1] = 0.0  # keep only degrees > k
 
         def tail_sq(y):
-            t = _hermite_sums(tail, y)[0]
+            t = hermite_sums(tail, y)[0]
             return t * t * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
         quad = integrate_line(tail_sq, spec)

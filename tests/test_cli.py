@@ -619,6 +619,9 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         (["npmle", "--data", "{data}", "--max-iters", "0"], "max_iters must be >= 1, not 0"),
         (["hermite", "--m-min", "2", "--m-max", "6", "--j-max", "401"], "j_max must be <= 400, not 401"),
         (["lowerbound", "--m-min", "2", "--m-max", "3", "--j-max", "401"], "j_max must be <= 400, not 401"),
+        (["lowerbound", "--m-min", "12", "--m-max", "12", "--j-max", "24"], "j_max = 24 is too small for m = 12"),
+        (["--seed", "-1", "lowerbound"], "--seed must be >= 0, not -1"),
+        (["--config", "{config}", "hermite"], "--seed must be >= 0, not -1"),
     ],
     ids=[
         "synthetic-grid-min",
@@ -655,12 +658,17 @@ _DATA_GRID = ["npmle", "--data", "{data}", "--grid-min", "-3", "--grid-max", "3"
         "npmle-max-iters-zero",
         "hermite-j-max-past-cap",
         "lowerbound-j-max-past-cap",
+        "lowerbound-j-max-truncates-the-tails",
+        "seed-negative",
+        "config-seed-negative",
     ],
 )
 def test_unapplied_flags_exit_2_naming_the_flag(tmp_path, capsys, argv, named):
     data = tmp_path / "y.txt"
     np.savetxt(data, cell_rng(0, 7).standard_normal(30))
-    argv = [str(data) if arg == "{data}" else arg for arg in argv]
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    argv = [{"{data}": str(data), "{config}": str(config)}.get(arg, arg) for arg in argv]
     assert main(["--out", str(tmp_path / "r")] + argv) == 2
     err = capsys.readouterr().err
     if named.startswith("unrecognized arguments: "):  # a removed flag: argparse prints usage, then the error

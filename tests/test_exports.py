@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -50,3 +51,32 @@ def test_cli_runs_without_loading_scipy(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    # neither "from .x import _y" nor "X._y" with X imported from an eblab module
+    found = []
+    for path in sorted(pathlib.Path(eblab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "eblab"):
+                imported.update(alias.asname or alias.name for alias in node.names)
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if _private(alias.name)]
+            elif isinstance(node, ast.Import):  # "import eblab.x" binds eblab, "import eblab.x as y" binds y
+                imported.update(alias.asname or "eblab" for alias in node.names
+                                if alias.name.split(".")[0] == "eblab")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in imported:
+                    found.append(f"{path.name}:{node.lineno} reads {ast.unparse(node)}")
+    assert not found

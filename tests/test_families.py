@@ -10,7 +10,7 @@ from eblab.families import (
     moment_family_sweep,
     regularization_necessity_demo,
 )
-from eblab.hermite import _hermite_sums, moment_gap_table
+from eblab.hermite import hermite_sums, moment_gap_table
 from eblab.mixtures import DiscretePrior
 from eblab.quadrature import ToleranceNotMet, chebyshev_rule
 
@@ -116,6 +116,18 @@ def test_lowerbound_sweep_matches_each_level_built_alone():
         assert abs(row["regret"] - alone["regret"]) <= 1e-12 * alone["regret"]
 
 
+def test_lowerbound_sweep_refuses_a_j_max_that_truncates_the_tails():
+    # the smallest j_max whose tables drop at most 1e-9 of alpha_m and beta_m, for m = 2..12
+    smallest = [16, 18, 20, 22, 25, 27, 30, 32, 34, 37, 39]
+    reference, _ = lowerbound_ratio_sweep()
+    for row, j_max in zip(reference, smallest, strict=True):
+        m = row["m"]
+        with pytest.raises(ValueError, match=f"j_max = {j_max - 1} is too small for m = {m}:"):
+            lowerbound_ratio_sweep([m], j_max=j_max - 1)
+        [got], _ = lowerbound_ratio_sweep([m], j_max=j_max)
+        assert got == pytest.approx(row, rel=1e-13)
+
+
 def test_lowerbound_sweep_is_one_integration_pass(monkeypatch):
     calls = []
     integrate = families.integrate_line
@@ -143,7 +155,7 @@ def test_lowerbound_moment_series_equal_the_atom_sums():
     ys = np.linspace(-16.0, 16.0, 641)
     ms = range(2, 13)
     coefficients = families._lowerbound_coefficients([moment_gap_table(m) for m in ms])
-    sums, shifted = _hermite_sums(coefficients, ys, factorial=True)
+    sums, shifted = hermite_sums(coefficients, ys, factorial=True)
     s_fine, t_fine = _atom_sums(chebyshev_rule(families.ARCSINE_RESOLUTION), ys)
     # |x| <= 1, so a rule's S bounds its T and sets the scale of both
     np.testing.assert_array_less(np.abs(sums[:, 0] - s_fine), 1e-13 * s_fine)

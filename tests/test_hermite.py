@@ -10,11 +10,11 @@ from numpy.polynomial import hermite_e
 
 from eblab import hermite
 from eblab.hermite import (
-    _hermite_sums,
-    _moment_gap_tables,
     alpha_bounds_hold,
     expansion_coefficients,
+    hermite_sums,
     moment_gap_table,
+    moment_gap_tables,
     truncation_error,
 )
 from eblab.families import lowerbound_ratio_sweep
@@ -33,7 +33,7 @@ def _random_prior(rng, bound, max_atoms=5):
 
 def test_hermite_sums_low_degrees():
     ys = np.linspace(-3.0, 3.0, 11)
-    h = _hermite_sums(np.eye(5), ys)[0].T  # series j has the one coefficient a_j = 1: row j is H_j
+    h = hermite_sums(np.eye(5), ys)[0].T  # series j has the one coefficient a_j = 1: row j is H_j
     assert np.allclose(h[0], 1.0)
     assert np.allclose(h[1], ys)
     assert np.allclose(h[2], ys**2 - 1.0)
@@ -42,7 +42,7 @@ def test_hermite_sums_low_degrees():
 
 
 def _loop_hermite_sums(coefficients, y, factorial=False):
-    """Reference for ``_hermite_sums``: one recurrence step and one addition per degree."""
+    """Reference for ``hermite_sums``: one recurrence step and one addition per degree."""
     coefficients = np.asarray(coefficients, dtype=float)
     y = np.asarray(y, dtype=float)
     acc, acc_prev = np.zeros((2, *y.shape, *coefficients.shape[1:]))
@@ -88,11 +88,11 @@ def test_hermite_kernel_range_matches_clenshaw():
     # out to degrees and arguments where H_j is near the top of double range
     for j, y in ((80, 25.0), (200, 1.0), (200, 16.0), (300, 3.0)):
         unit = np.eye(j + 1)[j]
-        assert _relative_gap(_hermite_sums(unit, y)[0], hermite_e.hermeval(y, unit)) <= 1e-12
+        assert _relative_gap(hermite_sums(unit, y)[0], hermite_e.hermeval(y, unit)) <= 1e-12
     rng = np.random.default_rng(120)
     coeffs = rng.normal(size=121)
     ys = np.linspace(-5.0, 5.0, 21)
-    assert _relative_gap(_hermite_sums(coeffs, ys)[0], hermite_e.hermeval(ys, coeffs)) <= 1e-12
+    assert _relative_gap(hermite_sums(coeffs, ys)[0], hermite_e.hermeval(ys, coeffs)) <= 1e-12
 
 
 def test_factorial_scaled_kernel_matches_clenshaw():
@@ -102,7 +102,7 @@ def test_factorial_scaled_kernel_matches_clenshaw():
     coeffs[::2] = 0.0
     ys = np.linspace(-16.0, 16.0, 17) + 0.3
     factorials = np.array([math.factorial(j) for j in range(151)], dtype=float)
-    value, shifted = _hermite_sums(coeffs, ys, factorial=True)
+    value, shifted = hermite_sums(coeffs, ys, factorial=True)
     assert _relative_gap(value, hermite_e.hermeval(ys, coeffs / factorials)) <= 1e-12
     assert _relative_gap(shifted, hermite_e.hermeval(ys, coeffs[1:] / factorials[:-1])) <= 1e-12
 
@@ -127,10 +127,10 @@ def test_matrix_sums_equal_column_sums_exactly(coeffs, ys, factorial):
     # plain H_j overflows past j ~ 100 at |y| = 1e3; a column that never uses
     # such a degree must still come out exactly as on its own, and never NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        value, shifted = _hermite_sums(coeffs, ys, factorial=factorial)
+        value, shifted = hermite_sums(coeffs, ys, factorial=factorial)
         assert value.shape == shifted.shape == (ys.size, coeffs.shape[1])
         for c in range(coeffs.shape[1]):
-            column, column_shifted = _hermite_sums(coeffs[:, c], ys, factorial=factorial)
+            column, column_shifted = hermite_sums(coeffs[:, c], ys, factorial=factorial)
             np.testing.assert_array_equal(value[:, c], column)
             np.testing.assert_array_equal(shifted[:, c], column_shifted)
             if not coeffs[:, c].any():
@@ -163,7 +163,7 @@ def test_hermite_sums_equal_the_per_degree_loop_bit_for_bit(coeffs, one_series, 
     if one_series:
         coeffs = coeffs[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _hermite_sums(coeffs, ys, factorial=factorial)
+        got = hermite_sums(coeffs, ys, factorial=factorial)
         expected = _loop_hermite_sums(coeffs, ys, factorial=factorial)
     for value, reference in zip(got, expected):
         assert value.shape == reference.shape == np.shape(ys) + coeffs.shape[1:]
@@ -173,7 +173,7 @@ def test_hermite_sums_equal_the_per_degree_loop_bit_for_bit(coeffs, one_series, 
 def test_hermite_orthogonality_under_gaussian_rule():
     # int H_i H_j phi = j! 1{i == j}, checked with a 60-point Gauss rule
     nodes, weights = hermite_e.hermegauss(60)
-    vals = _hermite_sums(np.eye(16), nodes)[0].T
+    vals = hermite_sums(np.eye(16), nodes)[0].T
     gram = (vals * weights / math.sqrt(2.0 * math.pi)) @ vals.T
     expected = np.diag([math.factorial(j) for j in range(16)])
     assert np.max(np.abs(gram - expected) / np.maximum(expected.diagonal()[:, None], 1.0)) <= 1e-9
@@ -196,8 +196,8 @@ def test_series_evaluate_start_drops_leading_terms():
     ys = np.linspace(-2.0, 2.0, 9)
     head = np.where(np.arange(7) < 3, coeffs, 0.0)
     tail = np.where(np.arange(7) >= 3, coeffs, 0.0)
-    full = _hermite_sums(coeffs, ys)[0]
-    assert np.allclose(_hermite_sums(tail, ys)[0], full - _hermite_sums(head, ys)[0], atol=1e-12)
+    full = hermite_sums(coeffs, ys)[0]
+    assert np.allclose(hermite_sums(tail, ys)[0], full - hermite_sums(head, ys)[0], atol=1e-12)
 
 
 def test_truncation_error_matches_parseval_integral():
@@ -216,11 +216,11 @@ def test_truncation_error_matches_parseval_integral():
         spec = IntegrationSpec(abs_tol=0.0, rel_tol=1e-10, truncation_radius=radius)
 
         def tail_sq(y):
-            t = _hermite_sums(tail, y)[0]
+            t = hermite_sums(tail, y)[0]
             return t * t * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
         def tail_deriv_sq(y):
-            t = _hermite_sums(deriv, y)[0]
+            t = hermite_sums(deriv, y)[0]
             return t * t * np.exp(-0.5 * y**2) / math.sqrt(2.0 * math.pi)
 
         assert abs(integrate_line(tail_sq, spec) - err_g) <= 1e-8 * err_g + 1e-18
@@ -263,7 +263,7 @@ def test_arcsine_rule_gap_structure():
 
 
 def test_gap_tables_from_shared_rows_equal_the_binomial_sums():
-    tables = _moment_gap_tables(range(1, 67), j_max=200)
+    tables = moment_gap_tables(range(1, 67), j_max=200)
     for m, table in enumerate(tables, start=1):
         reference = np.array([_arcsine_rule_gap_exact(m, j) for j in range(201)])
         alone = moment_gap_table(m)

@@ -120,7 +120,7 @@ _POOL_PRIORS = st.lists(st.tuples(st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.25, 
 @given(pairs=st.lists(st.tuples(_POOL_PRIORS, _POOL_PRIORS), min_size=1, max_size=8))
 def test_hellinger_floor_of_a_sweep_is_each_pairs_dict_floor(pairs):
     models = [metrics._as_models(g, h) for g, h in pairs]
-    stacks = [MarginalModel._stack([pair[side] for pair in models]) for side in (0, 1)]
+    stacks = [MarginalModel.stack([pair[side] for pair in models]) for side in (0, 1)]
     floors, ts = metrics._hellinger_floor(*stacks)
     for pair, floor, t in zip(models, floors, ts):
         expected, expected_t = _dict_floor(*pair)
@@ -454,12 +454,12 @@ def test_a_nodes_pair_state_is_bit_identical_in_every_batch(atoms):
         return DiscretePrior(rng.uniform(-3.0, 3.0, size), rng.dirichlet(np.ones(size)))
 
     pairs = [(MarginalModel(prior(atoms)), MarginalModel(prior(41 - atoms))) for _ in range(3)]
-    stacks = [MarginalModel._stack([pair[side] for pair in pairs]) for side in (0, 1)]
+    stacks = [MarginalModel.stack([pair[side] for pair in pairs]) for side in (0, 1)]
     formulas = metrics._pair_formulas(metrics._REPORT_NAMES, [0.05])
     y, which = rng.uniform(-8.0, 8.0, 3840), rng.integers(0, len(pairs), 3840)
 
     def stacked_values(n):
-        state = metrics._PairState(*(stack._rows(which[:n]) for stack in stacks), y[:n])
+        state = metrics._PairState(*(stack.rows(which[:n]) for stack in stacks), y[:n])
         return _node_values(state, formulas)
 
     whole = stacked_values(y.size)
